@@ -172,8 +172,9 @@ def cmd_residual(args) -> int:
 
     if args.pohozaev:
         rows = []
-        for r in args.pohozaev:
-            rep = pohozaev_report(u, np.zeros(n), r, order=cfg.quad_order)
+        reports = [pohozaev_report(u, np.zeros(n), r, order=cfg.quad_order)
+                   for r in args.pohozaev]
+        for r, rep in zip(args.pohozaev, reports):
             for name in rep.terms:
                 rows.append([n, r, name, rep.terms[name], rep.paper_terms[name]])
             rows.append([n, r, "sum", rep.residual, rep.paper_residual])
@@ -182,10 +183,7 @@ def cmd_residual(args) -> int:
             ["n", "r", "term", "derived", "as_printed"],
             rows,
         )
-        payload["pohozaev_rel_residual"] = max(
-            pohozaev_report(u, np.zeros(n), r, order=cfg.quad_order).relative_residual
-            for r in args.pohozaev
-        )
+        payload["pohozaev_rel_residual"] = max(rep.relative_residual for rep in reports)
 
     failed = args.constant is None and worst > args.tol
     if args.pohozaev and args.constant is None:

@@ -15,6 +15,14 @@ Two energy densities appear side by side:
   carried by the energy measures (``energy_in``, ``scaled_measure``);
 * the unweighted density  |grad u|^2 + |u|^(2n/(n-2))  entering the
   quantization bookkeeping (``bubbling_energy``, necks, Theta, Lambda_0).
+
+The ball-energy detection scan does not build a rule per probe.  Probes
+that take zonal rules share one zonal template per radius, placed at all
+of them at once and evaluated in blocks of whole probes; each probe's
+value is the same float ``bubbling_energy`` returns, and probes still
+leave the scan at their first value below the threshold.  Probes that
+need radial, paneled or full rules, and the monotonicity detector, keep
+the per-probe loop.
 """
 
 from __future__ import annotations
@@ -25,13 +33,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.special import roots_legendre
 
 from .grid import (
     QuadratureRule,
+    _integrand_values,
+    _unit_perp_pair,
+    gauss_legendre,
     integrate,
     unit_ball_volume,
     unit_sphere_area,
+    zonal_template,
 )
 from .fields import (
     Bubble,
@@ -114,7 +125,7 @@ def _bubble_density_1d(n: int) -> Callable[[np.ndarray], np.ndarray]:
 
 def _radial_integral(dens, n: int, order: int, r_pivot: float = 16.0) -> float:
     """surf(S^{n-1}) * int_0^inf dens(r) r^(n-1) dr with an exact tail map."""
-    x, w = roots_legendre(order)
+    x, w = gauss_legendre(order)
     edges = [0.0]
     h = 1.0 / 64
     while edges[-1] < r_pivot:
@@ -348,6 +359,92 @@ def _detection_quantity(detector: str, u: ScalarField, x, r: float, order: int) 
     raise ValueError(f"unknown detector {detector!r}")
 
 
+# Nodes per density evaluation in the batched scan (whole probes only).
+# 4096 was fastest on the acceptance matrix; larger blocks were slower and
+# raised peak memory.
+_SCAN_BLOCK_NODES = 4096
+
+
+def _scan_probe(
+    detector: str, steps: Sequence, x, eps0: float, order: int, score: float = np.inf
+) -> tuple[bool, float]:
+    """One probe through (radius, field) steps until a value falls below
+    ``eps0``; returns (passed, minimum value seen)."""
+    for r, u in steps:
+        q = _detection_quantity(detector, u, x, r, order)
+        score = min(score, q)
+        if q < eps0:
+            return False, score
+    return True, score
+
+
+def _zonal_axis(u: ScalarField, x: np.ndarray) -> Optional[np.ndarray]:
+    """The axis ``ball_rule_for`` lays a zonal rule along at ``x``, or None
+    when it takes a full or radial rule there.  The batched scan mirrors
+    that choice (and its ``max(order, 48)`` polar order); the scan tests
+    compare it with ``bubbling_energy``."""
+    axis = u.symmetry_axis(x)
+    if axis is None or np.all(axis == 0):
+        return None
+    return axis
+
+
+def _scan_batched(
+    radii: Sequence[float],
+    us: Sequence[ScalarField],
+    eps0: float,
+    order: int,
+    xs: np.ndarray,
+    axes: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ball-energy scan of probes that take zonal rules.
+
+    The steps run radius-major over the fields ``us``, as in the per-probe
+    loop, and a probe leaves the scan at its first value below ``eps0``.
+    Per radius one zonal template is built, validated and placed at every
+    probe still in the scan; the density is evaluated on blocks of whole
+    probes and each probe's value is reduced with the same ``np.dot`` that
+    ``integrate`` uses, so it equals ``bubbling_energy`` bit for bit.
+
+    A probe where a field concentrates (``local_scale``) needs a paneled
+    rule; it leaves the batch before that field's first step, and its
+    ``resume`` entry is the index of that step (-1 for the others).
+    Returns (passed, scores, resume); scores are the minimum value seen.
+    """
+    n = xs.shape[1]
+    frames = [_unit_perp_pair(np.asarray(a, dtype=float)) for a in axes]
+    es = np.stack([e for e, _ in frames])
+    perps = np.stack([p for _, p in frames])
+    scores = np.full(len(xs), np.inf)
+    resume = np.full(len(xs), -1)
+    alive = np.arange(len(xs))
+    for ri, r in enumerate(radii):
+        template = zonal_template(n, r, order, max(order, 48))
+        template.rule(np.zeros(n), np.eye(n)[0]).validate()
+        per_block = max(1, _SCAN_BLOCK_NODES // len(template))
+        for ki, u in enumerate(us):
+            if ri == 0:  # local_scale does not depend on the radius
+                sharp = np.array([u.local_scale(xs[i]) is not None for i in alive],
+                                 dtype=bool)
+                resume[alive[sharp]] = ki
+                alive = alive[~sharp]
+            dens = _unweighted_density(u)
+            q = np.empty(alive.size)
+            for a in range(0, alive.size, per_block):
+                idx = alive[a:a + per_block]
+                nodes = template.place(xs[idx], es[idx], perps[idx]).reshape(-1, n)
+                vals = _integrand_values(dens, nodes)
+                for j, row in enumerate(vals.reshape(len(idx), -1)):
+                    q[a + j] = np.dot(template.weights, row)
+            scores[alive] = np.minimum(scores[alive], q)
+            alive = alive[q >= eps0]
+        if alive.size == 0:
+            break
+    passed = np.zeros(len(xs), dtype=bool)
+    passed[alive] = True
+    return passed, scores, resume
+
+
 def _detect_detailed(
     seq: ConcentrationSequence,
     k_max: int,
@@ -359,13 +456,17 @@ def _detect_detailed(
     order: int = 16,
 ):
     """Scan lattice + declared centers; liminf surrogate = min over the top
-    half of the k range.  Returns (points, cluster sizes, scores)."""
+    half of the k range.  Returns (points, cluster sizes, scores).
+
+    With the ball-energy detector, probes that take zonal rules are
+    scanned together (``_scan_batched``).  Declared centers, probes off
+    every symmetry axis and all probes of the monotonicity detector take
+    the per-probe loop; both give the same hits and scores."""
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     n = seq.dimension
     k0 = max(0, math.ceil(k_max / 2))
-    ks = list(range(k0, k_max + 1))
-    fields = {k: seq.field(k) for k in ks}
+    us = [seq.field(k) for k in range(k0, k_max + 1)]
     candidates = [e.center for e in seq.entries]
     seen = {tuple(np.round(c, 10)) for c in candidates}
     for p in _lattice(n, lattice_extent, lattice_spacing):
@@ -373,20 +474,32 @@ def _detect_detailed(
         if key not in seen:
             seen.add(key)
             candidates.append(p)
+    radii = sorted(r_grid)  # smallest radius fails fastest off-points
+    steps = [(r, u) for r in radii for u in us]
+
+    # per candidate: (passed, score, step); passed is None while the
+    # per-probe loop still has to run it from that step on
+    state = {}
+    if detector == "ball-energy":
+        # the axis depends only on the entry centers, not on k
+        axes = [_zonal_axis(us[0], np.asarray(x, dtype=float)) for x in candidates]
+        batch = [i for i, a in enumerate(axes) if a is not None]
+        if batch:
+            passed, scores, resume = _scan_batched(
+                radii, us, eps0, order,
+                np.stack([np.asarray(candidates[i], dtype=float) for i in batch]),
+                [axes[i] for i in batch],
+            )
+            for j, i in enumerate(batch):
+                done = resume[j] < 0
+                state[i] = (bool(passed[j]) if done else None, float(scores[j]),
+                            int(resume[j]))
 
     hits, scores = [], []
-    for x in candidates:
-        score = np.inf
-        ok = True
-        for r in sorted(r_grid):  # smallest radius fails fastest off-points
-            for k in ks:
-                q = _detection_quantity(detector, fields[k], x, r, order)
-                score = min(score, q)
-                if q < eps0:
-                    ok = False
-                    break
-            if not ok:
-                break
+    for i, x in enumerate(candidates):
+        ok, score, start = state.get(i, (None, np.inf, 0))
+        if ok is None:
+            ok, score = _scan_probe(detector, steps[start:], x, eps0, order, score)
         if ok:
             hits.append(np.asarray(x, dtype=float))
             scores.append(score)
@@ -651,7 +764,7 @@ def _standard_halfball_radius(n: int, energy_target: float) -> float:
     if key in _HALF_RADIUS_CACHE:
         return _HALF_RADIUS_CACHE[key]
     dens = _bubble_density_1d(n)
-    x, w = roots_legendre(48)
+    x, w = gauss_legendre(48)
 
     def ball(s):
         r = 0.5 * s * (x + 1.0)

@@ -17,6 +17,7 @@ central differences with relative stepping are substituted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -292,8 +293,9 @@ class Superposition(ScalarField):
             acc += w * p.analytic_laplacian(points)
         return acc
 
-    @property
+    @cached_property
     def radial_center(self) -> Optional[np.ndarray]:
+        # computed once: nothing reassigns or mutates ``parts`` after __init__
         centers = [p.radial_center for p in self.parts]
         if any(c is None for c in centers):
             return None

@@ -16,12 +16,21 @@ integrands with rotational symmetry:
 
 Both carry the full region measure in their weights, so they satisfy the
 same weight-sum invariants as the full rules.
+
+Gauss-Legendre and Gauss-Gegenbauer nodes and weights come from one
+process-wide cache (``gauss_legendre``, ``gauss_gegenbauer``) keyed by
+``order`` and ``(order, alpha)``; scipy is asked only on a miss and the
+cached arrays are read-only.  A zonal ball rule is a ``ZonalTemplate``
+(radial nodes, polar cosines and sines, and weights, none of which depend
+on the axis) placed at a center along an axis; the detection scan places
+one template at many probe points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from math import pi, gamma
 from typing import Callable, Sequence
 
@@ -40,6 +49,10 @@ __all__ = [
     "build_radial_ball_rule",
     "build_zonal_ball_rule",
     "build_zonal_sphere_rule",
+    "gauss_legendre",
+    "gauss_gegenbauer",
+    "ZonalTemplate",
+    "zonal_template",
     "geometric_panels",
     "integrate",
     "set_default_threads",
@@ -192,6 +205,25 @@ def _as_center(center, n: int) -> np.ndarray:
     return c
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@cache
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    return _read_only(*roots_legendre(order))
+
+
+@cache
+def gauss_gegenbauer(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Gegenbauer nodes and weights for (1-t^2)^(alpha-1/2) on [-1, 1],
+    cached and read-only."""
+    return _read_only(*roots_gegenbauer(order, alpha))
+
+
 def default_angular_order(n: int, order: int) -> int:
     """Order-adaptive angular resolution: generous for n=3, lean above."""
     if n == 3:
@@ -216,7 +248,7 @@ def unit_sphere_directions(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         return pts, np.full(m, 2 * pi / m)
     sub_pts, sub_w = unit_sphere_directions(n - 1, order)
     # weight (1-t^2)^((n-3)/2) on [-1,1]  <->  Gegenbauer alpha=(n-2)/2
-    t, wt = roots_gegenbauer(order, (n - 2) / 2)
+    t, wt = gauss_gegenbauer(order, (n - 2) / 2)
     s = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
     pts = np.empty((order * sub_pts.shape[0], n))
     pts[:, :-1] = (s[:, None, None] * sub_pts[None, :, :]).reshape(-1, n - 1)
@@ -229,7 +261,7 @@ def _radial_nodes(
     inner: float, outer: float, order: int, panels: Sequence[float] | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [inner, outer], optionally paneled."""
-    x, w = roots_legendre(order)
+    x, w = gauss_legendre(order)
     if panels is None:
         edges = np.array([inner, outer])
     else:
@@ -383,6 +415,71 @@ def build_radial_ball_rule(
     return rule
 
 
+@dataclass(frozen=True)
+class ZonalTemplate:
+    """Axis-free part of a zonal rule on a ball or annulus about the origin.
+
+    ``s`` are the radial nodes, ``t`` and ``sin_t`` the cosines and sines
+    of the polar angles, and ``weights`` the flattened (radial-major) node
+    weights, which do not depend on where or along which axis the template
+    is placed.  Placed at center ``c`` along the unit axis ``e`` with
+    perpendicular ``perp``, node ``(i, j)`` is
+    ``c + s[i] * (t[j] e + sin_t[j] perp)``.
+    """
+
+    dimension: int
+    radii: tuple[float, float]  # (inner, outer)
+    s: np.ndarray
+    t: np.ndarray
+    sin_t: np.ndarray
+    weights: np.ndarray
+
+    def place(self, centers: np.ndarray, e: np.ndarray, perp: np.ndarray) -> np.ndarray:
+        """Nodes for m placements, shape (m, len(self), n): row k uses
+        ``centers[k]``, ``e[k]`` and ``perp[k]``."""
+        dirs = (self.t[None, :, None] * e[:, None, :]
+                + self.sin_t[None, :, None] * perp[:, None, :])
+        nodes = (centers[:, None, None, :]
+                 + self.s[None, :, None, None] * dirs[:, None, :, :])
+        return nodes.reshape(len(centers), -1, self.dimension)
+
+    def rule(self, center: np.ndarray, axis) -> QuadratureRule:
+        """The template placed at ``center`` along ``axis``, not validated."""
+        e, perp = _unit_perp_pair(np.asarray(axis, dtype=float))
+        inner, outer = self.radii
+        return QuadratureRule(
+            dimension=self.dimension,
+            nodes=self.place(center[None, :], e[None, :], perp[None, :])[0],
+            weights=self.weights,
+            kind="ball" if inner == 0.0 else "annulus",
+            center=center,
+            radii=self.radii,
+            symmetry="zonal",
+            axis=e,
+        )
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+
+def zonal_template(
+    n: int,
+    r: float,
+    order: int = 32,
+    polar_order: int = 48,
+    inner: float = 0.0,
+    radial_panels: Sequence[float] | None = None,
+) -> ZonalTemplate:
+    """The zonal template of ``build_zonal_ball_rule`` with these arguments."""
+    _check_region_args(n, r, order)
+    t, wt = gauss_gegenbauer(polar_order, (n - 2) / 2)  # weight (1-t^2)^((n-3)/2)
+    sin_t = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
+    wt = wt * unit_sphere_area(n - 1)
+    s, ws = _radial_nodes(inner, r, order, radial_panels)
+    weights = (ws * s ** (n - 1))[:, None] * wt[None, :]
+    return ZonalTemplate(n, (inner, r), s, t, sin_t, weights.reshape(-1))
+
+
 def build_zonal_ball_rule(
     n: int,
     center,
@@ -399,26 +496,8 @@ def build_zonal_ball_rule(
     analytically; nodes live in the plane spanned by the axis and one
     perpendicular direction.
     """
-    _check_region_args(n, r, order)
-    c = _as_center(center, n)
-    e, perp = _unit_perp_pair(np.asarray(axis, dtype=float))
-    t, wt = roots_gegenbauer(polar_order, (n - 2) / 2)  # weight (1-t^2)^((n-3)/2)
-    sin_t = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
-    dirs = t[:, None] * e[None, :] + sin_t[:, None] * perp[None, :]
-    wt = wt * unit_sphere_area(n - 1)
-    s, ws = _radial_nodes(inner, r, order, radial_panels)
-    nodes = c[None, None, :] + s[:, None, None] * dirs[None, :, :]
-    weights = (ws * s ** (n - 1))[:, None] * wt[None, :]
-    rule = QuadratureRule(
-        dimension=n,
-        nodes=nodes.reshape(-1, n),
-        weights=weights.reshape(-1),
-        kind="ball" if inner == 0.0 else "annulus",
-        center=c,
-        radii=(inner, r),
-        symmetry="zonal",
-        axis=e,
-    )
+    template = zonal_template(n, r, order, polar_order, inner, radial_panels)
+    rule = template.rule(_as_center(center, n), axis)
     rule.validate()
     return rule
 
@@ -430,7 +509,7 @@ def build_zonal_sphere_rule(
     _check_region_args(n, r, polar_order)
     c = _as_center(center, n)
     e, perp = _unit_perp_pair(np.asarray(axis, dtype=float))
-    t, wt = roots_gegenbauer(polar_order, (n - 2) / 2)
+    t, wt = gauss_gegenbauer(polar_order, (n - 2) / 2)
     sin_t = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
     dirs = t[:, None] * e[None, :] + sin_t[:, None] * perp[None, :]
     rule = QuadratureRule(
@@ -445,6 +524,21 @@ def build_zonal_sphere_rule(
     )
     rule.validate()
     return rule
+
+
+def _integrand_values(
+    f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray
+) -> np.ndarray:
+    """``f`` at ``nodes``; raises on a wrong shape or a non-finite value."""
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape != (len(nodes),):
+        raise ValueError(
+            f"integrand returned shape {vals.shape}, expected {(len(nodes),)}"
+        )
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise NonFiniteFieldError(nodes[bad], float(vals[bad]))
+    return vals
 
 
 def integrate(
@@ -465,15 +559,7 @@ def integrate(
 
     def _partial(span):
         a, b = span
-        vals = np.asarray(f(nodes[a:b]), dtype=float)
-        if vals.shape != (b - a,):
-            raise ValueError(
-                f"integrand returned shape {vals.shape}, expected {(b - a,)}"
-            )
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise NonFiniteFieldError(nodes[a + bad], float(vals[bad]))
-        return float(np.dot(weights[a:b], vals))
+        return float(np.dot(weights[a:b], _integrand_values(f, nodes[a:b])))
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:

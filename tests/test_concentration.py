@@ -4,10 +4,20 @@ import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
 
-from bubblelab.grid import build_ball_rule, unit_sphere_area
-from bubblelab.fields import Bubble, ConstantField, aubin_talenti, ball_rule_for
+from bubblelab.grid import NonFiniteFieldError, build_ball_rule, unit_sphere_area
+from bubblelab.fields import (
+    Bubble,
+    BubbleConfiguration,
+    ConstantField,
+    aubin_talenti,
+    ball_rule_for,
+)
+from bubblelab.monotonicity import energy_E
 from bubblelab.concentration import (
     BudgetError,
+    ConcentrationSequence,
+    _detect_detailed,
+    _lattice,
     QuantizationConfig,
     bubble_energy_constant,
     bubble_energy_limit,
@@ -195,6 +205,153 @@ def test_detect_stability_across_threshold_range():
             )
             sets.append(tuple(sorted(tuple(np.round(p, 8)) for p in pts)))
         assert sets[0] == sets[1] == sets[2]
+
+
+def per_probe_scan(seq, k_max, r_grid, eps0, detector, extent, spacing, order):
+    """Reference detection scan: one rule per (probe, radius, k) step."""
+    n = seq.dimension
+    ks = list(range(max(0, math.ceil(k_max / 2)), k_max + 1))
+    fields = {k: seq.field(k) for k in ks}
+    candidates = [e.center for e in seq.entries]
+    seen = {tuple(np.round(c, 10)) for c in candidates}
+    for p in _lattice(n, extent, spacing):
+        if tuple(np.round(p, 10)) not in seen:
+            seen.add(tuple(np.round(p, 10)))
+            candidates.append(p)
+    hits, scores = [], []
+    for x in candidates:
+        score, ok = np.inf, True
+        for r in sorted(r_grid):
+            for k in ks:
+                if detector == "monotonicity":
+                    q = energy_E(fields[k], x, r, "B", order)
+                else:
+                    q = bubbling_energy(fields[k], x, r, order)
+                score = min(score, q)
+                if q < eps0:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            hits.append(np.asarray(x, dtype=float))
+            scores.append(score)
+    merged, sizes, best = [], [], []
+    used = [False] * len(hits)
+    for i in sorted(range(len(hits)), key=lambda i: -scores[i]):
+        if used[i]:
+            continue
+        used[i] = True
+        members = 1
+        for j in range(len(hits)):
+            if not used[j] and np.linalg.norm(hits[i] - hits[j]) <= 1.5 * spacing:
+                used[j] = True
+                members += 1
+        merged.append(hits[i])
+        sizes.append(members)
+        best.append(scores[i])
+    return merged, sizes, best
+
+
+def assert_same_scan(seq, k_max, r_grid, eps0, detector="ball-energy",
+                     extent=0.5, spacing=0.5, order=12):
+    args = (seq, k_max, r_grid, eps0, detector, extent, spacing, order)
+    got, want = _detect_detailed(*args), per_probe_scan(*args)
+    assert [p.tolist() for p in got[0]] == [p.tolist() for p in want[0]]
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    assert all(type(v) is float for v in got[2])
+    return got
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_batched_scan_matches_per_probe_on_towers(n, count):
+    bases = (4.0, 16.0, 64.0)[:count]
+    seq = make_sequence([(np.zeros(n), b, 1.0) for b in bases], budget=1e4, n=n)
+    # the pipeline's threshold, one that stops probes at different steps,
+    # and one every probe passes, so every batched score is compared
+    for eps0 in (lambda0_oracle(n) / 20, 1e-3, 1e-13):
+        points, sizes, _ = assert_same_scan(seq, 4, [0.05, 0.15, 0.45], eps0)
+        assert len(points) >= 1
+    # at eps0 = 1e-13 every probe is a hit: the lattice and each entry center
+    assert sum(sizes) == 3**n + count - 1
+
+
+def test_batched_scan_matches_per_probe_with_two_centers():
+    # lattice probes on the line through both centers are batched, the
+    # others take full rules and the declared centers paneled radial ones
+    seq = make_sequence([([0.25, 0, 0], 4.0, 1.0), ([-0.25, 0, 0], 16.0, 1.0)],
+                        budget=1e4, n=3)
+    for eps0 in (lambda0_oracle(3) / 20, 1e-3, 1e-13):
+        assert_same_scan(seq, 4, [0.05, 0.15, 0.45], eps0)
+
+
+def test_batched_scan_matches_per_probe_with_one_probe_blocks():
+    # 65 x 65 nodes per probe: an odd node count and one probe per block
+    seq = make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4, n=3)
+    for eps0 in (1e-3, 1e-13):
+        assert_same_scan(seq, 2, [0.1, 0.3], eps0, order=65)
+
+
+def test_batched_scan_leaves_monotonicity_detector_alone():
+    seq = make_sequence([(np.zeros(3), 4.0, 1.0), (np.zeros(3), 16.0, 1.0)],
+                        budget=1e4, n=3)
+    for eps0 in (lambda0_oracle(3) / 40, 1e-9):
+        assert_same_scan(seq, 4, [0.05, 0.15], eps0, detector="monotonicity")
+
+
+class SharpLater(BubbleConfiguration):
+    """Reports a fine feature at probes with x_1 = 0.5 from k = 3 on."""
+
+    def __init__(self, bubbles, weights, k):
+        super().__init__(bubbles, weights)
+        self.k = k
+
+    def local_scale(self, x):
+        if self.k >= 3 and x[0] == 0.5:
+            return 1e-3
+        return super().local_scale(x)
+
+
+class SharpLaterSequence(ConcentrationSequence):
+    def field(self, k):
+        base = super().field(k)
+        return SharpLater(base.bubbles, base.weights, k)
+
+
+def test_batched_scan_hands_probes_to_paneled_rules_mid_scan():
+    # probes at x_1 = 0.5 leave the batch at their first k = 3 step and
+    # finish with paneled per-probe rules
+    seq = SharpLaterSequence(
+        3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries, budget=1e4)
+    for eps0 in (1e-3, 1e-13):
+        assert_same_scan(seq, 4, [0.05, 0.15], eps0)
+
+
+class NaNBeyond(BubbleConfiguration):
+    """A bubble configuration that reads NaN where x_1 > 0.7."""
+
+    def evaluate(self, points):
+        out = super().evaluate(points)
+        out[points[:, 0] > 0.7] = np.nan
+        return out
+
+
+class NaNSequence(ConcentrationSequence):
+    def field(self, k):
+        base = super().field(k)
+        return NaNBeyond(base.bubbles, base.weights)
+
+
+def test_batched_scan_reports_nonfinite_field():
+    seq = NaNSequence(3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries,
+                      budget=1e4)
+    for scan in (_detect_detailed, per_probe_scan):
+        with pytest.raises(NonFiniteFieldError) as err:
+            scan(seq, 4, [0.05, 0.15, 0.45], 1e-9, "ball-energy", 1.0, 0.5, 12)
+        assert err.value.node[0] > 0.7
+        assert np.isnan(err.value.value)
 
 
 def test_detect_rejects_nonpositive_threshold():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
+from bubblelab import grid
 from bubblelab.grid import (
     NonFiniteFieldError,
     QuadratureRule,
@@ -12,10 +14,13 @@ from bubblelab.grid import (
     build_sphere_rule,
     build_zonal_ball_rule,
     build_zonal_sphere_rule,
+    gauss_gegenbauer,
+    gauss_legendre,
     geometric_panels,
     integrate,
     unit_ball_volume,
     unit_sphere_area,
+    zonal_template,
 )
 
 PI = np.pi
@@ -217,3 +222,92 @@ def test_rule_validation_catches_bad_weights():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+# ---------------------------------------------------------------------------
+# roots cache and zonal templates
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 7, 12, 48, 64])
+def test_cached_roots_equal_scipy_bit_for_bit(order):
+    for got, want in zip(gauss_legendre(order), scipy.special.roots_legendre(order)):
+        assert same_bits(got, want)
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        for got, want in zip(gauss_gegenbauer(order, alpha),
+                             scipy.special.roots_gegenbauer(order, alpha)):
+            assert same_bits(got, want)
+
+
+def test_cached_roots_are_read_only():
+    for arr in gauss_legendre(12) + gauss_gegenbauer(12, 1.5):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(grid, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(grid, name, wrapper)
+    return calls
+
+
+def test_repeated_roots_request_does_not_call_scipy(monkeypatch):
+    grid.gauss_legendre.cache_clear()
+    grid.gauss_gegenbauer.cache_clear()
+    leg = counting(monkeypatch, "roots_legendre")
+    geg = counting(monkeypatch, "roots_gegenbauer")
+    first = gauss_gegenbauer(37, 2.5)
+    assert gauss_gegenbauer(37, 2.5) is first
+    gauss_gegenbauer(37, 1.5)
+    gauss_legendre(37)
+    gauss_legendre(37)
+    assert geg == [(37, 2.5), (37, 1.5)]
+    assert leg == [(37,)]
+
+
+def test_rule_builders_and_constants_reuse_cached_roots(monkeypatch):
+    from bubblelab.concentration import _standard_halfball_radius, bubble_energy_constant
+
+    def build_all(target):
+        build_ball_rule(4, 0, 1.0, order=9)
+        build_sphere_rule(4, 0, 1.0, order=9)
+        build_radial_ball_rule(4, 0, 1.0, order=9)
+        build_zonal_ball_rule(4, 0, 1.0, [1, 0, 0, 0], order=9, polar_order=11)
+        build_zonal_sphere_rule(4, 0, 1.0, [1, 0, 0, 0], polar_order=11)
+        bubble_energy_constant(4, radial_order=9)
+        _standard_halfball_radius(4, target)
+
+    build_all(1.25)
+    leg = counting(monkeypatch, "roots_legendre")
+    geg = counting(monkeypatch, "roots_gegenbauer")
+    build_all(1.5)  # a new target: the half-ball radius is recomputed
+    assert leg == [] and geg == []
+
+
+def test_zonal_template_placed_at_many_probes_matches_builder():
+    n, r, order, polar = 4, 0.3, 7, 13
+    rng = np.random.default_rng(3)
+    xs = rng.standard_normal((5, n))
+    axes = rng.standard_normal((5, n))
+    template = zonal_template(n, r, order, polar)
+    frames = [grid._unit_perp_pair(a) for a in axes]
+    nodes = template.place(xs, np.stack([e for e, _ in frames]),
+                           np.stack([p for _, p in frames]))
+    for x, axis, placed in zip(xs, axes, nodes):
+        rule = build_zonal_ball_rule(n, x, r, axis, order, polar_order=polar)
+        assert same_bits(placed, rule.nodes)
+        assert same_bits(template.weights, rule.weights)
+    with pytest.raises(ValueError):
+        zonal_template(n, -1.0, order, polar)
