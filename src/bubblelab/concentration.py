@@ -16,17 +16,27 @@ Two energy densities appear side by side:
 * the unweighted density  |grad u|^2 + |u|^(2n/(n-2))  entering the
   quantization bookkeeping (``bubbling_energy``, necks, Theta, Lambda_0).
 
-The ball-energy detection scan does not build a rule per probe.  Probes
-that take zonal rules share one zonal template per radius, placed at all
-of them at once and evaluated in blocks of whole probes; each probe's
-value is the same float ``bubbling_energy`` returns, and probes still
-leave the scan at their first value below the threshold.  Probes that
-need radial, paneled or full rules, and the monotonicity detector, keep
-the per-probe loop.
+The ball-energy detection scan first rejects, without any quadrature,
+every probe whose closed-form energy bound (``ScalarField.ball_sup``:
+``(sup|grad u|^2 + sup|u|^p) |B_r|``) falls below ``eps0 / 2`` at some
+(radius, k) step.  Such a probe's value at that step is below ``eps0``:
+rule weights are positive and sum to ``|B_r|`` within 1e-10, and the
+factor 2 covers all rounding.  So it is a miss, and since only hits keep
+scores, hits, scores and cluster sizes are exactly those of the full scan.
+Off the concentration set this rejects almost every lattice probe.
+
+The probes left do not build a rule each.  Probes that take zonal rules
+share one zonal template per radius, placed at all of them at once and
+evaluated in blocks of whole probes; each probe's value is the same float
+``bubbling_energy`` returns, and probes still leave the scan at their
+first value below the threshold.  Probes that need radial, paneled or
+full rules, and the monotonicity detector (E(x, r) is not bounded by the
+ball energy), keep the per-probe loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -351,6 +361,17 @@ def _lattice(n: int, extent: float, spacing: float) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _ball_energy_bound(u: ScalarField, xs: np.ndarray, r: float) -> Optional[np.ndarray]:
+    """Upper bound on ``bubbling_energy(u, x, r)`` for each row ``x`` of
+    ``xs`` from ``u.ball_sup``; None when ``u`` knows no bound."""
+    sup = u.ball_sup(xs, r)
+    if sup is None:
+        return None
+    n = u.dimension
+    sup_u, sup_g = sup
+    return (sup_g**2 + sup_u ** (2.0 * n / (n - 2))) * (unit_ball_volume(n) * r**n)
+
+
 def _detection_quantity(detector: str, u: ScalarField, x, r: float, order: int) -> float:
     if detector == "monotonicity":
         return energy_E(u, x, r, "B", order)
@@ -455,21 +476,28 @@ def _detect_detailed(
     lattice_spacing: float = 0.5,
     order: int = 16,
 ):
-    """Scan lattice + declared centers; liminf surrogate = min over the top
-    half of the k range.  Returns (points, cluster sizes, scores).
+    """Scan declared centers + lattice, each point once; liminf surrogate =
+    min over the top half of the k range.  Returns (points, cluster sizes,
+    scores).
 
-    With the ball-energy detector, probes that take zonal rules are
-    scanned together (``_scan_batched``).  Declared centers, probes off
-    every symmetry axis and all probes of the monotonicity detector take
-    the per-probe loop; both give the same hits and scores."""
+    With the ball-energy detector, a probe whose closed-form energy bound
+    (``_ball_energy_bound``) is below ``eps0 / 2`` at any (radius, k) step
+    is dropped before any axis, rule or quadrature: its exact value there
+    is below ``eps0`` (the rule weights sum to ``|B_r|`` within 1e-10, and
+    the factor 2 covers rounding), so it cannot be a hit, and only hits
+    carry scores.  A NaN or infinite bound drops nothing.  Of the probes
+    left, those that take zonal rules are scanned together
+    (``_scan_batched``).  Declared centers, probes off every symmetry axis
+    and all probes of the monotonicity detector take the per-probe loop;
+    all paths give the same hits and scores."""
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     n = seq.dimension
     k0 = max(0, math.ceil(k_max / 2))
     us = [seq.field(k) for k in range(k0, k_max + 1)]
-    candidates = [e.center for e in seq.entries]
-    seen = {tuple(np.round(c, 10)) for c in candidates}
-    for p in _lattice(n, lattice_extent, lattice_spacing):
+    candidates, seen = [], set()
+    for p in itertools.chain((e.center for e in seq.entries),
+                             _lattice(n, lattice_extent, lattice_spacing)):
         key = tuple(np.round(p, 10))
         if key not in seen:
             seen.add(key)
@@ -481,15 +509,21 @@ def _detect_detailed(
     # per-probe loop still has to run it from that step on
     state = {}
     if detector == "ball-energy":
+        xs = np.stack([np.asarray(x, dtype=float) for x in candidates])
+        keep = np.ones(len(xs), dtype=bool)
+        for r, u in steps:
+            bound = _ball_energy_bound(u, xs, r)
+            if bound is not None:
+                keep &= ~(bound < eps0 / 2)
+        candidates = [x for x, k in zip(candidates, keep) if k]
+        xs = xs[keep]
+
         # the axis depends only on the entry centers, not on k
-        axes = [_zonal_axis(us[0], np.asarray(x, dtype=float)) for x in candidates]
+        axes = [_zonal_axis(us[0], x) for x in xs]
         batch = [i for i, a in enumerate(axes) if a is not None]
         if batch:
             passed, scores, resume = _scan_batched(
-                radii, us, eps0, order,
-                np.stack([np.asarray(candidates[i], dtype=float) for i in batch]),
-                [axes[i] for i in batch],
-            )
+                radii, us, eps0, order, xs[batch], [axes[i] for i in batch])
             for j, i in enumerate(batch):
                 done = resume[j] < 0
                 state[i] = (bool(passed[j]) if done else None, float(scores[j]),

@@ -16,6 +16,7 @@ central differences with relative stepping are substituted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -32,6 +33,7 @@ from .grid import (
     build_zonal_sphere_rule,
     geometric_panels,
     integrate,
+    node_slack,
 )
 
 __all__ = [
@@ -183,6 +185,28 @@ class ScalarField:
             return self.finest_scale
         return None
 
+    def ball_sup(
+        self, xs: np.ndarray, r: float
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Upper bounds ``(sup|u|, sup|grad u|)`` over the closed balls
+        B(x, r), one entry per row ``x`` of ``xs`` (shape (m, n)), or None
+        when the field knows no bound.
+
+        The balls are taken ``node_slack(r)`` wider, so the bounds also
+        hold at every node of a valid rule on B(x, r).  A subclass that
+        changes how the field or its gradient is evaluated gets None unless
+        it overrides this too."""
+        return None
+
+
+def _evaluation_overridden(u: ScalarField, owner: type) -> bool:
+    """True when ``type(u)`` evaluates the field or its gradient other than
+    ``owner`` does, so ``owner``'s closed-form bounds do not apply."""
+    return any(
+        getattr(type(u), name) is not getattr(owner, name)
+        for name in ("evaluate", "gradient", "analytic_gradient")
+    )
+
 
 def _bubble_amplitude(n: int) -> float:
     return (n * (n - 2)) ** ((n - 2) / 4)
@@ -246,6 +270,22 @@ class Bubble(ScalarField):
     @property
     def finest_scale(self) -> Optional[float]:
         return self.scale
+
+    def ball_sup(self, xs, r):
+        """Closed form: with t = |y - center|/scale, |U| decreases in t and
+        |grad U| goes as t (1+t^2)^(-n/2), which decreases for t >= t* =
+        1/sqrt(n-1); both are taken at the ball's nearest t (clamped to t*
+        for the gradient)."""
+        if _evaluation_overridden(self, Bubble):
+            return None
+        n = self.dimension
+        gap = np.linalg.norm(xs - self.center, axis=1) - (r + node_slack(r))
+        t = np.maximum(gap, 0.0) / self.scale
+        tg = np.maximum(t, 1.0 / math.sqrt(n - 1))
+        amp = _bubble_amplitude(n) * self.scale ** (-(n - 2) / 2)
+        grad_amp = (n - 2) * _bubble_amplitude(n) * self.scale ** (-n / 2)
+        return (amp * (1.0 + t**2) ** (-(n - 2) / 2),
+                grad_amp * tg * (1.0 + tg**2) ** (-n / 2))
 
 
 class Superposition(ScalarField):
@@ -312,6 +352,20 @@ class Superposition(ScalarField):
     def local_scale(self, x: np.ndarray) -> Optional[float]:
         scales = [s for p in self.parts if (s := p.local_scale(x)) is not None]
         return min(scales) if scales else None
+
+    def ball_sup(self, xs, r):
+        """Sum of the parts' bounds times ``|weight|``; None when a part
+        has none."""
+        if _evaluation_overridden(self, Superposition):
+            return None
+        sup_u, sup_g = np.zeros(len(xs)), np.zeros(len(xs))
+        for w, p in zip(self.weights, self.parts):
+            part = p.ball_sup(xs, r)
+            if part is None:
+                return None
+            sup_u += abs(w) * part[0]
+            sup_g += abs(w) * part[1]
+        return sup_u, sup_g
 
     def symmetry_axis(self, through: np.ndarray) -> Optional[np.ndarray]:
         common = self.radial_center

@@ -54,6 +54,7 @@ __all__ = [
     "ZonalTemplate",
     "zonal_template",
     "geometric_panels",
+    "node_slack",
     "integrate",
     "set_default_threads",
 ]
@@ -93,6 +94,12 @@ def unit_ball_volume(n: int) -> float:
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^(n-1) in R^n."""
     return n * unit_ball_volume(n)
+
+
+def node_slack(radius: float) -> float:
+    """How far past a region of outer radius ``radius`` a node of a valid
+    rule may sit (``QuadratureRule.validate``): room for rounding."""
+    return 1e-12 * max(radius, 1.0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ class QuadratureRule:
                 f"measure {meas:.17g} within tolerance {self.measure_tol:g}"
             )
         dist = np.linalg.norm(self.nodes - self.center, axis=1)
-        slack = 1e-12 * max(outer, 1.0)
+        slack = node_slack(outer)
         if self.kind == "sphere":
             if np.any(np.abs(dist - outer) > slack):
                 raise ValueError("sphere rule has nodes off the sphere")

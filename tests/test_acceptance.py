@@ -29,6 +29,7 @@ from bubblelab.concentration import (
     make_sequence,
     neck_energy,
     quantization_report,
+    report_to_json,
     scaled_measure,
 )
 
@@ -191,12 +192,15 @@ def test_criterion_7_quantization_matrix():
     k_max = {3: 10, 4: 8, 5: 8}  # deeper towers in n=3: cross terms decay slowest
     ok = True
     details = []
+    clusters = []
     for n in (3, 4, 5):
         for N in (1, 2, 3):
             seq = make_sequence(
                 [(np.zeros(n), b, 1.0) for b in bases[N]], budget=1e4, n=n
             )
             rep = quantization_report(seq, QuantizationConfig(k_max=k_max[n]))
+            doc = report_to_json(rep)
+            clusters.append((doc["cluster_sizes"], doc["flags"]))
             got_n = rep.points[0].n_hat if rep.points else 0
             ratio = rep.points[0].ratio if rep.points else float("nan")
             cell_ok = (
@@ -211,6 +215,10 @@ def test_criterion_7_quantization_matrix():
     ok = ok and stable and elapsed < 300.0
     report(7, "integer quantization", ok, t0, " ".join(details))
     assert ok
+    # a same-center tower is one probe point, not one per bubble
+    assert all(sizes == [1] and not any(f.startswith("unresolved-cluster")
+                                        for f in sum(flags, []))
+               for sizes, flags in clusters)
     assert stable
     assert elapsed < 300.0
 

@@ -2,13 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
-from bubblelab.grid import NonFiniteFieldError, build_ball_rule, unit_sphere_area
+from bubblelab.grid import (
+    NonFiniteFieldError,
+    build_ball_rule,
+    node_slack,
+    unit_sphere_area,
+)
 from bubblelab.fields import (
     Bubble,
     BubbleConfiguration,
     ConstantField,
+    CustomField,
+    RescaledField,
+    SampledField,
+    Superposition,
     aubin_talenti,
     ball_rule_for,
 )
@@ -16,6 +26,7 @@ from bubblelab.monotonicity import energy_E
 from bubblelab.concentration import (
     BudgetError,
     ConcentrationSequence,
+    _ball_energy_bound,
     _detect_detailed,
     _lattice,
     QuantizationConfig,
@@ -212,9 +223,8 @@ def per_probe_scan(seq, k_max, r_grid, eps0, detector, extent, spacing, order):
     n = seq.dimension
     ks = list(range(max(0, math.ceil(k_max / 2)), k_max + 1))
     fields = {k: seq.field(k) for k in ks}
-    candidates = [e.center for e in seq.entries]
-    seen = {tuple(np.round(c, 10)) for c in candidates}
-    for p in _lattice(n, extent, spacing):
+    candidates, seen = [], set()
+    for p in [e.center for e in seq.entries] + list(_lattice(n, extent, spacing)):
         if tuple(np.round(p, 10)) not in seen:
             seen.add(tuple(np.round(p, 10)))
             candidates.append(p)
@@ -265,17 +275,30 @@ def assert_same_scan(seq, k_max, r_grid, eps0, detector="ball-energy",
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_batched_scan_matches_per_probe_on_towers(n, count):
-    bases = (4.0, 16.0, 64.0)[:count]
-    seq = make_sequence([(np.zeros(n), b, 1.0) for b in bases], budget=1e4, n=n)
+@pytest.mark.parametrize("weights", [
+    pytest.param((1.0,), id="1"),
+    pytest.param((1.0, 1.0), id="2"),
+    pytest.param((1.0, 1.0, 1.0), id="3"),
+    pytest.param((1.0, -1.0), id="signed"),
+])
+def test_batched_scan_matches_per_probe_on_towers(n, weights):
+    bases = (4.0, 16.0, 64.0)
+    seq = make_sequence([(np.zeros(n), b, w) for b, w in zip(bases, weights)],
+                        budget=1e4, n=n)
+    # a threshold equal to one lattice probe's exact smallest step value:
+    # the probe is a hit with its energy bound only 1.5-2.3 times eps0, so
+    # a prefilter without its factor-2 margin would drop it
+    probe = np.zeros(n)
+    probe[0] = 0.5
+    at_probe = min(bubbling_energy(seq.field(k), probe, r, 12)
+                   for r in (0.05, 0.15, 0.45) for k in (2, 3, 4))
     # the pipeline's threshold, one that stops probes at different steps,
     # and one every probe passes, so every batched score is compared
-    for eps0 in (lambda0_oracle(n) / 20, 1e-3, 1e-13):
+    for eps0 in (lambda0_oracle(n) / 20, 1e-3, at_probe, 1e-13):
         points, sizes, _ = assert_same_scan(seq, 4, [0.05, 0.15, 0.45], eps0)
         assert len(points) >= 1
-    # at eps0 = 1e-13 every probe is a hit: the lattice and each entry center
-    assert sum(sizes) == 3**n + count - 1
+    # at eps0 = 1e-13 every probe is a hit, the shared center counted once
+    assert sum(sizes) == 3**n
 
 
 def test_batched_scan_matches_per_probe_with_two_centers():
@@ -352,6 +375,109 @@ def test_batched_scan_reports_nonfinite_field():
             scan(seq, 4, [0.05, 0.15, 0.45], 1e-9, "ball-energy", 1.0, 0.5, 12)
         assert err.value.node[0] > 0.7
         assert np.isnan(err.value.value)
+
+
+@pytest.mark.parametrize("bound", [np.nan, np.inf])
+def test_nonfinite_energy_bound_drops_no_probe(bound):
+    class Unbounded(NaNBeyond):
+        def ball_sup(self, xs, r):
+            return np.full(len(xs), bound), np.full(len(xs), bound)
+
+    class UnboundedSequence(ConcentrationSequence):
+        def field(self, k):
+            base = super().field(k)
+            return Unbounded(base.bubbles, base.weights)
+
+    seq = UnboundedSequence(
+        3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries, budget=1e4)
+    # with a finite bound eps0 = 1e3 would drop every lattice probe; kept,
+    # the probes at x_1 = 1 reach the NaN nodes beyond x_1 = 0.7
+    with pytest.raises(NonFiniteFieldError):
+        _detect_detailed(seq, 4, [0.05, 0.15, 0.45], 1e3, "ball-energy", 1.0, 0.5, 12)
+
+
+class ShiftedBubble(Bubble):
+    """A bubble evaluated one unit along x_1 from where it claims to sit."""
+
+    def evaluate(self, points):
+        return super().evaluate(points - np.eye(self.dimension)[0])
+
+
+def test_ball_sup_unknown_unless_the_evaluation_is_closed_form():
+    b = Bubble(3, np.zeros(3), 0.1)
+    xs = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    nan_field = NaNSequence(
+        3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries,
+        budget=1e4).field(2)
+    unknown = [
+        CustomField(3, b.evaluate, b.analytic_gradient),
+        RescaledField(b, np.zeros(3), 0.5),
+        SampledField(np.eye(3), np.ones(3)),
+        nan_field,
+        ShiftedBubble(3, np.zeros(3), 0.1),
+        Superposition([b, CustomField(3, b.evaluate)]),
+    ]
+    for u in unknown:
+        assert u.ball_sup(xs, 0.1) is None
+        assert _ball_energy_bound(u, xs, 0.1) is None
+    for u in (b, BubbleConfiguration([b], [1.0]), Superposition([b, b], [1.0, -1.0])):
+        sup_u, sup_g = u.ball_sup(xs, 0.1)
+        assert sup_u.shape == sup_g.shape == (2,)
+
+
+@st.composite
+def signed_bubble_sums(draw):
+    """(u, x, r): 1-3 bubbles with weights +-1 at distances 0..2 from x."""
+    n = draw(st.integers(3, 6))
+    unit = st.floats(-1.0, 1.0)
+    x = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    bubbles, weights = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        d = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+        d = d / np.linalg.norm(d) if np.linalg.norm(d) > 1e-3 else np.eye(n)[0]
+        offset = draw(st.floats(0.0, 2.0))
+        bubbles.append(Bubble(n, x + offset * d, 10.0 ** draw(st.floats(-12.0, 0.0))))
+        weights.append(draw(st.sampled_from([1.0, -1.0])))
+    r = draw(st.floats(1e-3, 1.0))
+    return BubbleConfiguration(bubbles, weights), x, r
+
+
+def critical_points(u, x, r, rng):
+    """Points of the ball where the bounds are tight or nearly so: random
+    points, inside and on the sphere; per bubble, the point nearest its
+    center, pushed half the node slack outward, and the point where |grad|
+    peaks on the line through x and the center."""
+    n = u.dimension
+    dirs = rng.standard_normal((64, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rho = np.concatenate([rng.random(48) ** (1.0 / n), np.ones(16)])
+    pts = [x + r * rho[:, None] * dirs]
+    for b in u.bubbles:
+        gap = float(np.linalg.norm(b.center - x))
+        e = (b.center - x) / gap if gap > 0 else np.eye(n)[0]
+        reach = r + node_slack(r) / 2
+        near = b.center if gap <= reach else x + reach * e
+        # distance from the center to the gradient peak, clamped to the ball
+        s = min(max(b.scale / math.sqrt(n - 1), gap - r), gap + r)
+        pts.append(np.stack([near, b.center - s * e, b.center + s * e]))
+    pts = np.concatenate(pts)
+    return pts[np.linalg.norm(pts - x, axis=1) <= r + node_slack(r) / 2]
+
+
+@given(signed_bubble_sums(), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_ball_sup_dominates_the_field_and_its_energy(case, seed):
+    u, x, r = case
+    rule = ball_rule_for(u, x, r, 4)
+    pts = np.concatenate([rule.nodes, critical_points(u, x, r, np.random.default_rng(seed))])
+    sup_u, sup_g = (v[0] for v in u.ball_sup(x[None, :], r))
+    # a few units in the last place for evaluating the field at a point
+    tol = 1.0 + 1e-13
+    assert np.all(np.abs(u.evaluate(pts)) <= sup_u * tol)
+    assert np.all(np.linalg.norm(u.gradient(pts), axis=1) <= sup_g * tol)
+    # rule weights sum to |B_r| within 1e-10
+    bound = _ball_energy_bound(u, x[None, :], r)[0]
+    assert bubbling_energy(u, x, r, 4) <= bound * (1.0 + 1e-9)
 
 
 def test_detect_rejects_nonpositive_threshold():
