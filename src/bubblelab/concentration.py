@@ -50,6 +50,7 @@ from .grid import (
     _unit_perp_pair,
     gauss_legendre,
     integrate,
+    integrate_pieces,
     unit_ball_volume,
     unit_sphere_area,
     zonal_template,
@@ -62,8 +63,8 @@ from .fields import (
     Superposition,
     _bubble_amplitude,
     _pts,
-    annulus_rule_for,
     ball_rule_for,
+    shell_pieces_for,
     unit_sphere_directions_for_fit,
 )
 from .monotonicity import energy_E
@@ -254,15 +255,14 @@ class ConcentrationSequence:
         out = {}
         for k in ks:
             u = self.field(k)
-            rule = ball_rule_for(u, np.zeros(n), 1.0, order)
 
-            def h1_dens(pts):
-                g = u.gradient(pts)
-                return u.evaluate(pts) ** 2 + np.einsum("mi,mi->m", g, g)
+            def dens(pts):
+                v, g = u.value_and_gradient(pts)
+                return v**2 + np.einsum("mi,mi->m", g, g), np.abs(v) ** p
 
-            h1 = math.sqrt(max(integrate(rule, h1_dens), 0.0))
-            lp = integrate(rule, lambda pts: np.abs(u.evaluate(pts)) ** p) ** (1.0 / p)
-            out[k] = h1 + lp
+            ball = shell_pieces_for(u, np.zeros(n), [(0.0, 1.0)], order)
+            h1_sq, lp_p = integrate_pieces(ball, dens)[0].tolist()
+            out[k] = math.sqrt(max(h1_sq, 0.0)) + lp_p ** (1.0 / p)
         return out
 
 
@@ -297,10 +297,8 @@ def _weighted_density(u: ScalarField):
     p = 2.0 * n / (n - 2)
 
     def dens(pts):
-        g = u.gradient(pts)
-        return 0.5 * np.einsum("mi,mi->m", g, g) + (n - 2) / (2.0 * n) * np.abs(
-            u.evaluate(pts)
-        ) ** p
+        v, g = u.value_and_gradient(pts)
+        return 0.5 * np.einsum("mi,mi->m", g, g) + (n - 2) / (2.0 * n) * np.abs(v) ** p
 
     return dens
 
@@ -310,8 +308,8 @@ def _unweighted_density(u: ScalarField):
     p = 2.0 * n / (n - 2)
 
     def dens(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g) + np.abs(u.evaluate(pts)) ** p
+        v, g = u.value_and_gradient(pts)
+        return np.einsum("mi,mi->m", g, g) + np.abs(v) ** p
 
     return dens
 
@@ -334,15 +332,19 @@ def energy_in(u: ScalarField, rule: QuadratureRule, threads: int = 1) -> float:
     return integrate(rule, _weighted_density(u), threads=threads)
 
 
+def _shell_energies(u: ScalarField, x, regions, order: int) -> list[float]:
+    """``bubbling_energy`` over each (inner, outer) region about ``x``,
+    integrated as one piece batch."""
+    dens = _unweighted_density(u)
+    pieces = shell_pieces_for(u, x, regions, order)
+    return integrate_pieces(pieces, lambda pts: (dens(pts),))[:, 0].tolist()
+
+
 def bubbling_energy(
     u: ScalarField, x, r: float, order: int = 24, inner: float = 0.0
 ) -> float:
     """Unweighted energy int (|grad u|^2 + |u|^(2n/(n-2))) over a ball/annulus."""
-    if inner > 0:
-        rule = annulus_rule_for(u, x, inner, r, order)
-    else:
-        rule = ball_rule_for(u, x, r, order)
-    return integrate(rule, _unweighted_density(u))
+    return _shell_energies(u, x, [(inner, r)], order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +443,6 @@ def _scan_batched(
     alive = np.arange(len(xs))
     for ri, r in enumerate(radii):
         template = zonal_template(n, r, order, max(order, 48))
-        template.rule(np.zeros(n), np.eye(n)[0]).validate()
         per_block = max(1, _SCAN_BLOCK_NODES // len(template))
         for ki, u in enumerate(us):
             if ri == 0:  # local_scale does not depend on the radius
@@ -454,7 +455,7 @@ def _scan_batched(
             for a in range(0, alive.size, per_block):
                 idx = alive[a:a + per_block]
                 nodes = template.place(xs[idx], es[idx], perps[idx]).reshape(-1, n)
-                vals = _integrand_values(dens, nodes)
+                vals = _integrand_values(dens(nodes), nodes)
                 for j, row in enumerate(vals.reshape(len(idx), -1)):
                     q[a + j] = np.dot(template.weights, row)
             scores[alive] = np.minimum(scores[alive], q)
@@ -627,10 +628,10 @@ def neck_energy(
     while edges[-1] * 2 < outer:
         edges.append(edges[-1] * 2)
     edges.append(outer)
+    regions = list(zip(edges[:-1], edges[1:]))
     shells = []
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val = bubbling_energy(u, e.center, b, order, inner=a)
+    for (a, b), val in zip(regions, _shell_energies(u, e.center, regions, order)):
         shells.append((a, b, val))
         total += val
     return NeckReport(inner=inner, outer=outer, total=total, shells=shells)
@@ -666,7 +667,7 @@ def theta_estimate(
         raise ValueError("r_small must be positive")
     u = seq.field(k_large)
     radii = [r_small / 2, r_small / math.sqrt(2.0), r_small]
-    samples = {r: bubbling_energy(u, x, r, order) for r in radii}
+    samples = dict(zip(radii, _shell_energies(u, x, [(0.0, r) for r in radii], order)))
     vals = np.array(list(samples.values()))
     mid = float(np.median(vals))
     spread = float((vals.max() - vals.min()) / mid) if mid > 0 else 0.0
@@ -762,11 +763,12 @@ class DefectReport:
 
 
 def _half_threshold_radius(
-    w: ScalarField, x, target: float, r_hi: float, order: int
+    w: ScalarField, x, target: float, r_hi: float, order: int, energy_hi: float
 ) -> float | None:
     """Smallest radius where the unweighted ball energy reaches ``target``
-    (log-bisection; None when even r_hi falls short)."""
-    if bubbling_energy(w, x, r_hi, order) < target:
+    (log-bisection; None when even r_hi falls short).  ``energy_hi`` is the
+    known ball energy of ``w`` at ``r_hi``."""
+    if energy_hi < target:
         return None
     lo, hi = r_hi, r_hi
     floor = max((w.finest_scale or 1e-12) * 1e-3, 1e-300)
@@ -906,12 +908,14 @@ def quantization_report(
         weights: list[float] = [1.0]
         inventory = []
         half_radius_unit = _standard_halfball_radius(n, eps_n / 2.0)
-        resid_energy = bubbling_energy(u_k, x, cfg.r_small, cfg.order)
+        # theta's r_small sample is the ball energy of u_k there
+        resid_energy = theta.samples[cfg.r_small]
         for _ in range(cfg.max_bubbles):
             w = parts[0] if len(parts) == 1 else Superposition(parts, weights)
             if resid_energy < eps0:
                 break
-            rho = _half_threshold_radius(w, x, eps_n / 2.0, cfg.r_small, cfg.order)
+            rho = _half_threshold_radius(w, x, eps_n / 2.0, cfg.r_small, cfg.order,
+                                         resid_energy)
             if rho is None:
                 flags.append("half-threshold-not-reached")
                 break
@@ -942,7 +946,7 @@ def quantization_report(
             bubbling_energy(Superposition([b], [wt]), x, cfg.r_small, cfg.order)
             for b, wt in zip(u_k.parts, u_k.weights)
         )
-        cross = bubbling_energy(u_k, x, cfg.r_small, cfg.order) - part_sum
+        cross = theta.samples[cfg.r_small] - part_sum
 
         entry_idx = int(
             np.argmin([np.linalg.norm(e.center - x) for e in seq.entries])

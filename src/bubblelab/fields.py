@@ -24,13 +24,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import (
+    PieceSet,
     QuadratureRule,
     build_ball_rule,
-    build_annulus_rule,
     build_radial_ball_rule,
-    build_sphere_rule,
+    build_shell_pieces,
+    build_sphere_pieces,
     build_zonal_ball_rule,
-    build_zonal_sphere_rule,
     geometric_panels,
     integrate,
     node_slack,
@@ -62,6 +62,8 @@ __all__ = [
     "ball_rule_for",
     "sphere_rule_for",
     "annulus_rule_for",
+    "shell_pieces_for",
+    "sphere_pieces_for",
     "bump_adapted_rule",
     "read_field_csv",
     "write_field_csv",
@@ -115,6 +117,11 @@ class ScalarField:
         if self.has_analytic_gradient and h is None:
             return self.analytic_gradient(points)
         return self._fd_gradient(points, h)
+
+    def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(evaluate(points), gradient(points))``; fields that can share
+        work between the two compute them in one pass, bit for bit equal."""
+        return self.evaluate(points), self.gradient(points)
 
     def laplacian(self, points: np.ndarray, h: float | None = None) -> np.ndarray:
         if self.has_analytic_laplacian and h is None:
@@ -251,6 +258,16 @@ class Bubble(ScalarField):
         amp = -self.sign * (n - 2) * _bubble_amplitude(n) * self.scale ** (-n / 2)
         return amp * z * (g ** (-n / 2))[:, None]
 
+    def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One pass: ``z`` and ``1 + |z|^2`` are computed once per node."""
+        if _evaluation_overridden(self, Bubble):
+            return super().value_and_gradient(points)
+        n = self.dimension
+        z, g = self._z(points)
+        amp = self.sign * _bubble_amplitude(n) * self.scale ** (-(n - 2) / 2)
+        grad_amp = -self.sign * (n - 2) * _bubble_amplitude(n) * self.scale ** (-n / 2)
+        return amp * g ** (-(n - 2) / 2), grad_amp * z * (g ** (-n / 2))[:, None]
+
     def analytic_laplacian(self, points: np.ndarray) -> np.ndarray:
         n = self.dimension
         _, g = self._z(points)
@@ -332,6 +349,18 @@ class Superposition(ScalarField):
         for w, p in zip(self.weights, self.parts):
             acc += w * p.analytic_laplacian(points)
         return acc
+
+    def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One pass over the parts when every part has an analytic
+        gradient (which ``gradient`` then sums)."""
+        if _evaluation_overridden(self, Superposition) or not self.has_analytic_gradient:
+            return super().value_and_gradient(points)
+        val, grad = np.zeros(len(points)), np.zeros_like(points)
+        for w, p in zip(self.weights, self.parts):
+            v, g = p.value_and_gradient(points)
+            val += w * v
+            grad += w * g
+        return val, grad
 
     @cached_property
     def radial_center(self) -> Optional[np.ndarray]:
@@ -842,11 +871,52 @@ def stationarity_residual(
 # ---------------------------------------------------------------------------
 
 
-def _panels_for(u: ScalarField, x: np.ndarray, inner: float, outer: float):
-    scale = u.local_scale(x)
-    if scale is None:
-        return None
-    return geometric_panels(inner, outer, scale)
+def _layout(u: ScalarField, x: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """The cheapest node layout valid for ``u`` about ``x``: "full",
+    "radial", or "zonal" about the returned axis."""
+    axis = u.symmetry_axis(x)
+    if axis is None:
+        return "full", None
+    if np.all(axis == 0):
+        return "radial", None
+    return "zonal", axis
+
+
+def _shell_panels(u: ScalarField, x: np.ndarray, inner: float, outer: float):
+    """Radial panel breaks of one shell: a ball refines toward a feature
+    the field concentrates at ``x``; a wide annulus (outer/inner > 8) is
+    cut at doubling radii."""
+    if inner == 0:
+        scale = u.local_scale(x)
+        return None if scale is None else geometric_panels(0.0, outer, scale)
+    if outer / inner > 8:
+        edges, a = [], inner
+        while a * 2 < outer:
+            a *= 2
+            edges.append(a)
+        return edges
+    return None
+
+
+def shell_pieces_for(
+    u: ScalarField,
+    x,
+    regions,
+    order: int = 32,
+    angular_order: int | None = None,
+    polar_order: int | None = None,
+) -> PieceSet:
+    """Ball and annulus pieces ``regions = [(inner, outer), ...]`` about
+    ``x`` in the cheapest layout valid for ``u``, each with its own radial
+    panels; piece ``i`` equals ``annulus_rule_for(u, x, *regions[i], ...)``."""
+    x = _pts(x, u.dimension)[0][0]
+    symmetry, axis = _layout(u, x)
+    regions = np.asarray(regions, dtype=float).reshape(-1, 2)
+    return build_shell_pieces(
+        u.dimension, x, regions, order, symmetry, axis,
+        angular_order=angular_order, polar_order=polar_order or max(order, 48),
+        radial_panels=[_shell_panels(u, x, a, b) for a, b in regions],
+    )
 
 
 def ball_rule_for(
@@ -858,19 +928,7 @@ def ball_rule_for(
     polar_order: int | None = None,
 ) -> QuadratureRule:
     """Ball rule about ``x`` using the cheapest layout valid for ``u``."""
-    x = _pts(x, u.dimension)[0][0]
-    axis = u.symmetry_axis(x)
-    panels = _panels_for(u, x, 0.0, r)
-    if axis is None:
-        return build_ball_rule(
-            u.dimension, x, r, order, angular_order, radial_panels=panels
-        )
-    if np.all(axis == 0):
-        return build_radial_ball_rule(u.dimension, x, r, order, radial_panels=panels)
-    return build_zonal_ball_rule(
-        u.dimension, x, r, axis, order,
-        polar_order=polar_order or max(order, 48), radial_panels=panels,
-    )
+    return shell_pieces_for(u, x, [(0.0, r)], order, angular_order, polar_order).rule(0)
 
 
 def annulus_rule_for(
@@ -882,28 +940,10 @@ def annulus_rule_for(
     angular_order: int | None = None,
     polar_order: int | None = None,
 ) -> QuadratureRule:
-    x = _pts(x, u.dimension)[0][0]
-    axis = u.symmetry_axis(x)
-    panels = geometric_panels(inner, outer, None)
-    if inner > 0 and outer / inner > 8:
-        # geometric panels across a wide annulus
-        edges, a = [], inner
-        while a * 2 < outer:
-            a *= 2
-            edges.append(a)
-        panels = edges
-    if axis is None:
-        return build_annulus_rule(
-            u.dimension, x, inner, outer, order, angular_order, radial_panels=panels
-        )
-    if np.all(axis == 0):
-        return build_radial_ball_rule(
-            u.dimension, x, outer, order, inner=inner, radial_panels=panels
-        )
-    return build_zonal_ball_rule(
-        u.dimension, x, outer, axis, order,
-        polar_order=polar_order or max(order, 48), inner=inner, radial_panels=panels,
-    )
+    """Annulus rule about ``x`` using the cheapest layout valid for ``u``."""
+    return shell_pieces_for(
+        u, x, [(inner, outer)], order, angular_order, polar_order
+    ).rule(0)
 
 
 def bump_adapted_rule(
@@ -939,6 +979,26 @@ def bump_adapted_rule(
     )
 
 
+def sphere_pieces_for(
+    u: ScalarField,
+    x,
+    radii,
+    order: int = 32,
+    polar_order: int | None = None,
+) -> PieceSet:
+    """Sphere pieces of the given radii about ``x`` in the cheapest layout
+    valid for ``u``; piece ``i`` equals ``sphere_rule_for(u, x, radii[i], ...)``."""
+    x = _pts(x, u.dimension)[0][0]
+    symmetry, axis = _layout(u, x)
+    n = u.dimension
+    if symmetry == "full":
+        return build_sphere_pieces(n, x, radii, order)
+    if symmetry == "radial":
+        # field constant on each sphere: a few polar nodes still integrate it
+        return build_sphere_pieces(n, x, radii, 4, "zonal", np.eye(n)[0])
+    return build_sphere_pieces(n, x, radii, polar_order or max(order, 64), "zonal", axis)
+
+
 def sphere_rule_for(
     u: ScalarField,
     x,
@@ -946,16 +1006,7 @@ def sphere_rule_for(
     order: int = 32,
     polar_order: int | None = None,
 ) -> QuadratureRule:
-    x = _pts(x, u.dimension)[0][0]
-    axis = u.symmetry_axis(x)
-    if axis is None:
-        return build_sphere_rule(u.dimension, x, r, order)
-    if np.all(axis == 0):
-        # field constant on the sphere: one polar node still integrates it
-        return build_zonal_sphere_rule(u.dimension, x, r, np.eye(u.dimension)[0], 4)
-    return build_zonal_sphere_rule(
-        u.dimension, x, r, axis, polar_order or max(order, 64)
-    )
+    return sphere_pieces_for(u, x, [r], order, polar_order).rule(0)
 
 
 # ---------------------------------------------------------------------------

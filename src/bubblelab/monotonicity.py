@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import QuadratureRule, RadialGrid, integrate
+from .grid import QuadratureRule, RadialGrid, integrate, integrate_pieces
 from .fields import (
     ScalarField,
     _pts,
-    annulus_rule_for,
     ball_rule_for,
-    sphere_rule_for,
+    shell_pieces_for,
+    sphere_pieces_for,
 )
 
 __all__ = [
@@ -58,40 +58,35 @@ class DegenerateEnergyError(ValueError):
     """E_u(x, r) is non-positive where a positive value is required."""
 
 
-def _integrals(u: ScalarField, x, r: float, order: int, threads: int = 1):
-    """(int_B |grad u|^2, int_B |u|^p, int_dB u^2) about x at radius r."""
+def _energy_terms(u: ScalarField):
+    """Integrand of (int |grad u|^2, int |u|^p) from one field pass per node."""
     n = u.dimension
     p = 2.0 * n / (n - 2)
-    ball = ball_rule_for(u, x, r, order)
-    sphere = sphere_rule_for(u, x, r, order)
 
-    def gradsq(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g)
+    def terms(pts):
+        v, g = u.value_and_gradient(pts)
+        return np.einsum("mi,mi->m", g, g), np.abs(v) ** p
 
-    def upow(pts):
-        return np.abs(u.evaluate(pts)) ** p
-
-    def usq(pts):
-        return u.evaluate(pts) ** 2
-
-    return (
-        integrate(ball, gradsq, threads=threads),
-        integrate(ball, upow, threads=threads),
-        integrate(sphere, usq, threads=threads),
-    )
+    return terms
 
 
-def _sphere_usq(u: ScalarField, x, r: float, order: int) -> float:
-    sphere = sphere_rule_for(u, x, r, order)
-    return integrate(sphere, lambda pts: u.evaluate(pts) ** 2)
+def _sphere_integrals(u: ScalarField, x, radii, order: int, threads: int) -> np.ndarray:
+    """int_dB u^2 over the sphere of each radius about x, as one piece batch."""
+    spheres = sphere_pieces_for(u, x, radii, order)
+    return integrate_pieces(spheres, lambda pts: (u.evaluate(pts) ** 2,), threads)[:, 0]
 
 
-def _sphere_usq_derivative(u: ScalarField, x, r: float, order: int) -> float:
-    rho = DERIVATIVE_STEP_REL * r
-    up = _sphere_usq(u, x, r + rho, order)
-    dn = _sphere_usq(u, x, r - rho, order)
-    return (up - dn) / (2.0 * rho)
+def _boundary_terms(
+    u: ScalarField, x, rr: np.ndarray, order: int, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(int_dB u^2, d/dr int_dB u^2) at each radius of ``rr``; the
+    derivative is a centered difference with relative step
+    DERIVATIVE_STEP_REL, and the spheres at r, r + rho and r - rho of every
+    radius form one piece batch."""
+    rho = DERIVATIVE_STEP_REL * rr
+    radii = np.stack([rr, rr + rho, rr - rho], axis=1)
+    usq = _sphere_integrals(u, x, radii, order, threads).reshape(-1, 3)
+    return usq[:, 0], (usq[:, 1] - usq[:, 2]) / (2.0 * rho)
 
 
 def energy_E(
@@ -110,18 +105,18 @@ def energy_E(
     """
     if not (r > 0):
         raise ValueError(f"radius must be positive, got {r}")
+    if formulation not in ("A", "B", "C"):
+        raise ValueError(f"unknown formulation {formulation!r}; use A, B or C")
     n = u.dimension
-    G, X, S = _integrals(u, x, r, order, threads)
+    ball = shell_pieces_for(u, x, [(0.0, r)], order)
+    G, X = integrate_pieces(ball, _energy_terms(u), threads)[0].tolist()
     if formulation == "B":
+        S = float(_sphere_integrals(u, x, [r], order, threads)[0])
         return 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S
-    D = _sphere_usq_derivative(u, x, r, order)
+    S, D = (float(v[0]) for v in _boundary_terms(u, x, np.array([r]), order, threads))
     if formulation == "A":
         return X / n + 0.25 * D - 0.25 * S / r
-    if formulation == "C":
-        return (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (
-            4.0 * (n - 1)
-        ) * D
-    raise ValueError(f"unknown formulation {formulation!r}; use A, B or C")
+    return (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (4.0 * (n - 1)) * D
 
 
 @dataclass(frozen=True)
@@ -152,39 +147,33 @@ def profile(
     order: int = 32,
     threads: int = 1,
 ) -> MonotonicityProfile:
-    """Radius sweep of E(x, .), accumulating the ball integrals shell by
-    shell so the sweep costs one pass rather than one ball rule per radius."""
+    """Radius sweep of E(x, .) in the B formulation.
+
+    The ball integrals accumulate over consecutive shells (a ball up to the
+    first radius, then annuli between neighbours), so each node of the
+    sweep's volume is integrated once; the shells are one piece batch with
+    one field pass per node.  The sphere integral at each radius and its
+    centered difference, which fills the d/dr column of ``components``, come
+    from a second batch of three spheres per radius."""
     if isinstance(radii, RadialGrid):
         rr = radii.radii
     else:
         rr = np.asarray(radii, dtype=float)
         RadialGrid(rr)  # validates ordering/positivity
     n = u.dimension
-    p = 2.0 * n / (n - 2)
     x = _pts(x, n)[0][0]
-
-    def gradsq(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g)
-
-    def upow(pts):
-        return np.abs(u.evaluate(pts)) ** p
+    shells = shell_pieces_for(u, x, np.stack([np.r_[0.0, rr[:-1]], rr], axis=1), order)
+    terms = integrate_pieces(shells, _energy_terms(u), threads).tolist()
+    S, D = _boundary_terms(u, x, rr, order, threads)
 
     G = X = 0.0
     values = np.empty(len(rr))
     comps = np.empty((len(rr), 3))
-    prev = 0.0
-    for i, r in enumerate(rr):
-        shell = annulus_rule_for(u, x, prev, r, order) if prev > 0 else ball_rule_for(
-            u, x, r, order
-        )
-        G += integrate(shell, gradsq, threads=threads)
-        X += integrate(shell, upow, threads=threads)
-        S = _sphere_usq(u, x, r, order)
-        D = _sphere_usq_derivative(u, x, r, order)
-        values[i] = 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S
-        comps[i] = (X, D, S / r)
-        prev = r
+    for i, (r, (g, v)) in enumerate(zip(rr, terms)):
+        G += g
+        X += v
+        values[i] = 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S[i]
+        comps[i] = (X, D[i], S[i] / r)
     return MonotonicityProfile(center=x, radii=rr.copy(), values=values, components=comps)
 
 
@@ -333,10 +322,14 @@ def formulation_diagnostics(
     """
     n = u.dimension
     p = 2.0 * n / (n - 2)
-    G, X, S = _integrals(u, x, r, order)
-    D = _sphere_usq_derivative(u, x, r, order)
-    ball = ball_rule_for(u, x, r, order)
-    usq_ball = integrate(ball, lambda pts: u.evaluate(pts) ** 2)
+
+    def ball_terms(pts):
+        v, g = u.value_and_gradient(pts)
+        return np.einsum("mi,mi->m", g, g), np.abs(v) ** p, v ** 2
+
+    ball = shell_pieces_for(u, x, [(0.0, r)], order)
+    G, X, usq_ball = integrate_pieces(ball, ball_terms)[0].tolist()
+    S, D = (float(v[0]) for v in _boundary_terms(u, x, np.array([r]), order, 1))
     out = {
         "A": X / n + 0.25 * D - 0.25 * S / r,
         "B": 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S,

@@ -7,7 +7,9 @@ from scipy.special import beta as beta_fn
 
 from bubblelab.grid import (
     NonFiniteFieldError,
+    RadialGrid,
     build_ball_rule,
+    integrate,
     node_slack,
     unit_sphere_area,
 )
@@ -19,10 +21,11 @@ from bubblelab.fields import (
     RescaledField,
     SampledField,
     Superposition,
+    annulus_rule_for,
     aubin_talenti,
     ball_rule_for,
 )
-from bubblelab.monotonicity import energy_E
+from bubblelab.monotonicity import energy_E, profile
 from bubblelab.concentration import (
     BudgetError,
     ConcentrationSequence,
@@ -367,6 +370,20 @@ class NaNSequence(ConcentrationSequence):
         return NaNBeyond(base.bubbles, base.weights)
 
 
+def test_sweeps_report_nonfinite_field():
+    seq = NaNSequence(3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries,
+                      budget=1e4)
+    u = seq.field(2)
+    with pytest.raises(NonFiniteFieldError) as err:
+        profile(u, np.zeros(3), RadialGrid.log_spaced(0.05, 1.0, 12))
+    assert err.value.node[0] > 0.7
+    with pytest.raises(NonFiniteFieldError) as err:
+        neck_energy(seq, 2, R=1.0, outer=1.0)
+    assert err.value.node[0] > 0.7
+    with pytest.raises(NonFiniteFieldError):
+        theta_estimate(seq, np.array([0.6, 0.0, 0.0]), 0.4, 2)
+
+
 def test_batched_scan_reports_nonfinite_field():
     seq = NaNSequence(3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries,
                       budget=1e4)
@@ -593,6 +610,62 @@ def test_neck_rejects_degenerate_annulus():
         neck_energy(seq, 2, inner=0.6, outer=0.5)
 
 
+def unweighted_density(u):
+    n = u.dimension
+    p = 2.0 * n / (n - 2)
+
+    def dens(pts):
+        g = u.gradient(pts)
+        return np.einsum("mi,mi->m", g, g) + np.abs(u.evaluate(pts)) ** p
+
+    return dens
+
+
+def per_rule_neck(seq, k, R, outer, order=24, entry=0):
+    """Reference: one annulus rule per dyadic shell."""
+    e = seq.entries[entry]
+    u = seq.field(k)
+    edges = [R * e.schedule(k)]
+    while edges[-1] * 2 < outer:
+        edges.append(edges[-1] * 2)
+    edges.append(outer)
+    shells = [(a, b, integrate(annulus_rule_for(u, e.center, a, b, order),
+                               unweighted_density(u)))
+              for a, b in zip(edges[:-1], edges[1:])]
+    return shells, sum(val for _, _, val in shells)
+
+
+def sweep_sequences(n):
+    return [
+        make_sequence([(np.zeros(n), 4.0, 1.0), (np.zeros(n), 16.0, 1.0)], budget=1e4, n=n),
+        make_sequence([(0.25 * np.eye(n)[0], 4.0, 1.0), (-0.25 * np.eye(n)[0], 16.0, -1.0)],
+                      budget=1e4, n=n),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_neck_matches_per_rule_loop(n):
+    for seq in sweep_sequences(n):
+        for k, R, outer in ((3, 10.0, 0.5), (5, 100.0, 0.5), (6, 0.5, 0.3), (2, 0.1, 1.5)):
+            rep = neck_energy(seq, k, R=R, outer=outer)
+            shells, total = per_rule_neck(seq, k, R, outer)
+            assert rep.shells == shells
+            assert rep.total == total
+            assert all(type(v) is float for _, _, v in rep.shells)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_theta_matches_per_rule_loop(n):
+    for seq in sweep_sequences(n):
+        for x in (np.zeros(n), 0.25 * np.eye(n)[0], 0.1 * np.eye(n)[1]):
+            est = theta_estimate(seq, x, 0.05, 4)
+            u = seq.field(4)
+            want = {r: integrate(ball_rule_for(u, x, r, 24), unweighted_density(u))
+                    for r in (0.025, 0.05 / math.sqrt(2.0), 0.05)}
+            assert est.samples == want
+            assert all(type(v) is float for v in est.samples.values())
+
+
 # ---------------------------------------------------------------------------
 # Theta and the scaled measure
 # ---------------------------------------------------------------------------
@@ -669,6 +742,36 @@ def test_quantization_single_bubble():
     assert energy == pytest.approx(rep.lambda0.value)
     # inventory energies sum to Theta within the reported cross-term budget
     assert abs(p.n_hat * rep.lambda0.value - p.theta) <= 0.05 * rep.lambda0.value
+
+
+def field_key(u):
+    if isinstance(u, Superposition):
+        return ("sum", tuple(field_key(p) for p in u.parts), tuple(u.weights.tolist()))
+    return ("bubble", u.center.tobytes(), u.scale, u.sign)
+
+
+def test_quantization_report_computes_each_ball_energy_once(monkeypatch):
+    # every ball and annulus energy of the pipeline goes through
+    # _shell_energies; none is computed twice for one field, point, region
+    # and order
+    from bubblelab import concentration
+
+    counts = {}
+    original = concentration._shell_energies
+
+    def counting(u, x, regions, order):
+        for inner, outer in regions:
+            key = (field_key(u), np.asarray(x, dtype=float).tobytes(), float(inner),
+                   float(outer), order)
+            counts[key] = counts.get(key, 0) + 1
+        return original(u, x, regions, order)
+
+    monkeypatch.setattr(concentration, "_shell_energies", counting)
+    seq = make_sequence([(np.zeros(3), b, 1.0) for b in (4.0, 16.0, 64.0)], budget=1e4, n=3)
+    rep = quantization_report(seq, QuantizationConfig(k_max=10))
+    assert [p.n_hat for p in rep.points] == [3]
+    assert len(counts) > 100
+    assert {key: c for key, c in counts.items() if c > 1} == {}
 
 
 def test_quantization_zero_sequence_empty_report():

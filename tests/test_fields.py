@@ -371,3 +371,58 @@ def test_bump_vanishes_outside_support():
     assert np.all(phi.value(far) == 0.0)
     assert np.all(phi.gradient(far) == 0.0)
     assert np.all(phi.laplacian(far) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one pass for value and gradient
+# ---------------------------------------------------------------------------
+
+
+class ShiftedBubble(Bubble):
+    """Evaluated one unit along x_1 from where it claims to sit."""
+
+    def evaluate(self, points):
+        return super().evaluate(points - np.eye(self.dimension)[0])
+
+
+class SteepBubble(Bubble):
+    """A bubble whose analytic gradient is doubled."""
+
+    def analytic_gradient(self, points):
+        return 2.0 * super().analytic_gradient(points)
+
+
+class ClippedSum(Superposition):
+    def evaluate(self, points):
+        return np.minimum(super().evaluate(points), 1.0)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_value_and_gradient_equal_evaluate_and_gradient(n):
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((257, n))
+    b = Bubble(n, rng.standard_normal(n), 0.3, -1.0)
+    c = Bubble(n, rng.standard_normal(n), 1e-3)
+    fields = [
+        b,
+        Superposition([b, c], [0.7, -1.3]),
+        BubbleConfiguration([b, c], [1.0, 2.0]),
+        Superposition([Superposition([b, c]), c], [1.0, -1.0]),
+        Superposition([b, CustomField(n, c.evaluate)]),  # finite-difference gradient
+        RescaledField(Superposition([b, c]), rng.standard_normal(n), 0.25),
+        CustomField(n, b.evaluate, b.analytic_gradient),
+        CustomField(n, b.evaluate),
+        ShiftedBubble(n, b.center, 0.3),
+        SteepBubble(n, b.center, 0.3),
+        Superposition([ShiftedBubble(n, b.center, 0.3), SteepBubble(n, c.center, 0.1)]),
+        ClippedSum([b, c]),
+    ]
+    for u in fields:
+        v, g = u.value_and_gradient(pts)
+        assert same_bits(v, u.evaluate(pts))
+        assert same_bits(g, u.gradient(pts))

@@ -311,3 +311,186 @@ def test_zonal_template_placed_at_many_probes_matches_builder():
         assert same_bits(template.weights, rule.weights)
     with pytest.raises(ValueError):
         zonal_template(n, -1.0, order, polar)
+
+
+# ---------------------------------------------------------------------------
+# piece sets
+# ---------------------------------------------------------------------------
+
+
+def radial_nodes_loop(inner, outer, order, panels):
+    """Reference: one Gauss-Legendre panel per loop iteration."""
+    x, w = gauss_legendre(order)
+    if panels is None:
+        edges = np.array([inner, outer])
+    else:
+        edges = np.asarray(sorted(set([inner, outer] + list(panels))), dtype=float)
+        edges = edges[(edges >= inner) & (edges <= outer)]
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        nodes.append(0.5 * (a + b) + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def doubling_panels(inner, outer):
+    edges, a = [], inner
+    while a * 2 < outer:
+        a *= 2
+        edges.append(a)
+    return edges
+
+
+@pytest.mark.parametrize("order", [12, 24])
+def test_radial_nodes_match_the_panel_loop(order):
+    cases = [(0.0, r, geometric_panels(0.0, r, 1e-18)) for r in (0.05, 0.5, 1.0, 2.0)]
+    cases += [(a, b, doubling_panels(a, b))
+              for a, b in ((0.01, 1.0), (0.05, 5.0), (0.3, 2.5))]
+    cases += [(0.0, 1.0, None), (0.2, 0.7, None), (0.0, 1.0, [0.5, 0.5, 2.0])]
+    assert min(len(p) for _, _, p in cases[:7]) >= 3
+    assert len(cases[0][2]) == 57  # tiny-ball panels: up to 80 per rule
+    # the radial factor of a zonal n = 3 piece: nodes x, weights w x^2
+    axis = [1.0, 0.0, 0.0]
+    want = [radial_nodes_loop(inner, outer, order, panels) for inner, outer, panels in cases]
+    for (inner, outer, panels), (x, w) in zip(cases, want):
+        piece = grid.build_shell_pieces(3, 0, [(inner, outer)], order, "zonal", axis,
+                                        radial_panels=[panels])
+        assert same_bits(piece.s, x)
+        assert same_bits(piece.radial_weights, w * x**2)
+    pieces = grid.build_shell_pieces(3, 0, [c[:2] for c in cases], order, "zonal", axis,
+                                     radial_panels=[c[2] for c in cases])
+    assert same_bits(pieces.s, np.concatenate([x for x, _ in want]))
+    assert same_bits(pieces.radial_weights, np.concatenate([w * x**2 for x, w in want]))
+
+
+SHELLS = [(0.0, 0.05), (0.05, 0.2), (0.2, 2.1), (0.0, 0.7), (1e-3, 1.0)]
+SHELL_LAYOUTS = [(6, "full", {"angular_order": 3}), (9, "radial", {}),
+                 (8, "zonal", {"polar_order": 13})]
+SPHERE_LAYOUTS = [(5, "full"), (64, "zonal")]
+
+
+def shell_panels():
+    return [geometric_panels(0.0, 0.05, 1e-18), None, doubling_panels(0.2, 2.1), None,
+            doubling_panels(1e-3, 1.0)]
+
+
+def assert_same_rule(got, want):
+    assert same_bits(got.nodes, want.nodes)
+    assert same_bits(got.weights, want.weights)
+    assert (got.kind, got.radii, got.symmetry) == (want.kind, want.radii, want.symmetry)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_each_piece_equals_its_one_piece_set(n):
+    c, axis = np.linspace(-0.3, 0.4, n), np.arange(1.0, n + 1)
+    panels = shell_panels()
+    for order, symmetry, kw in SHELL_LAYOUTS:
+        pieces = grid.build_shell_pieces(n, c, SHELLS, order, symmetry, axis,
+                                         radial_panels=panels, **kw)
+        assert len(pieces) == len(SHELLS)
+        for i, (region, p) in enumerate(zip(SHELLS, panels)):
+            one = grid.build_shell_pieces(n, c, [region], order, symmetry, axis,
+                                          radial_panels=[p], **kw)
+            assert_same_rule(pieces.rule(i), one.rule(0))
+    radii = np.geomspace(0.05, 5.0, 40)
+    for order, symmetry in SPHERE_LAYOUTS:
+        pieces = grid.build_sphere_pieces(n, c, radii, order, symmetry, axis)
+        for i, r in enumerate(radii):
+            one = grid.build_sphere_pieces(n, c, [r], order, symmetry, axis)
+            assert_same_rule(pieces.rule(i), one.rule(0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sphere_weight_factor_is_a_scalar_power(n):
+    # numpy's array power rounds differently from the scalar r ** (n - 1)
+    # for a few percent of radii; the sphere rules keep the scalar one
+    radii = np.random.default_rng(n).uniform(0.01, 5.0, 300)
+    full = grid.build_sphere_pieces(n, 0, radii, 4)
+    zonal = grid.build_sphere_pieces(n, 0, radii, 16, "zonal", np.eye(n)[0])
+    _, w = grid.unit_sphere_directions(n, 4)
+    _, wt = gauss_gegenbauer(16, (n - 2) / 2)
+    for i, r in enumerate(radii):
+        assert same_bits(full.rule(i).weights, float(r) ** (n - 1) * w)
+        factor = unit_sphere_area(n - 1) * float(r) ** (n - 1)
+        assert same_bits(zonal.rule(i).weights, factor * wt)
+
+
+def two_columns(p):
+    return np.sin(p[:, 0]) ** 2 + np.exp(-np.abs(p[:, 1])), np.cos(p[:, -1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_integrate_pieces_matches_integrate_per_piece(threads):
+    # n = 4 full shells of order 32 hold 110,592 nodes (over _CHUNK); the
+    # radial and zonal pieces share blocks
+    n, c = 4, np.array([0.1, -0.2, 0.0, 0.3])
+    regions = [(0.0, 0.3), (0.3, 0.5), (0.5, 4.0)]
+    sets = [grid.build_shell_pieces(n, c, regions, 32),
+            grid.build_shell_pieces(n, c, regions * 8, 32, "radial"),
+            grid.build_shell_pieces(n, c, regions * 8, 12, "zonal", np.ones(n)),
+            grid.build_sphere_pieces(n, c, np.geomspace(0.1, 2.0, 30), 64, "zonal",
+                                     np.ones(n))]
+    assert max(sets[0].sizes) > grid._CHUNK
+    for pieces in sets:
+        got = grid.integrate_pieces(pieces, two_columns, threads)
+        assert got.shape == (len(pieces), 2)
+        for i in range(len(pieces)):
+            rule = pieces.rule(i)
+            for j in range(2):
+                want = integrate(rule, lambda p, j=j: two_columns(p)[j], threads)
+                assert got[i, j] == want  # bit for bit
+                assert np.signbit(got[i, j]) == np.signbit(want)
+
+
+def test_integrate_pieces_reports_nonfinite_node():
+    pieces = grid.build_shell_pieces(3, 0, [(0.0, 0.5), (0.5, 1.0)], 4)
+
+    def bad(p):
+        out = np.ones(len(p))
+        out[np.linalg.norm(p, axis=1) > 0.9] = np.nan
+        return (out,)
+
+    with pytest.raises(NonFiniteFieldError) as exc:
+        grid.integrate_pieces(pieces, bad)
+    assert np.linalg.norm(exc.value.node) > 0.9
+
+
+def test_piece_validation_catches_one_corrupted_weight(monkeypatch):
+    # a 1e-6 relative error in one radial weight of the small first ball
+    # moves the total weight by ~1e-14 of the total measure, so only a
+    # per-piece check against the ball's own measure sees it
+    regions = [(0.0, 0.05), (0.05, 5.0)]
+    grid.build_shell_pieces(3, 0, regions, 8)
+    original = grid._gauss_intervals
+
+    def corrupted(lo, hi, order):
+        nodes, weights = original(lo, hi, order)
+        weights = weights.copy()
+        weights[3] *= 1.0 + 1e-6
+        return nodes, weights
+
+    monkeypatch.setattr(grid, "_gauss_intervals", corrupted)
+    with pytest.raises(ValueError, match="piece 0"):
+        grid.build_shell_pieces(3, 0, regions, 8)
+    with pytest.raises(ValueError, match="piece 0"):
+        grid.build_shell_pieces(3, 0, regions, 8, "zonal", [1.0, 0.0, 0.0])
+
+
+def test_piece_validation_catches_a_node_off_its_region():
+    from dataclasses import replace
+
+    spheres = grid.build_sphere_pieces(3, 0, [0.5, 1.0, 2.0], 8)
+    s = spheres.s.copy()
+    s[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="off the sphere"):
+        replace(spheres, s=s).validate()
+    shells = grid.build_shell_pieces(3, 0, [(0.0, 0.5), (0.5, 1.0)], 8, "radial")
+    s = shells.s.copy()
+    s[0] = 0.6  # a node of the first ball placed in the second shell
+    with pytest.raises(ValueError, match="outside the region"):
+        replace(shells, s=s).validate()
+    w = shells.radial_weights.copy()
+    w[-1] = -w[-1]
+    with pytest.raises(ValueError, match="positive"):
+        replace(shells, radial_weights=w).validate()

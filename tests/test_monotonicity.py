@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from bubblelab.grid import RadialGrid, unit_ball_volume, unit_sphere_area
-from bubblelab.fields import BubbleConfiguration, Bubble, ConstantField, RescaledField, aubin_talenti
+from bubblelab.grid import RadialGrid, integrate, unit_ball_volume, unit_sphere_area
+from bubblelab.fields import (
+    BubbleConfiguration,
+    Bubble,
+    ConstantField,
+    CustomField,
+    RescaledField,
+    Superposition,
+    annulus_rule_for,
+    aubin_talenti,
+    ball_rule_for,
+    sphere_rule_for,
+)
 from bubblelab.monotonicity import (
+    DERIVATIVE_STEP_REL,
     DegenerateEnergyError,
     check_monotone,
     check_positive,
@@ -218,3 +230,120 @@ def test_profile_csv_columns(tmp_path):
     lines = path.read_bytes().split(b"\r\n")
     assert lines[0] == b"r,E,term_volume,term_boundary_derivative,term_boundary_over_r"
     assert len(lines) == 7  # header + 5 rows + trailing empty
+
+
+# ---------------------------------------------------------------------------
+# batched sweeps against one rule per shell and per sphere
+# ---------------------------------------------------------------------------
+
+
+def per_rule_profile(u, x, radii, order=32, threads=1):
+    """Reference: one shell rule and three sphere rules per radius."""
+    n = u.dimension
+    p = 2.0 * n / (n - 2)
+    x = np.asarray(x, dtype=float)
+
+    def gradsq(pts):
+        g = u.gradient(pts)
+        return np.einsum("mi,mi->m", g, g)
+
+    def sphere_usq(r):
+        return integrate(sphere_rule_for(u, x, r, order), lambda pts: u.evaluate(pts) ** 2,
+                         threads=threads)
+
+    G = X = 0.0
+    values, comps, prev = [], [], 0.0
+    for r in np.asarray(radii, dtype=float):
+        shell = annulus_rule_for(u, x, prev, r, order) if prev > 0 else ball_rule_for(
+            u, x, r, order)
+        G += integrate(shell, gradsq, threads=threads)
+        X += integrate(shell, lambda pts: np.abs(u.evaluate(pts)) ** p, threads=threads)
+        S = sphere_usq(r)
+        rho = DERIVATIVE_STEP_REL * r
+        D = (sphere_usq(r + rho) - sphere_usq(r - rho)) / (2.0 * rho)
+        values.append(0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S)
+        comps.append((X, D, S / r))
+        prev = r
+    return np.array(values), np.array(comps)
+
+
+def per_rule_energy(u, x, r, formulation, order=32):
+    """Reference energy_E: one ball rule, one rule per sphere."""
+    n = u.dimension
+    p = 2.0 * n / (n - 2)
+    ball = ball_rule_for(u, x, r, order)
+    G = integrate(ball, lambda pts: np.einsum("mi,mi->m", u.gradient(pts), u.gradient(pts)))
+    X = integrate(ball, lambda pts: np.abs(u.evaluate(pts)) ** p)
+
+    def sphere_usq(radius):
+        sphere = sphere_rule_for(u, x, radius, order)
+        return integrate(sphere, lambda pts: u.evaluate(pts) ** 2)
+
+    S = sphere_usq(r)
+    if formulation == "B":
+        return 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S
+    rho = DERIVATIVE_STEP_REL * r
+    D = (sphere_usq(r + rho) - sphere_usq(r - rho)) / (2.0 * rho)
+    if formulation == "A":
+        return X / n + 0.25 * D - 0.25 * S / r
+    return (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (4.0 * (n - 1)) * D
+
+
+def e1(n, scale=1.0):
+    return scale * np.eye(n)[0]
+
+
+def sweep_cases(n):
+    b = aubin_talenti(n)
+    full = CustomField(n, b.evaluate, b.analytic_gradient)
+    tower = Superposition([Bubble(n, np.zeros(n), 1e-4), Bubble(n, np.zeros(n), 1e-2)])
+    signed = Superposition([Bubble(n, e1(n, 0.3), 0.1), Bubble(n, e1(n, -0.3), 0.2, -1.0)])
+    grid40 = RadialGrid.log_spaced(0.05, 5.0, 40).radii
+    return {
+        "radial": (b, np.zeros(n), grid40, 32),
+        "zonal": (b, e1(n, 0.3), grid40, 32),
+        "full": (full, e1(n, 0.1), [0.2, 0.5, 1.0], 4),
+        "paneled-first-shell": (tower, np.zeros(n), grid40, 32),
+        "wide-annulus": (b, e1(n, 0.2), [0.01, 0.1, 2.0, 3.0], 32),
+        "signed-on-axis": (signed, e1(n, 0.1), np.geomspace(0.05, 2.0, 8), 12),
+        "signed-off-axis": (signed, 0.2 * np.eye(n)[1], [0.1, 0.4], 4),
+    }
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("case", ["radial", "zonal", "full", "paneled-first-shell",
+                                  "wide-annulus", "signed-on-axis", "signed-off-axis"])
+def test_profile_matches_per_rule_loop(n, case):
+    u, x, radii, order = sweep_cases(n)[case]
+    prof = profile(u, x, radii, order)
+    values, comps = per_rule_profile(u, x, radii, order)
+    assert same_bits(prof.values, values)
+    assert same_bits(prof.components, comps)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_profile_with_pieces_over_chunk_matches_per_rule_loop(threads):
+    # full n = 4 shells of order 32 hold 110,592 nodes, more than one chunk
+    u = aubin_talenti(4, 0.5)
+    full = CustomField(4, u.evaluate, u.analytic_gradient)
+    prof = profile(full, np.zeros(4), [0.3, 1.0], order=32, threads=threads)
+    values, comps = per_rule_profile(full, np.zeros(4), [0.3, 1.0], 32, threads)
+    assert same_bits(prof.values, values)
+    assert same_bits(prof.components, comps)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_energy_E_matches_per_rule_reference(n):
+    cases = sweep_cases(n)
+    for case in ("radial", "zonal", "full", "paneled-first-shell", "signed-off-axis"):
+        u, x, _, order = cases[case]
+        for r in (0.1, 0.8):
+            for formulation in "ABC":
+                got = energy_E(u, x, r, formulation, order)
+                assert type(got) is float
+                assert got == per_rule_energy(u, x, r, formulation, order)
