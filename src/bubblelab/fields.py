@@ -33,6 +33,7 @@ from .grid import (
     build_zonal_ball_rule,
     geometric_panels,
     integrate,
+    integrate_pieces,
     node_slack,
 )
 
@@ -1055,32 +1056,30 @@ def pohozaev_report(
     order: int = 48,
     threads: int = 1,
 ) -> PohozaevReport:
-    """Evaluate the five-term centered Pohozaev balance about ``x``."""
+    """Evaluate the five-term centered Pohozaev balance about ``x``.
+
+    The ball's two integrals and the sphere's three are each taken in one
+    pass, one ``value_and_gradient`` per node."""
     if not (r > 0):
         raise ValueError("radius must be positive")
     n = u.dimension
     p = 2.0 * n / (n - 2)
     x = _pts(x, n)[0][0]
-    ball = ball_rule_for(u, x, r, order)
-    sphere = sphere_rule_for(u, x, r, order)
+    ball = shell_pieces_for(u, x, [(0.0, r)], order)
+    sphere = sphere_pieces_for(u, x, [r], order)
 
-    def upow(pts):
-        return np.abs(u.evaluate(pts)) ** p
+    def ball_terms(pts):
+        v, g = u.value_and_gradient(pts)
+        return np.abs(v) ** p, np.einsum("mi,mi->m", g, g)
 
-    def gradsq(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g)
-
-    def normsq(pts):
-        g = u.gradient(pts)
+    def sphere_terms(pts):
+        v, g = u.value_and_gradient(pts)
         nu = (pts - x) / r
-        return np.einsum("mi,mi->m", g, nu) ** 2
+        return (np.abs(v) ** p, np.einsum("mi,mi->m", g, g),
+                np.einsum("mi,mi->m", g, nu) ** 2)
 
-    vol_pot = integrate(ball, upow, threads=threads)
-    vol_grad = integrate(ball, gradsq, threads=threads)
-    sph_pot = integrate(sphere, upow, threads=threads)
-    sph_grad = integrate(sphere, gradsq, threads=threads)
-    sph_norm = integrate(sphere, normsq, threads=threads)
+    vol_pot, vol_grad = integrate_pieces(ball, ball_terms, threads)[0].tolist()
+    sph_pot, sph_grad, sph_norm = integrate_pieces(sphere, sphere_terms, threads)[0].tolist()
 
     terms = {
         "volume_potential": (n - 2) / 2.0 * vol_pot,

@@ -31,28 +31,40 @@ one layout: consecutive or overlapping balls and annuli
 nodes and weights of every piece, one piece after another) times one
 angular factor, so no node is built before it is evaluated.  Every rule
 builder is the one-piece case of these two, so each layout's arithmetic
-exists once.  The builders validate every piece in one vectorized pass:
-its weight sum against its own region's measure and its nodes inside its
-own region within ``node_slack``.  ``integrate_pieces`` evaluates whole
-pieces together in blocks of at most ``_BLOCK_NODES`` nodes, one integrand
-call per block however many integrals it returns, and reduces each piece
-with the ``np.dot`` that ``integrate`` uses; a piece larger than
-``_CHUNK`` takes ``integrate``'s chunks and threads.
+exists once: a ``QuadratureRule`` is a view of a one-piece set that keeps
+its factors and builds ``nodes`` and ``weights`` only when they are read.
+The builders validate every piece in one vectorized pass: its weight sum
+against its own region's measure and its nodes inside its own region
+within ``node_slack``.
+
+Evaluation.  ``integrate_pieces`` is the one evaluator; ``integrate`` is
+its one-piece, one-integrand case.  Pieces of at most ``_BLOCK_NODES``
+nodes are evaluated together in blocks of whole pieces, one integrand call
+per block however many integrals it returns, and each piece is reduced
+with one ``np.dot``.  A larger piece is cut into fixed spans of ``_CHUNK``
+nodes, each span reduced with one ``np.dot`` and the span partials summed
+in span order, so the result does not depend on the thread count; the
+spans are spread over ``threads`` workers.  Inside a span the nodes and
+weights are built from the factors in blocks of at most ``_BLOCK_NODES``,
+so no node array larger than one block exists.  Integrands must therefore
+be pointwise: ``f`` sees blocks of at most ``_BLOCK_NODES`` nodes and
+must return one value per node it is given.
 
 Bit-identity rule.  A piece's nodes, weights and integrals equal those of
-its one-piece rule bit for bit.  Numpy's elementwise array results do not
-depend on an element's position or on the array's length, so array
-arithmetic over concatenated pieces is safe.  Numpy's array power differs
-from the scalar power in the last bit for some inputs, so a quantity that
-a one-piece rule computes as a scalar (the sphere weight factor
-``r ** (n - 1)``) is computed per piece as a scalar.
+its one-piece rule bit for bit, and a span's blocks equal the rows of the
+span's whole node array.  Numpy's elementwise array results do not depend
+on an element's position or on the array's length, so array arithmetic
+over concatenated pieces or over parts of a piece is safe.  Numpy's array
+power differs from the scalar power in the last bit for some inputs, so a
+quantity that a one-piece rule computes as a scalar (the sphere weight
+factor ``r ** (n - 1)``) is computed per piece as a scalar.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
-from functools import cache
+from functools import cache, cached_property
 from math import pi, gamma
 from typing import Callable, Sequence
 
@@ -86,9 +98,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-# Nodes per integrand call in ``integrate_pieces`` (whole pieces only).
-# On the profile sweeps 8192 was faster than 4096 and 16384; evaluating a
-# whole sweep at once raised peak memory by 17%.
+# Nodes per integrand call in ``integrate_pieces``: whole small pieces, or
+# one block of a span.  On the profile sweeps 8192 was faster than 4096
+# and 16384; evaluating a whole sweep at once raised peak memory by 17%.
 _BLOCK_NODES = 8192
 _MEASURE_TOL = 1e-10
 _DEFAULT_THREADS = 1
@@ -129,7 +141,7 @@ def unit_sphere_area(n: int) -> float:
 
 def node_slack(radius):
     """How far past a region of outer radius ``radius`` a node of a valid
-    rule may sit (``QuadratureRule.validate``): room for rounding.  Takes
+    rule may sit (``PieceSet.validate``): room for rounding.  Takes
     one radius or an array of them."""
     return 1e-12 * np.maximum(radius, 1.0)
 
@@ -140,55 +152,6 @@ def _region_measure(n: int, sphere: bool, inner, outer):
     if sphere:
         return unit_sphere_area(n) * outer ** (n - 1)
     return unit_ball_volume(n) * (outer**n - inner**n)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights for a ball, sphere or annulus region.
-
-    ``symmetry`` records the node layout: "full" rules integrate any
-    smooth function; "radial" rules require the integrand to depend only
-    on the distance to ``center``; "zonal" rules require invariance under
-    rotations about the axis ``center + t * axis``.
-    """
-
-    dimension: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str  # "ball" | "sphere" | "annulus"
-    center: np.ndarray
-    radii: tuple[float, float]  # (inner, outer)
-    symmetry: str = "full"
-    axis: np.ndarray | None = None
-    measure_tol: float = _MEASURE_TOL
-
-    @property
-    def measure(self) -> float:
-        """Exact measure of the region the rule integrates over."""
-        inner, outer = self.radii
-        return _region_measure(self.dimension, self.kind == "sphere", inner, outer)
-
-    def validate(self) -> None:
-        inner, outer = self.radii
-        if np.any(self.weights <= 0):
-            raise ValueError("all quadrature weights must be positive")
-        meas = self.measure
-        if abs(float(self.weights.sum()) - meas) > self.measure_tol * meas:
-            raise ValueError(
-                f"weight sum {self.weights.sum():.17g} does not match region "
-                f"measure {meas:.17g} within tolerance {self.measure_tol:g}"
-            )
-        dist = np.linalg.norm(self.nodes - self.center, axis=1)
-        slack = node_slack(outer)
-        if self.kind == "sphere":
-            if np.any(np.abs(dist - outer) > slack):
-                raise ValueError("sphere rule has nodes off the sphere")
-        else:
-            if np.any(dist > outer + slack) or np.any(dist < inner - slack):
-                raise ValueError("rule has nodes outside the region")
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -231,24 +194,42 @@ class PieceSet:
         weights = self.radial_weights[lo:hi, None] * self.dir_weights[None, :]
         return nodes.reshape(-1, self.dimension), weights.reshape(-1)
 
+    def node_range(self, c: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights ``c`` to ``d - 1`` of the whole set, numbered
+        as ``block(0, len(self))`` numbers them and built with its
+        arithmetic, so they equal that block's rows bit for bit.
+
+        The range is written as at most three segments: the rest of a
+        partial first radial row, whole rows, and the start of a last row.
+        ``block`` stays the broadcast expression for whole pieces: building
+        them here instead doubled the minor page faults of a profile-sweeps
+        pass (9.2k to 20.1k) and cost it 10% of its wall time.
+        """
+        m = len(self.dir_weights)
+        nodes = np.empty((d - c, self.dimension))
+        weights = np.empty(d - c)
+        k = c
+        while k < d:
+            r, j = divmod(k, m)
+            rows = max((d - k) // m, 1) if j == 0 else 1
+            e = min(d, (r + rows) * m)
+            width = (e - k) // rows
+            np.multiply(self.s[r:r + rows, None, None], self.dirs[None, j:j + width],
+                        out=nodes[k - c:e - c].reshape(rows, width, -1))
+            np.multiply(self.radial_weights[r:r + rows, None],
+                        self.dir_weights[None, j:j + width],
+                        out=weights[k - c:e - c].reshape(rows, width))
+            k = e
+        nodes += self.center
+        return nodes, weights
+
     def rule(self, i: int) -> QuadratureRule:
-        """Piece ``i`` as a rule of its own."""
-        nodes, weights = self.block(i, i + 1)
-        inner, outer = (float(v) for v in self.radii[i])
-        if self.kind == "sphere":
-            kind = "sphere"
-        else:
-            kind = "ball" if inner == 0.0 else "annulus"
-        return QuadratureRule(
-            dimension=self.dimension,
-            nodes=nodes,
-            weights=weights,
-            kind=kind,
-            center=self.center,
-            radii=(inner, outer),
-            symmetry=self.symmetry,
-            axis=self.axis,
-        )
+        """Piece ``i`` as a rule of its own (a view; no node is built)."""
+        lo, hi = self.bounds[i], self.bounds[i + 1]
+        return QuadratureRule(replace(
+            self, radii=self.radii[i:i + 1], s=self.s[lo:hi],
+            radial_weights=self.radial_weights[lo:hi], bounds=np.array([0, hi - lo]),
+        ))
 
     def validate(self) -> None:
         """Check every piece at once: positive weights, each piece's weight
@@ -281,6 +262,77 @@ class PieceSet:
                 raise ValueError("sphere rule has nodes off the sphere")
         elif ((far > outer + slack) | (near < inner - slack)).any():
             raise ValueError("rule has nodes outside the region")
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureRule:
+    """Nodes and positive weights for a ball, sphere or annulus region: a
+    view of the one-piece ``PieceSet`` it comes from.
+
+    The rule keeps the piece's radial and angular factors.  ``nodes`` and
+    ``weights`` are built from them when first read; ``len(rule)`` and the
+    integrals (``integrate``) need neither.  ``symmetry`` records the node
+    layout: "full" rules integrate any smooth function; "radial" rules
+    require the integrand to depend only on the distance to ``center``;
+    "zonal" rules require invariance under rotations about the axis
+    ``center + t * axis``.
+    """
+
+    piece: PieceSet
+
+    @property
+    def dimension(self) -> int:
+        return self.piece.dimension
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.piece.center
+
+    @property
+    def radii(self) -> tuple[float, float]:
+        """(inner, outer); a sphere has inner == outer."""
+        inner, outer = self.piece.radii[0]
+        return float(inner), float(outer)
+
+    @property
+    def kind(self) -> str:
+        """"ball", "sphere" or "annulus"."""
+        if self.piece.kind == "sphere":
+            return "sphere"
+        return "ball" if self.piece.radii[0, 0] == 0.0 else "annulus"
+
+    @property
+    def symmetry(self) -> str:
+        return self.piece.symmetry
+
+    @property
+    def axis(self) -> np.ndarray | None:
+        return self.piece.axis
+
+    @cached_property
+    def _materialized(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.piece.block(0, 1)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._materialized[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._materialized[1]
+
+    @property
+    def measure(self) -> float:
+        """Exact measure of the region the rule integrates over."""
+        inner, outer = self.radii
+        return _region_measure(self.dimension, self.kind == "sphere", inner, outer)
+
+    def validate(self) -> None:
+        """``PieceSet.validate`` of the rule's piece."""
+        self.piece.validate()
+
+    def __len__(self) -> int:
+        return int(self.piece.sizes[0])
 
 
 @dataclass(frozen=True)
@@ -692,22 +744,36 @@ def _integrand_values(vals, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _weighted_sums(
-    nodes: np.ndarray,
-    weights: np.ndarray,
+def _piece_sums(
+    pieces: PieceSet,
+    i: int,
     f: Callable[[np.ndarray], Sequence[np.ndarray]],
     threads: int | None,
 ) -> list[float]:
-    """Weighted sum of each integrand ``f`` returns, chunked as in
-    ``integrate``: one call of ``f`` per chunk."""
+    """Weighted sum over piece ``i`` of each integrand ``f`` returns: one
+    ``np.dot`` per fixed ``_CHUNK`` span, the span partials summed in span
+    order, spans spread over ``threads`` workers.  A span's nodes and
+    weights are built in blocks of at most ``_BLOCK_NODES``."""
     if threads is None:
         threads = _DEFAULT_THREADS
-    spans = [(i, min(i + _CHUNK, len(nodes))) for i in range(0, len(nodes), _CHUNK)]
+    start = int(pieces.bounds[i]) * len(pieces.dir_weights)
+    size = int(pieces.sizes[i])
+    spans = [(a, min(a + _CHUNK, size)) for a in range(0, size, _CHUNK)]
 
     def _partial(span):
         a, b = span
-        return [float(np.dot(weights[a:b], _integrand_values(v, nodes[a:b])))
-                for v in f(nodes[a:b])]
+        weights = np.empty(b - a)
+        cols = None
+        for c in range(a, b, _BLOCK_NODES):
+            d = min(c + _BLOCK_NODES, b)
+            nodes, w = pieces.node_range(start + c, start + d)
+            vals = [_integrand_values(v, nodes) for v in f(nodes)]
+            if cols is None:
+                cols = np.empty((len(vals), b - a))
+            weights[c - a:d - a] = w
+            for col, v in zip(cols, vals):
+                col[c - a:d - a] = v
+        return [float(np.dot(weights, v)) for v in cols]
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -722,13 +788,13 @@ def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     threads: int | None = None,
 ) -> float:
-    """Weighted sum of ``f`` over the rule's nodes.
+    """Weighted sum of ``f`` over the rule's nodes: ``integrate_pieces`` on
+    the rule's piece, so the nodes are built per block, never as a whole.
 
-    Evaluation is chunked with a fixed chunk size and the chunk partial
-    sums are reduced in index order, so the result is bit-identical for
-    any thread count.
+    ``f`` must be pointwise, as it sees blocks of at most ``_BLOCK_NODES``
+    nodes.  The result is bit-identical for any thread count.
     """
-    return _weighted_sums(rule.nodes, rule.weights, lambda pts: (f(pts),), threads)[0]
+    return float(integrate_pieces(rule.piece, lambda pts: (f(pts),), threads)[0, 0])
 
 
 def integrate_pieces(
@@ -739,28 +805,34 @@ def integrate_pieces(
     """Weighted sum over every piece of every integrand ``f`` returns.
 
     ``f(points)`` returns a sequence of k arrays with one value per point,
-    so a field evaluated once per node serves k integrals.  The result has
-    shape (len(pieces), k), and entry (i, j) equals
-    ``integrate(pieces.rule(i), lambda p: f(p)[j], threads)`` bit for bit.
-    Whole pieces are evaluated together in blocks of at most
-    ``_BLOCK_NODES`` nodes; a larger piece is evaluated alone, and one
-    larger than ``_CHUNK`` in ``integrate``'s chunks and threads.
+    so a field evaluated once per node serves k integrals; it must be
+    pointwise, as it sees blocks of at most ``_BLOCK_NODES`` nodes.  The
+    result has shape (len(pieces), k).  Pieces of at most ``_BLOCK_NODES``
+    nodes are evaluated together in blocks of whole pieces, each reduced
+    with one ``np.dot``.  A larger piece is reduced per fixed ``_CHUNK``
+    span, with its nodes built per block inside each span and its spans
+    spread over ``threads`` workers (``_piece_sums``); the result is
+    bit-identical for any thread count.
     """
     sizes = pieces.sizes
     rows = []
     a = 0
     while a < len(pieces):
+        if sizes[a] > _BLOCK_NODES:
+            rows.append(_piece_sums(pieces, a, f, threads))
+            a += 1
+            continue
         b, total = a + 1, sizes[a]
         while b < len(pieces) and total + sizes[b] <= _BLOCK_NODES:
             total += sizes[b]
             b += 1
         nodes, weights = pieces.block(a, b)
+        cols = [_integrand_values(v, nodes) for v in f(nodes)]
+        ends = np.cumsum(sizes[a:b])
+        for lo, hi in zip(ends - sizes[a:b], ends):
+            rows.append([float(np.dot(weights[lo:hi], v[lo:hi])) for v in cols])
         if b == a + 1:
-            rows.append(_weighted_sums(nodes, weights, f, threads))
-        else:
-            cols = [_integrand_values(v, nodes) for v in f(nodes)]
-            ends = np.cumsum(sizes[a:b])
-            for lo, hi in zip(ends - sizes[a:b], ends):
-                rows.append([float(np.dot(weights[lo:hi], v[lo:hi])) for v in cols])
+            # a lone piece is one span, and np.sum of its partial maps -0.0 to 0.0
+            rows[-1] = [v + 0.0 for v in rows[-1]]
         a = b
     return np.array(rows)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,26 @@ def gradient_tail_bound(n: int, s: float) -> float:
     """Closed-form unweighted energy outside radius s for the unit bubble."""
     c2 = (n * (n - 2)) ** ((n - 2) / 2)
     return unit_sphere_area(n) * c2 * (n - 2) * (s ** (2 - n) + s ** (-n))
+
+
+def test_full_rule_energy_streams_its_nodes():
+    # the n = 6, order-32 full ball holds 2,097,152 nodes, 100 MB of
+    # coordinates; they are built per block, never as a whole
+    n = 6
+    bubble = aubin_talenti(n)
+    u = CustomField(n, bubble.evaluate, bubble.analytic_gradient)
+    tracemalloc.start()
+    try:
+        rule = ball_rule_for(u, np.zeros(n), 1.0, 32)
+        assert len(rule) == 2_097_152
+        energy = energy_in(u, rule, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert "_materialized" not in vars(rule)
+    radial = energy_in(bubble, ball_rule_for(bubble, np.zeros(n), 1.0, 32))
+    assert energy == pytest.approx(radial, rel=1e-6)
 
 
 def test_energy_in_bubble_approaches_weighted_constant():

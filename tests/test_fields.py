@@ -4,6 +4,8 @@ import pytest
 from bubblelab.grid import build_ball_rule, integrate, unit_ball_volume, unit_sphere_area
 from bubblelab.fields import (
     Bubble,
+    ball_rule_for,
+    sphere_rule_for,
     BubbleConfiguration,
     ConstantField,
     CustomField,
@@ -333,6 +335,86 @@ def test_pohozaev_constant_field_closed_forms():
 def test_pohozaev_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         pohozaev_report(aubin_talenti(3), np.zeros(3), 0.0)
+
+
+def pohozaev_reference_terms(u, x, r, order, threads):
+    """Reference: one ``integrate`` per moment over ``ball_rule_for`` and
+    ``sphere_rule_for``, each moment evaluating the field again."""
+    n = u.dimension
+    p = 2.0 * n / (n - 2)
+    ball, sphere = ball_rule_for(u, x, r, order), sphere_rule_for(u, x, r, order)
+
+    def upow(pts):
+        return np.abs(u.evaluate(pts)) ** p
+
+    def gradsq(pts):
+        g = u.gradient(pts)
+        return np.einsum("mi,mi->m", g, g)
+
+    def normsq(pts):
+        g = u.gradient(pts)
+        return np.einsum("mi,mi->m", g, (pts - x) / r) ** 2
+
+    return {
+        "volume_potential": (n - 2) / 2.0 * integrate(ball, upow, threads),
+        "volume_gradient": -(n - 2) / 2.0 * integrate(ball, gradsq, threads),
+        "boundary_potential": -(n - 2) / (2.0 * n) * r * integrate(sphere, upow, threads),
+        "boundary_gradient": 0.5 * r * integrate(sphere, gradsq, threads),
+        "boundary_normal": -r * integrate(sphere, normsq, threads),
+    }
+
+
+def full_rule_bubble(n):
+    """A bubble behind plain callables: no symmetry hint, so full rules."""
+    b = aubin_talenti(n)
+    return CustomField(n, b.evaluate, b.analytic_gradient)
+
+
+POHOZAEV_CASES = [
+    ("centered bubble", lambda: aubin_talenti(3), np.zeros(3), 1.0, 48),
+    ("off-center zonal", lambda: aubin_talenti(3), np.array([0.3, 0.0, 0.0]), 1.0, 48),
+    ("off-center zonal n=5", lambda: Bubble(5, [0.2, -0.1, 0.0, 0.05, 0.1], 0.3),
+     np.full(5, 0.1), 0.8, 32),
+    ("full rule n=3", lambda: full_rule_bubble(3), np.array([0.1, 0.0, -0.2]), 1.0, 24),
+    ("full rule n=4", lambda: full_rule_bubble(4), np.zeros(4), 1.0, 24),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", POHOZAEV_CASES, ids=[c[0] for c in POHOZAEV_CASES])
+def test_pohozaev_one_pass_matches_per_moment_reference(case, threads):
+    _, make, x, r, order = case
+    u = make()
+    rep = pohozaev_report(u, x, r, order, threads)
+    want = pohozaev_reference_terms(u, x, r, order, threads)
+    assert rep.terms.keys() == want.keys()
+    for key, value in want.items():
+        assert rep.terms[key] == value  # bit for bit
+        assert np.signbit(rep.terms[key]) == np.signbit(value)
+
+
+@pytest.mark.parametrize("case", POHOZAEV_CASES, ids=[c[0] for c in POHOZAEV_CASES])
+def test_pohozaev_passes_each_node_to_the_field_once(case, monkeypatch):
+    _, make, x, r, order = case
+    u = make()
+    nodes = np.concatenate([ball_rule_for(u, x, r, order).nodes,
+                            sphere_rule_for(u, x, r, order).nodes])
+    seen = {}
+    for name in ("evaluate", "analytic_gradient", "value_and_gradient"):
+        original = getattr(type(u), name)
+
+        def recorded(self, pts, name=name, original=original):
+            seen.setdefault(name, []).append(np.array(pts))
+            return original(self, pts)
+
+        monkeypatch.setattr(type(u), name, recorded)
+    pohozaev_report(u, x, r, order, threads=1)
+    assert "value_and_gradient" in seen
+    if isinstance(u, Bubble):
+        assert set(seen) == {"value_and_gradient"}  # one pass, no separate calls
+    for name, blocks in seen.items():
+        got = np.concatenate(blocks)
+        assert got.shape == nodes.shape and got.tobytes() == nodes.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

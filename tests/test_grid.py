@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.special
@@ -6,7 +8,6 @@ from scipy.integrate import quad
 from bubblelab import grid
 from bubblelab.grid import (
     NonFiniteFieldError,
-    QuadratureRule,
     RadialGrid,
     build_annulus_rule,
     build_ball_rule,
@@ -211,15 +212,8 @@ def test_geometric_panels_resolve_fine_scale():
 
 
 def test_rule_validation_catches_bad_weights():
-    good = build_ball_rule(3, 0, 1.0, order=4)
-    bad = QuadratureRule(
-        dimension=3,
-        nodes=good.nodes,
-        weights=-good.weights,
-        kind="ball",
-        center=good.center,
-        radii=good.radii,
-    )
+    piece = build_ball_rule(3, 0, 1.0, order=4).piece
+    bad = replace(piece, radial_weights=-piece.radial_weights).rule(0)
     with pytest.raises(ValueError):
         bad.validate()
 
@@ -420,27 +414,138 @@ def two_columns(p):
     return np.sin(p[:, 0]) ** 2 + np.exp(-np.abs(p[:, 1])), np.cos(p[:, -1])
 
 
+def materialized_sums(rule, f):
+    """Reference: the evaluator before rules were streamed.  Materialize the
+    rule's nodes and weights, take one ``np.dot`` per ``_CHUNK`` span of
+    ``f(nodes[a:b])`` and sum the span partials with ``np.sum``."""
+    nodes, weights = rule.nodes, rule.weights
+    partials = []
+    for a in range(0, len(nodes), grid._CHUNK):
+        b = min(a + grid._CHUNK, len(nodes))
+        partials.append([float(np.dot(weights[a:b], v)) for v in f(nodes[a:b])])
+    return [float(np.sum(np.asarray(col))) for col in zip(*partials)]
+
+
+def assert_same_float(got, want):
+    assert got == want  # bit for bit
+    assert np.signbit(got) == np.signbit(want)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_integrate_pieces_matches_integrate_per_piece(threads):
+def test_integrate_pieces_matches_materialized_reference(threads):
     # n = 4 full shells of order 32 hold 110,592 nodes (over _CHUNK); the
-    # radial and zonal pieces share blocks
+    # radial and zonal pieces share blocks; the last set mixes pieces over
+    # _CHUNK, between _BLOCK_NODES and _CHUNK, and below _BLOCK_NODES
     n, c = 4, np.array([0.1, -0.2, 0.0, 0.3])
     regions = [(0.0, 0.3), (0.3, 0.5), (0.5, 4.0)]
+    mixed = [(0.0, 0.05), (0.05, 0.2), (0.2, 2.1), (0.0, 0.7)]
+    mixed_panels = [geometric_panels(0.0, 0.05, 1e-18), None, doubling_panels(0.2, 2.1),
+                    [0.1 * k for k in range(1, 7)]]
     sets = [grid.build_shell_pieces(n, c, regions, 32),
             grid.build_shell_pieces(n, c, regions * 8, 32, "radial"),
             grid.build_shell_pieces(n, c, regions * 8, 12, "zonal", np.ones(n)),
             grid.build_sphere_pieces(n, c, np.geomspace(0.1, 2.0, 30), 64, "zonal",
-                                     np.ones(n))]
+                                     np.ones(n)),
+            grid.build_shell_pieces(3, c[:3], mixed, 12, angular_order=8,
+                                    radial_panels=mixed_panels)]
     assert max(sets[0].sizes) > grid._CHUNK
+    sizes = sets[-1].sizes
+    assert sizes.max() > grid._CHUNK and sizes.min() <= grid._BLOCK_NODES
+    assert ((sizes > grid._BLOCK_NODES) & (sizes <= grid._CHUNK)).any()
     for pieces in sets:
         got = grid.integrate_pieces(pieces, two_columns, threads)
         assert got.shape == (len(pieces), 2)
         for i in range(len(pieces)):
-            rule = pieces.rule(i)
+            want = materialized_sums(pieces.rule(i), two_columns)
             for j in range(2):
-                want = integrate(rule, lambda p, j=j: two_columns(p)[j], threads)
-                assert got[i, j] == want  # bit for bit
-                assert np.signbit(got[i, j]) == np.signbit(want)
+                assert_same_float(got[i, j], want[j])
+
+
+def full_rules(n):
+    """Full ball, annulus and sphere rules about an off-origin center, each
+    over _BLOCK_NODES and most over _CHUNK (the n = 6 ball has 32 spans)."""
+    c = np.linspace(-0.2, 0.3, n)
+    sphere_order = {3: 200, 4: 48, 5: 16, 6: 10}[n]
+    return [build_ball_rule(n, c, 1.0, order=32),
+            build_annulus_rule(n, c, 0.3, 1.2, order=24, radial_panels=[0.5, 0.8]),
+            build_sphere_rule(n, c, 0.7, order=sphere_order)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_integrate_streams_full_rules_bit_identically(n):
+    for rule in full_rules(n):
+        assert len(rule) > grid._BLOCK_NODES
+        got = [integrate(rule, lambda p: two_columns(p)[0], threads) for threads in (1, 2)]
+        assert "_materialized" not in vars(rule)  # integrate built no whole node array
+        want = materialized_sums(rule, lambda p: two_columns(p)[:1])[0]
+        for g in got:
+            assert_same_float(g, want)
+    assert len(full_rules(6)[0]) == 32 * grid._CHUNK
+
+
+def test_rule_length_comes_from_the_factors():
+    rule = build_ball_rule(6, 0, 1.0, order=32)
+    assert len(rule) == 2_097_152
+    assert "_materialized" not in vars(rule)
+    assert rule.kind == "ball" and rule.radii == (0.0, 1.0)
+    assert build_annulus_rule(3, 0, 0.5, 1.0, order=4).kind == "annulus"
+    assert build_sphere_rule(3, 0, 0.5, order=4).radii == (0.5, 0.5)
+
+
+@pytest.mark.parametrize("n, symmetry, order, panels", [
+    (6, "full", 32, None), (4, "full", 9, [0.2, 0.5]), (3, "full", 32, None),
+    (3, "zonal", 48, geometric_panels(0.0, 1.0, 1e-18)),
+    (5, "radial", 200, geometric_panels(0.0, 1.0, 1e-18))])
+def test_node_ranges_equal_the_broadcast_product(n, symmetry, order, panels):
+    # reference: every node of the set as one broadcast product of its factors
+    pieces = grid.build_shell_pieces(n, np.linspace(-0.3, 0.4, n), [(0.0, 1.0)], order,
+                                     symmetry, np.ones(n), radial_panels=[panels])
+    nodes = (pieces.center + pieces.s[:, None, None] * pieces.dirs[None, :, :]).reshape(-1, n)
+    weights = (pieces.radial_weights[:, None] * pieces.dir_weights[None, :]).reshape(-1)
+    got_nodes, got_weights = pieces.block(0, 1)
+    assert same_bits(got_nodes, nodes) and same_bits(got_weights, weights)
+    m, size = len(pieces.dir_weights), len(weights)
+    rng = np.random.default_rng(n)
+    starts = [0, m - 1, m, size - grid._BLOCK_NODES] + list(rng.integers(0, size, 40))
+    for c in starts:
+        for d in (c + 1, c + m, c + grid._BLOCK_NODES, c + rng.integers(1, 3 * m + 2)):
+            d = min(int(d), size)
+            got_nodes, got_weights = pieces.node_range(int(c), d)
+            assert same_bits(got_nodes, nodes[c:d])
+            assert same_bits(got_weights, weights[c:d])
+
+
+def test_integrate_never_returns_negative_zero():
+    # the span sum maps -0.0 to 0.0; a lone small piece keeps that, also
+    # with one node, where np.dot returns the product -0.0 itself
+    def negative_zero(p):
+        return -np.zeros(len(p))
+
+    one_node = build_zonal_sphere_rule(3, 0, 1.0, [1.0, 0.0, 0.0], polar_order=1)
+    assert len(one_node) == 1
+    for rule in (one_node, build_ball_rule(3, 0, 1.0, order=4),
+                 build_ball_rule(4, 0, 1.0, order=32)):
+        assert_same_float(integrate(rule, negative_zero), 0.0)
+        assert_same_float(materialized_sums(rule, lambda p: (negative_zero(p),))[0], 0.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_rule_reports_the_nonfinite_node(threads):
+    # NaN beyond |x| = 0.9 on the n = 6 ball: about a shifted center, the
+    # first bad node sits inside a block, not at a span or block start
+    n = 6
+    rule = build_ball_rule(n, np.full(n, 0.01), 1.0, order=32)
+
+    def bad(p):
+        out = np.ones(len(p))
+        out[np.linalg.norm(p, axis=1) > 0.9] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteFieldError) as exc:
+        integrate(rule, bad, threads)
+    first = int(np.flatnonzero(np.linalg.norm(rule.nodes, axis=1) > 0.9)[0])
+    assert first % grid._BLOCK_NODES != 0 and first > grid._CHUNK
+    assert same_bits(exc.value.node, rule.nodes[first])
 
 
 def test_integrate_pieces_reports_nonfinite_node():
@@ -478,8 +583,6 @@ def test_piece_validation_catches_one_corrupted_weight(monkeypatch):
 
 
 def test_piece_validation_catches_a_node_off_its_region():
-    from dataclasses import replace
-
     spheres = grid.build_sphere_pieces(3, 0, [0.5, 1.0, 2.0], 8)
     s = spheres.s.copy()
     s[1] *= 1.0 + 1e-9
