@@ -65,11 +65,7 @@ class RunConfig:
 
     n: int = 3
     quad_order: int = 32
-    angular_order: int = 0  # 0 = order-adaptive
-    r_inf: float = 1e3
-    fd_step: float = 1e-4
     eps0: float = 0.0  # 0 = auto (Lambda_0 / 20)
-    eps_reg: float = 1.0
     out: str = "bubblelab-out"
     seed: int = 1234
     threads: int = 1
@@ -77,7 +73,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.n < 3:
             raise ValueError("dimension must be >= 3")
-        for name in ("quad_order", "r_inf", "fd_step", "eps_reg", "threads"):
+        for name in ("quad_order", "threads"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
@@ -390,7 +386,7 @@ def cmd_bubble_constant(args) -> int:
 
 
 def _cfg_overrides(args) -> dict:
-    keys = ("n", "quad_order", "r_inf", "fd_step", "eps0", "out", "seed", "threads")
+    keys = ("n", "quad_order", "out", "seed", "threads")
     return {k: getattr(args, k, None) for k in keys}
 
 

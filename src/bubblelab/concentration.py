@@ -42,7 +42,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .grid import (
     QuadratureRule,
@@ -73,7 +72,6 @@ __all__ = [
     "BubbleConstant",
     "ConcentrationSequence",
     "SequenceEntry",
-    "EnergyMeasure",
     "DefectReport",
     "PointReport",
     "ThetaEstimate",
@@ -312,19 +310,6 @@ def _unweighted_density(u: ScalarField):
         return np.einsum("mi,mi->m", g, g) + np.abs(v) ** p
 
     return dens
-
-
-@dataclass(frozen=True)
-class EnergyMeasure:
-    """The Radon measure with weighted density e(u) dx."""
-
-    field: ScalarField
-
-    def density(self, points: np.ndarray) -> np.ndarray:
-        return _weighted_density(self.field)(points)
-
-    def mass(self, rule: QuadratureRule, threads: int = 1) -> float:
-        return integrate(rule, self.density, threads=threads)
 
 
 def energy_in(u: ScalarField, rule: QuadratureRule, threads: int = 1) -> float:
@@ -725,7 +710,6 @@ class QuantizationConfig:
     fit_tol: float = 1e-8
     neck_R: tuple = (10.0, 30.0, 100.0)
     neck_outer: float = 0.5
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -838,6 +822,10 @@ def _fit_bubble(
     point and excludes the point itself, where imperfect cancellation of
     previously subtracted bubbles leaves a spurious spike.
     """
+    # scipy.optimize is imported here, its only use, so that importing
+    # bubblelab (and every subcommand but quantize) does not pay for it
+    from scipy.optimize import least_squares
+
     n = w.dimension
     samples = _fit_sample_points(n, x, delta0)
     target = w.evaluate(samples)

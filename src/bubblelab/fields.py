@@ -50,7 +50,6 @@ __all__ = [
     "VectorTestFunction",
     "bump_profile",
     "aubin_talenti",
-    "superpose",
     "unit_sphere_directions_for_fit",
     "gradient",
     "laplacian",
@@ -595,10 +594,6 @@ def aubin_talenti(n: int, delta: float = 1.0, y=0) -> Bubble:
         raise ValueError(f"scale must be positive, got {delta}")
     center = np.zeros(n) if (np.isscalar(y) and y == 0) else np.asarray(y, dtype=float)
     return Bubble(dimension=n, center=center, scale=float(delta))
-
-
-def superpose(fields: Sequence[ScalarField], weights=None) -> Superposition:
-    return Superposition(fields, weights)
 
 
 # ---------------------------------------------------------------------------

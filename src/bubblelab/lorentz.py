@@ -57,8 +57,14 @@ class SampledFunction:
         object.__setattr__(self, "measures", m)
         if v.ndim != 1 or v.shape != m.shape:
             raise ValueError("values and measures must be equal-length vectors")
-        if np.any(m <= 0):
-            raise ValueError("cell measures must be positive")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"values must be finite; cell {bad[0]} has {v[bad[0]]}")
+        bad = np.flatnonzero(~(np.isfinite(m) & (m > 0)))
+        if bad.size:
+            raise ValueError(
+                f"cell measures must be positive and finite; cell {bad[0]} has {m[bad[0]]}"
+            )
         if self.expected_volume is not None:
             tot = float(m.sum())
             if abs(tot - self.expected_volume) > 1e-8 * self.expected_volume:
@@ -298,21 +304,33 @@ def tail_decay_check(
 # ---------------------------------------------------------------------------
 
 
-def write_table_csv(path, table: RearrangementTable) -> None:
-    """Columns: t_break, level (level paired with its left breakpoint)."""
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _write_pairs(path, header: str, first, second) -> None:
+    """Write ``header``, then one ``%.17g,%.17g`` row per pair.
+
+    Rows are formatted a block at a time with one ``%`` over the block's
+    values, which yields the bytes of a per-value ``format(v, '.17g')``
+    loop; the fixed block size bounds the text held in memory.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("t_break,level\r\n")
-        for t, lv in zip(table.breaks[:-1], table.levels):
-            fh.write(f"{format(t, '.17g')},{format(lv, '.17g')}\r\n")
-        fh.write(f"{format(table.breaks[-1], '.17g')},0\r\n")
+        fh.write(header)
+        for start in range(0, len(first), _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = np.column_stack((first[start:stop], second[start:stop]))
+            fh.write(("%.17g,%.17g\r\n" * len(block)) % tuple(block.ravel().tolist()))
+
+
+def write_table_csv(path, table: RearrangementTable) -> None:
+    """Columns: t_break, level (level paired with its left breakpoint; the
+    last breakpoint closes the table with level 0)."""
+    _write_pairs(path, "t_break,level\r\n", table.breaks, np.append(table.levels, 0.0))
 
 
 def write_samples_csv(path, f: SampledFunction) -> None:
     """Columns: value, cell_measure."""
-    with open(path, "w", newline="") as fh:
-        fh.write("value,cell_measure\r\n")
-        for v, m in zip(f.values, f.measures):
-            fh.write(f"{format(v, '.17g')},{format(m, '.17g')}\r\n")
+    _write_pairs(path, "value,cell_measure\r\n", f.values, f.measures)
 
 
 def read_samples_csv(path) -> SampledFunction:

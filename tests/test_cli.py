@@ -1,8 +1,14 @@
+import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bubblelab
 from bubblelab.cli import main
 
 
@@ -177,3 +183,49 @@ def test_thread_count_leaves_outputs_identical(tmp_path):
              "--out", out, "--quiet"])
         outs.append((out / "profile.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("key", ["angular_order", "r_inf", "fd_step", "eps_reg"])
+def test_config_naming_deleted_key_is_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nn = 3\n{key} = 1\n")
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_effective_config_lists_only_live_knobs(tmp_path):
+    out = tmp_path / "o"
+    assert run(["bubble-constant", "--n", 3, "--out", out, "--quiet"]) == 0
+    cp = configparser.ConfigParser()
+    cp.read(out / "effective_config.ini")
+    assert sorted(cp["run"]) == ["eps0", "n", "out", "quad_order", "seed", "threads"]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["abc", "1"], ["", "1"], ["nan", "1"], ["1", "nan"], ["inf", "1"], ["1", ""]],
+    ids=["text-value", "empty-value", "nan-value", "nan-measure", "inf-value",
+         "empty-measure"],
+)
+def test_lorentz_input_rejects_non_finite_cells(tmp_path, capsys, rows):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("value,cell_measure\n1,1\n" + ",".join(rows) + "\n2,0.5\n")
+    out = tmp_path / "o"
+    code = run(["lorentz", "--input", samples, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "finite" in captured.err
+    assert "status: pass" not in captured.out
+    assert not (out / "table.csv").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Only the bubble fit needs scipy.optimize; no other run should pay for
+    importing it."""
+    src = str(Path(bubblelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, bubblelab.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

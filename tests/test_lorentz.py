@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bubblelab import lorentz
 from bubblelab.grid import unit_ball_volume
 from bubblelab.fields import aubin_talenti, ConstantField
 from bubblelab.lorentz import (
@@ -289,3 +290,65 @@ def test_csv_roundtrip(tmp_path):
     write_table_csv(tpath, rearrange(f))
     header = tpath.read_bytes().split(b"\r\n")[0]
     assert header == b"t_break,level"
+
+
+# one value of each kind the .17g writers must reproduce exactly: signed
+# zero, the smallest subnormal, the largest magnitudes and full 17-digit
+# mantissas
+WRITER_SPECIALS = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0]
+WRITER_ROWS = [1, lorentz._WRITE_BLOCK_ROWS - 1, lorentz._WRITE_BLOCK_ROWS,
+               lorentz._WRITE_BLOCK_ROWS + 1, 100_000]
+
+
+def _per_value_csv(header, first, second, last_row=""):
+    """The reference writer: every value formatted on its own."""
+    rows = "".join(f"{format(a, '.17g')},{format(b, '.17g')}\r\n"
+                   for a, b in zip(first, second))
+    return (header + rows + last_row).encode()
+
+
+def _writer_values(rng, rows):
+    v = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+    k = min(len(WRITER_SPECIALS), rows)
+    v[:k] = WRITER_SPECIALS[:k]
+    v[rows - k:] = WRITER_SPECIALS[:k]
+    return v
+
+
+@pytest.mark.parametrize("rows", WRITER_ROWS)
+def test_samples_writer_bytes_match_per_value_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    values = _writer_values(rng, rows)
+    measures = np.abs(_writer_values(rng, rows))
+    measures[measures == 0] = 5e-324
+    f = SampledFunction(values, measures)
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, f)
+    assert path.read_bytes() == _per_value_csv("value,cell_measure\r\n", values, measures)
+
+
+@pytest.mark.parametrize("rows", WRITER_ROWS)
+def test_table_writer_bytes_match_per_value_format(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    levels = np.sort(np.abs(_writer_values(rng, rows)))[::-1].copy()
+    levels[0] = 1e308
+    if rows > 1:
+        levels[-1] = -0.0
+    breaks = np.concatenate(([0.0], np.cumsum(rng.random(rows) + 1e-3)))
+    if rows > 1:
+        breaks[1] = 5e-324
+    table = RearrangementTable(breaks, levels)
+    path = tmp_path / "table.csv"
+    write_table_csv(path, table)
+    want = _per_value_csv("t_break,level\r\n", breaks[:-1], levels,
+                          f"{format(breaks[-1], '.17g')},0\r\n")
+    assert path.read_bytes() == want
+    assert path.read_bytes().count(b"\r\n") == rows + 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampled_function_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="values must be finite"):
+        SampledFunction(np.array([1.0, bad]), np.ones(2))
+    with pytest.raises(ValueError, match="measures must be positive and finite"):
+        SampledFunction(np.ones(2), np.array([1.0, bad]))
