@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grid
-from .grid import RadialGrid, build_ball_rule
+from .grid import RadialGrid
 from .fields import (
     ConstantField,
     aubin_talenti,

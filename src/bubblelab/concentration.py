@@ -23,15 +23,11 @@ every probe whose closed-form energy bound (``ScalarField.ball_sup``:
 rule weights are positive and sum to ``|B_r|`` within 1e-10, and the
 factor 2 covers all rounding.  So it is a miss, and since only hits keep
 scores, hits, scores and cluster sizes are exactly those of the full scan.
-Off the concentration set this rejects almost every lattice probe.
-
-The probes left do not build a rule each.  Probes that take zonal rules
-share one zonal template per radius, placed at all of them at once and
-evaluated in blocks of whole probes; each probe's value is the same float
-``bubbling_energy`` returns, and probes still leave the scan at their
-first value below the threshold.  Probes that need radial, paneled or
-full rules, and the monotonicity detector (E(x, r) is not bounded by the
-ball energy), keep the per-probe loop.
+Off the concentration set this rejects almost every lattice probe.  The
+probes left, and every probe of the monotonicity detector (E(x, r) is not
+bounded by the ball energy), run the per-probe loop: one
+``bubbling_energy`` (or ``energy_E``) per step, leaving the scan at the
+first value below the threshold.
 """
 
 from __future__ import annotations
@@ -45,14 +41,12 @@ import numpy as np
 
 from .grid import (
     QuadratureRule,
-    _integrand_values,
-    _unit_perp_pair,
     gauss_legendre,
     integrate,
     integrate_pieces,
     unit_ball_volume,
     unit_sphere_area,
-    zonal_template,
+    unit_sphere_directions,
 )
 from .fields import (
     Bubble,
@@ -64,7 +58,6 @@ from .fields import (
     _pts,
     ball_rule_for,
     shell_pieces_for,
-    unit_sphere_directions_for_fit,
 )
 from .monotonicity import energy_E
 
@@ -367,89 +360,18 @@ def _detection_quantity(detector: str, u: ScalarField, x, r: float, order: int) 
     raise ValueError(f"unknown detector {detector!r}")
 
 
-# Nodes per density evaluation in the batched scan (whole probes only).
-# 4096 was fastest on the acceptance matrix; larger blocks were slower and
-# raised peak memory.
-_SCAN_BLOCK_NODES = 4096
-
-
 def _scan_probe(
-    detector: str, steps: Sequence, x, eps0: float, order: int, score: float = np.inf
+    detector: str, steps: Sequence, x, eps0: float, order: int
 ) -> tuple[bool, float]:
     """One probe through (radius, field) steps until a value falls below
     ``eps0``; returns (passed, minimum value seen)."""
+    score = np.inf
     for r, u in steps:
         q = _detection_quantity(detector, u, x, r, order)
         score = min(score, q)
         if q < eps0:
             return False, score
     return True, score
-
-
-def _zonal_axis(u: ScalarField, x: np.ndarray) -> Optional[np.ndarray]:
-    """The axis ``ball_rule_for`` lays a zonal rule along at ``x``, or None
-    when it takes a full or radial rule there.  The batched scan mirrors
-    that choice (and its ``max(order, 48)`` polar order); the scan tests
-    compare it with ``bubbling_energy``."""
-    axis = u.symmetry_axis(x)
-    if axis is None or np.all(axis == 0):
-        return None
-    return axis
-
-
-def _scan_batched(
-    radii: Sequence[float],
-    us: Sequence[ScalarField],
-    eps0: float,
-    order: int,
-    xs: np.ndarray,
-    axes: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ball-energy scan of probes that take zonal rules.
-
-    The steps run radius-major over the fields ``us``, as in the per-probe
-    loop, and a probe leaves the scan at its first value below ``eps0``.
-    Per radius one zonal template is built, validated and placed at every
-    probe still in the scan; the density is evaluated on blocks of whole
-    probes and each probe's value is reduced with the same ``np.dot`` that
-    ``integrate`` uses, so it equals ``bubbling_energy`` bit for bit.
-
-    A probe where a field concentrates (``local_scale``) needs a paneled
-    rule; it leaves the batch before that field's first step, and its
-    ``resume`` entry is the index of that step (-1 for the others).
-    Returns (passed, scores, resume); scores are the minimum value seen.
-    """
-    n = xs.shape[1]
-    frames = [_unit_perp_pair(np.asarray(a, dtype=float)) for a in axes]
-    es = np.stack([e for e, _ in frames])
-    perps = np.stack([p for _, p in frames])
-    scores = np.full(len(xs), np.inf)
-    resume = np.full(len(xs), -1)
-    alive = np.arange(len(xs))
-    for ri, r in enumerate(radii):
-        template = zonal_template(n, r, order, max(order, 48))
-        per_block = max(1, _SCAN_BLOCK_NODES // len(template))
-        for ki, u in enumerate(us):
-            if ri == 0:  # local_scale does not depend on the radius
-                sharp = np.array([u.local_scale(xs[i]) is not None for i in alive],
-                                 dtype=bool)
-                resume[alive[sharp]] = ki
-                alive = alive[~sharp]
-            dens = _unweighted_density(u)
-            q = np.empty(alive.size)
-            for a in range(0, alive.size, per_block):
-                idx = alive[a:a + per_block]
-                nodes = template.place(xs[idx], es[idx], perps[idx]).reshape(-1, n)
-                vals = _integrand_values(dens(nodes), nodes)
-                for j, row in enumerate(vals.reshape(len(idx), -1)):
-                    q[a + j] = np.dot(template.weights, row)
-            scores[alive] = np.minimum(scores[alive], q)
-            alive = alive[q >= eps0]
-        if alive.size == 0:
-            break
-    passed = np.zeros(len(xs), dtype=bool)
-    passed[alive] = True
-    return passed, scores, resume
 
 
 def _detect_detailed(
@@ -468,14 +390,12 @@ def _detect_detailed(
 
     With the ball-energy detector, a probe whose closed-form energy bound
     (``_ball_energy_bound``) is below ``eps0 / 2`` at any (radius, k) step
-    is dropped before any axis, rule or quadrature: its exact value there
+    is dropped before any rule or quadrature: its exact value there
     is below ``eps0`` (the rule weights sum to ``|B_r|`` within 1e-10, and
     the factor 2 covers rounding), so it cannot be a hit, and only hits
-    carry scores.  A NaN or infinite bound drops nothing.  Of the probes
-    left, those that take zonal rules are scanned together
-    (``_scan_batched``).  Declared centers, probes off every symmetry axis
-    and all probes of the monotonicity detector take the per-probe loop;
-    all paths give the same hits and scores."""
+    carry scores.  A NaN or infinite bound drops nothing.  Every probe
+    left, and every probe of the monotonicity detector, is scanned by
+    ``_scan_probe``."""
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     n = seq.dimension
@@ -491,9 +411,6 @@ def _detect_detailed(
     radii = sorted(r_grid)  # smallest radius fails fastest off-points
     steps = [(r, u) for r in radii for u in us]
 
-    # per candidate: (passed, score, step); passed is None while the
-    # per-probe loop still has to run it from that step on
-    state = {}
     if detector == "ball-energy":
         xs = np.stack([np.asarray(x, dtype=float) for x in candidates])
         keep = np.ones(len(xs), dtype=bool)
@@ -502,24 +419,10 @@ def _detect_detailed(
             if bound is not None:
                 keep &= ~(bound < eps0 / 2)
         candidates = [x for x, k in zip(candidates, keep) if k]
-        xs = xs[keep]
-
-        # the axis depends only on the entry centers, not on k
-        axes = [_zonal_axis(us[0], x) for x in xs]
-        batch = [i for i, a in enumerate(axes) if a is not None]
-        if batch:
-            passed, scores, resume = _scan_batched(
-                radii, us, eps0, order, xs[batch], [axes[i] for i in batch])
-            for j, i in enumerate(batch):
-                done = resume[j] < 0
-                state[i] = (bool(passed[j]) if done else None, float(scores[j]),
-                            int(resume[j]))
 
     hits, scores = [], []
-    for i, x in enumerate(candidates):
-        ok, score, start = state.get(i, (None, np.inf, 0))
-        if ok is None:
-            ok, score = _scan_probe(detector, steps[start:], x, eps0, order, score)
+    for x in candidates:
+        ok, score = _scan_probe(detector, steps, x, eps0, order)
         if ok:
             hits.append(np.asarray(x, dtype=float))
             scores.append(score)
@@ -809,7 +712,7 @@ def _standard_halfball_radius(n: int, energy_target: float) -> float:
 
 def _fit_sample_points(n: int, x: np.ndarray, scale: float) -> np.ndarray:
     radii = np.geomspace(scale / 30.0, 30.0 * scale, 24)
-    dirs = unit_sphere_directions_for_fit(n)
+    dirs = unit_sphere_directions(n, 2)[0]
     return (x[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
 
 
@@ -1036,12 +939,18 @@ def report_to_json(report: DefectReport) -> dict:
     }
 
 
+# The keys a sequence spec may set in [sequence] and in each [bubble:NAME].
+_SEQUENCE_KEYS = {"n", "k_max", "budget", "description", "eps0", "eps_n", "r_small"}
+_BUBBLE_KEYS = {"center", "base", "weight"}
+
+
 def read_sequence_spec(path) -> tuple[ConcentrationSequence, dict]:
     """Parse the key-value sequence spec document.
 
     Layout: a [sequence] section with n, k_max, budget and optional
     thresholds, plus one [bubble:NAME] section per entry carrying
-    center (whitespace-separated), base and weight.
+    center (whitespace-separated), base and weight.  A missing ``n``, any
+    other section and any other key raise ValueError.
     """
     import configparser
 
@@ -1050,12 +959,26 @@ def read_sequence_spec(path) -> tuple[ConcentrationSequence, dict]:
         cp.read_file(fh)
     if "sequence" not in cp:
         raise ValueError("sequence spec needs a [sequence] section")
+    for name in cp.sections():
+        if name == "sequence":
+            allowed = _SEQUENCE_KEYS
+        elif name.startswith("bubble:"):
+            allowed = _BUBBLE_KEYS
+        else:
+            raise ValueError(f"unknown sequence spec section [{name}]; "
+                             "use [sequence] or [bubble:NAME]")
+        unknown = sorted(set(cp[name]) - allowed)
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r} in sequence spec "
+                             f"section [{name}]")
     sec = cp["sequence"]
+    if "n" not in sec:
+        raise ValueError("sequence spec needs n in its [sequence] section")
     n = sec.getint("n")
     budget = sec.getfloat("budget", fallback=1e6)
     spec = []
     for name in cp.sections():
-        if not name.startswith("bubble"):
+        if name == "sequence":
             continue
         b = cp[name]
         center = np.array([float(t) for t in b.get("center", "0").split()])

@@ -26,11 +26,8 @@ import numpy as np
 from .grid import (
     PieceSet,
     QuadratureRule,
-    build_ball_rule,
-    build_radial_ball_rule,
     build_shell_pieces,
     build_sphere_pieces,
-    build_zonal_ball_rule,
     geometric_panels,
     integrate,
     integrate_pieces,
@@ -45,12 +42,10 @@ __all__ = [
     "RescaledField",
     "ConstantField",
     "CustomField",
-    "SampledField",
     "ScalarTestFunction",
     "VectorTestFunction",
     "bump_profile",
     "aubin_talenti",
-    "unit_sphere_directions_for_fit",
     "gradient",
     "laplacian",
     "pde_residual",
@@ -65,8 +60,6 @@ __all__ = [
     "shell_pieces_for",
     "sphere_pieces_for",
     "bump_adapted_rule",
-    "read_field_csv",
-    "write_field_csv",
 ]
 
 DEFAULT_FD_STEP = 1e-4
@@ -88,7 +81,6 @@ class ScalarField:
     """Base class: a function R^n -> R with optional analytic derivatives."""
 
     dimension: int
-    kind: str = "custom"
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -227,7 +219,6 @@ class Bubble(ScalarField):
     center: np.ndarray
     scale: float
     sign: float = 1.0
-    kind: str = "bubble"
 
     def __post_init__(self):
         if self.dimension < 3:
@@ -307,8 +298,6 @@ class Bubble(ScalarField):
 
 class Superposition(ScalarField):
     """Pointwise weighted sum of fields sharing one dimension."""
-
-    kind = "superposition"
 
     def __init__(self, parts: Sequence[ScalarField], weights: Sequence[float] | None = None):
         if not parts:
@@ -422,8 +411,6 @@ class Superposition(ScalarField):
 class BubbleConfiguration(Superposition):
     """Weighted sum of bubbles: the synthetic-solution generator."""
 
-    kind = "superposition"
-
     def __init__(self, bubbles: Sequence[Bubble], weights: Sequence[float] | None = None):
         if not all(isinstance(b, Bubble) for b in bubbles):
             raise TypeError("BubbleConfiguration takes Bubble parts only")
@@ -438,8 +425,6 @@ class RescaledField(ScalarField):
     exact solution yields an exact solution; rescaling a bubble at (y, d)
     by (y, d) recovers the standard profile exactly.
     """
-
-    kind = "custom"
 
     def __init__(self, base: ScalarField, y, delta: float):
         if not (delta > 0):
@@ -495,8 +480,6 @@ class RescaledField(ScalarField):
 
 
 class ConstantField(ScalarField):
-    kind = "custom"
-
     def __init__(self, dimension: int, value: float):
         self.dimension = dimension
         self.value = float(value)
@@ -524,13 +507,11 @@ class CustomField(ScalarField):
         func: Callable[[np.ndarray], np.ndarray],
         grad: Callable[[np.ndarray], np.ndarray] | None = None,
         lap: Callable[[np.ndarray], np.ndarray] | None = None,
-        kind: str = "custom",
     ):
         self.dimension = dimension
         self._func = func
         self._grad = grad
         self._lap = lap
-        self.kind = kind
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self._func(points), dtype=float)
@@ -552,38 +533,6 @@ class CustomField(ScalarField):
         if self._lap is None:
             raise NotImplementedError
         return np.asarray(self._lap(points), dtype=float)
-
-
-class SampledField(ScalarField):
-    """Nearest-neighbor interpolant of scattered samples (x, u(x))."""
-
-    kind = "sampled"
-
-    def __init__(self, points: np.ndarray, values: np.ndarray):
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if points.ndim != 2 or len(points) != len(values):
-            raise ValueError("need matching (m, n) points and (m,) values")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sample values must be finite")
-        self.dimension = points.shape[1]
-        self.points = points
-        self.values = values
-        from scipy.spatial import cKDTree
-
-        self._tree = cKDTree(points)
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        _, idx = self._tree.query(pts)
-        return self.values[idx]
-
-
-def unit_sphere_directions_for_fit(n: int) -> np.ndarray:
-    """Small deterministic unit-direction set for profile fitting."""
-    from .grid import unit_sphere_directions
-
-    dirs, _ = unit_sphere_directions(n, 2)
-    return dirs
 
 
 def aubin_talenti(n: int, delta: float = 1.0, y=0) -> Bubble:
@@ -960,19 +909,11 @@ def bump_adapted_rule(
     # reduced layouts need the *integrand* axisymmetric: a single radial
     # bump combined with a field that is axisymmetric about its center
     single_bump = isinstance(phi, ScalarTestFunction) and len(phi.atoms) == 1
-    axis = u.symmetry_axis(center) if single_bump else None
-    if axis is None:
-        return build_ball_rule(
-            u.dimension, center, radius * margin, order, radial_panels=edge_panels
-        )
-    if np.all(axis == 0):
-        return build_radial_ball_rule(
-            u.dimension, center, radius * margin, order, radial_panels=edge_panels
-        )
-    return build_zonal_ball_rule(
-        u.dimension, center, radius * margin, axis, order,
-        polar_order=max(4 * order, 64), radial_panels=edge_panels,
-    )
+    symmetry, axis = _layout(u, center) if single_bump else ("full", None)
+    return build_shell_pieces(
+        u.dimension, center, [(0.0, radius * margin)], order, symmetry, axis,
+        polar_order=max(4 * order, 64), radial_panels=[edge_panels],
+    ).rule(0)
 
 
 def sphere_pieces_for(
@@ -1091,40 +1032,3 @@ def pohozaev_report(
 def pohozaev_residual(u: ScalarField, x, r: float, order: int = 48) -> float:
     """Sum of the five derived terms; ~0 for exact smooth solutions."""
     return pohozaev_report(u, x, r, order).residual
-
-
-# ---------------------------------------------------------------------------
-# sampled-field CSV / binary io
-# ---------------------------------------------------------------------------
-
-
-def write_field_csv(path, points: np.ndarray, values: np.ndarray, binary: bool = False) -> None:
-    """Write (x_1..x_n, u) rows; header mandatory.  ``binary`` switches to a
-    little-endian float64 payload after a one-line ASCII header."""
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = points.shape[1]
-    header = ",".join([f"x{i + 1}" for i in range(n)] + ["u"])
-    data = np.column_stack([points, values])
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"#bubblelab-field n={n} rows={len(values)}\n".encode())
-            fh.write(data.astype("<f8").tobytes())
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for row in data:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\r\n")
-
-
-def read_field_csv(path, binary: bool = False) -> SampledField:
-    if binary:
-        with open(path, "rb") as fh:
-            header = fh.readline().decode()
-            meta = dict(tok.split("=") for tok in header.split() if "=" in tok)
-            n, rows = int(meta["n"]), int(meta["rows"])
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, n + 1)
-        return SampledField(data[:, :-1], data[:, -1])
-    raw = np.genfromtxt(path, delimiter=",", skip_header=1)
-    raw = np.atleast_2d(raw)
-    return SampledField(raw[:, :-1], raw[:, -1])

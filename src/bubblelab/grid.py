@@ -20,9 +20,7 @@ same weight-sum invariants as the full rules.
 Gauss-Legendre and Gauss-Gegenbauer nodes and weights come from one
 process-wide cache (``gauss_legendre``, ``gauss_gegenbauer``) keyed by
 ``order`` and ``(order, alpha)``; scipy is asked only on a miss and the
-cached arrays are read-only.  A zonal ball rule's axis-free part is a
-``ZonalTemplate`` (radial nodes, polar cosines and sines, and weights);
-the detection scan places one template at many probe points at once.
+cached arrays are read-only.
 
 Pieces.  A ``PieceSet`` holds rules on many regions about one center in
 one layout: consecutive or overlapping balls and annuli
@@ -81,15 +79,10 @@ __all__ = [
     "build_ball_rule",
     "build_sphere_rule",
     "build_annulus_rule",
-    "build_radial_ball_rule",
-    "build_zonal_ball_rule",
-    "build_zonal_sphere_rule",
     "build_shell_pieces",
     "build_sphere_pieces",
     "gauss_legendre",
     "gauss_gegenbauer",
-    "ZonalTemplate",
-    "zonal_template",
     "geometric_panels",
     "node_slack",
     "integrate",
@@ -357,12 +350,6 @@ class RadialGrid:
         if not (0 < rmin < rmax) or count < 2:
             raise ValueError("need 0 < rmin < rmax and count >= 2")
         return cls(np.geomspace(rmin, rmax, count))
-
-    @classmethod
-    def linear(cls, rmin: float, rmax: float, count: int) -> "RadialGrid":
-        if not (0 < rmin < rmax) or count < 2:
-            raise ValueError("need 0 < rmin < rmax and count >= 2")
-        return cls(np.linspace(rmin, rmax, count))
 
     def refine(self) -> "RadialGrid":
         """Insert geometric midpoints between consecutive radii."""
@@ -637,97 +624,6 @@ def build_annulus_rule(
         n, center, [(inner, outer)], order, angular_order=angular_order,
         radial_panels=[radial_panels],
     ).rule(0)
-
-
-def build_radial_ball_rule(
-    n: int,
-    center,
-    r: float,
-    order: int = 64,
-    inner: float = 0.0,
-    radial_panels: Sequence[float] | None = None,
-) -> QuadratureRule:
-    """Single-ray rule; valid for integrands radial about ``center``."""
-    return build_shell_pieces(
-        n, center, [(inner, r)], order, "radial", radial_panels=[radial_panels]
-    ).rule(0)
-
-
-@dataclass(frozen=True)
-class ZonalTemplate:
-    """Axis-free part of a zonal rule on a ball or annulus about the origin.
-
-    ``s`` are the radial nodes, ``t`` and ``sin_t`` the cosines and sines
-    of the polar angles, and ``weights`` the flattened (radial-major) node
-    weights, which do not depend on where or along which axis the template
-    is placed.  Placed at center ``c`` along the unit axis ``e`` with
-    perpendicular ``perp``, node ``(i, j)`` is
-    ``c + s[i] * (t[j] e + sin_t[j] perp)``.
-    """
-
-    dimension: int
-    radii: tuple[float, float]  # (inner, outer)
-    s: np.ndarray
-    t: np.ndarray
-    sin_t: np.ndarray
-    weights: np.ndarray
-
-    def place(self, centers: np.ndarray, e: np.ndarray, perp: np.ndarray) -> np.ndarray:
-        """Nodes for m placements, shape (m, len(self), n): row k uses
-        ``centers[k]``, ``e[k]`` and ``perp[k]``."""
-        dirs = (self.t[None, :, None] * e[:, None, :]
-                + self.sin_t[None, :, None] * perp[:, None, :])
-        nodes = (centers[:, None, None, :]
-                 + self.s[None, :, None, None] * dirs[:, None, :, :])
-        return nodes.reshape(len(centers), -1, self.dimension)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
-def zonal_template(
-    n: int,
-    r: float,
-    order: int = 32,
-    polar_order: int = 48,
-    inner: float = 0.0,
-    radial_panels: Sequence[float] | None = None,
-) -> ZonalTemplate:
-    """The zonal template of ``build_zonal_ball_rule`` with these arguments,
-    validated."""
-    piece = build_shell_pieces(n, 0, [(inner, r)], order, "zonal", np.eye(n)[0],
-                               polar_order=polar_order, radial_panels=[radial_panels])
-    t, sin_t, _ = _polar_nodes(n, polar_order)
-    return ZonalTemplate(n, (inner, r), piece.s, t, sin_t, piece.block(0, 1)[1])
-
-
-def build_zonal_ball_rule(
-    n: int,
-    center,
-    r: float,
-    axis,
-    order: int = 32,
-    polar_order: int = 48,
-    inner: float = 0.0,
-    radial_panels: Sequence[float] | None = None,
-) -> QuadratureRule:
-    """Half-plane rule; valid for integrands axisymmetric about ``axis``.
-
-    The (n-2)-sphere of directions at fixed polar angle is integrated
-    analytically; nodes live in the plane spanned by the axis and one
-    perpendicular direction.
-    """
-    return build_shell_pieces(
-        n, center, [(inner, r)], order, "zonal", axis, polar_order=polar_order,
-        radial_panels=[radial_panels],
-    ).rule(0)
-
-
-def build_zonal_sphere_rule(
-    n: int, center, r: float, axis, polar_order: int = 64
-) -> QuadratureRule:
-    """Polar-arc sphere rule; valid for integrands axisymmetric about ``axis``."""
-    return build_sphere_pieces(n, center, [r], polar_order, "zonal", axis).rule(0)
 
 
 def _integrand_values(vals, nodes: np.ndarray) -> np.ndarray:

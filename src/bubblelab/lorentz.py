@@ -16,13 +16,14 @@ q, and ||f||_{p,inf} = sup_t t^(1/p) f*(t).  With this normalization
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import isinf
 
 import numpy as np
 
-from .fields import ScalarField
-from .grid import build_radial_ball_rule, unit_ball_volume
+from .fields import ScalarField, _layout, annulus_rule_for
+from .grid import build_shell_pieces, unit_ball_volume
 
 __all__ = [
     "SampledFunction",
@@ -274,15 +275,13 @@ def tail_decay_check(
         raise ValueError("need 0 < inner < outer")
     n = u.dimension
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    rule = build_radial_ball_rule(
-        n, c, outer, order=16, inner=inner,
-        radial_panels=list(np.geomspace(inner, outer, max(radial_count // 16, 2))[1:-1]),
-    )
-    # radial layout is only valid for fields radial about the center; fall
-    # back to the full product layout otherwise
-    if u.symmetry_axis(c) is None or np.any(u.symmetry_axis(c) != 0):
-        from .fields import annulus_rule_for
-
+    # a field radial about the center is sampled on one finely paneled ray;
+    # any other takes the layout ``annulus_rule_for`` picks for it
+    if _layout(u, c)[0] == "radial":
+        panels = list(np.geomspace(inner, outer, max(radial_count // 16, 2))[1:-1])
+        rule = build_shell_pieces(n, c, [(inner, outer)], 16, "radial",
+                                  radial_panels=[panels]).rule(0)
+    else:
         rule = annulus_rule_for(u, c, inner, outer, order=24)
     g = u.gradient(rule.nodes)
     mag = np.sqrt(np.einsum("mi,mi->m", g, g))
@@ -334,5 +333,15 @@ def write_samples_csv(path, f: SampledFunction) -> None:
 
 
 def read_samples_csv(path) -> SampledFunction:
-    raw = np.atleast_2d(np.genfromtxt(path, delimiter=",", skip_header=1))
+    """Read a ``value,cell_measure`` file: one header line, then at least
+    one row of exactly two columns; any other shape raises ValueError."""
+    with warnings.catch_warnings():
+        # numpy warns on a file without data rows; that is rejected below
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    if len(raw) == 0:
+        raise ValueError(f"{path}: no data rows after the header")
+    if raw.shape[1] != 2:
+        raise ValueError(f"{path}: expected 2 columns (value,cell_measure), "
+                         f"got {raw.shape[1]}")
     return SampledFunction(raw[:, 0], raw[:, 1])

@@ -142,6 +142,29 @@ def test_quantize_zero_sequence_empty(tmp_path, capsys):
     assert payload["points"] == 0
 
 
+SPEC_SEQUENCE = "[sequence]\nn = 3\nk_max = 4\n"
+SPEC_BUBBLE = "[bubble:one]\ncenter = 0 0 0\nbase = 4\nweight = 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[sequence]\nk_max = 4\n\n" + SPEC_BUBBLE, "needs n"),
+    (SPEC_SEQUENCE + "kmax = 4\n\n" + SPEC_BUBBLE, "unknown key 'kmax'"),
+    (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE + "wieght = 3\n", "unknown key 'wieght'"),
+    (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE + "\n[run]\nthreads = 2\n", "section [run]"),
+    (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE.replace("bubble:one", "bubble"),
+     "section [bubble]"),
+], ids=["missing-n", "sequence-key", "bubble-key", "other-section", "unnamed-bubble"])
+def test_quantize_spec_rejects_missing_n_and_unknown_keys(tmp_path, capsys, text, message):
+    spec = tmp_path / "seq.ini"
+    spec.write_text(text)
+    out = tmp_path / "q"
+    code = run(["quantize", "--spec", spec, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert not out.exists()
+
+
 def test_bubble_constant_command(tmp_path, capsys):
     code = run(["bubble-constant", "--n", 3, "--out", tmp_path / "b", "--json"])
     payload = json.loads(capsys.readouterr().out)
@@ -216,6 +239,23 @@ def test_lorentz_input_rejects_non_finite_cells(tmp_path, capsys, rows):
     captured = capsys.readouterr()
     assert code == 2
     assert "finite" in captured.err
+    assert "status: pass" not in captured.out
+    assert not (out / "table.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("value\n1\n2\n", "expected 2 columns"),
+    ("value,cell_measure,extra\n1,1,0\n2,0.5,0\n", "expected 2 columns"),
+    ("value,cell_measure\n", "no data rows"),
+], ids=["one-column", "three-columns", "header-only"])
+def test_lorentz_input_needs_two_columns_and_a_row(tmp_path, capsys, text, message):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text)
+    out = tmp_path / "o"
+    code = run(["lorentz", "--input", samples, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
     assert "status: pass" not in captured.out
     assert not (out / "table.csv").exists()
 

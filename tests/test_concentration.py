@@ -20,7 +20,6 @@ from bubblelab.fields import (
     ConstantField,
     CustomField,
     RescaledField,
-    SampledField,
     Superposition,
     annulus_rule_for,
     aubin_talenti,
@@ -289,6 +288,8 @@ def per_probe_scan(seq, k_max, r_grid, eps0, detector, extent, spacing, order):
 
 def assert_same_scan(seq, k_max, r_grid, eps0, detector="ball-energy",
                      extent=0.5, spacing=0.5, order=12):
+    """The scan, whose closed-form prefilter takes every probe in one batch,
+    against ``per_probe_scan``, which has no prefilter."""
     args = (seq, k_max, r_grid, eps0, detector, extent, spacing, order)
     got, want = _detect_detailed(*args), per_probe_scan(*args)
     assert [p.tolist() for p in got[0]] == [p.tolist() for p in want[0]]
@@ -317,7 +318,7 @@ def test_batched_scan_matches_per_probe_on_towers(n, weights):
     at_probe = min(bubbling_energy(seq.field(k), probe, r, 12)
                    for r in (0.05, 0.15, 0.45) for k in (2, 3, 4))
     # the pipeline's threshold, one that stops probes at different steps,
-    # and one every probe passes, so every batched score is compared
+    # and one every probe passes, so every score is compared
     for eps0 in (lambda0_oracle(n) / 20, 1e-3, at_probe, 1e-13):
         points, sizes, _ = assert_same_scan(seq, 4, [0.05, 0.15, 0.45], eps0)
         assert len(points) >= 1
@@ -326,8 +327,8 @@ def test_batched_scan_matches_per_probe_on_towers(n, weights):
 
 
 def test_batched_scan_matches_per_probe_with_two_centers():
-    # lattice probes on the line through both centers are batched, the
-    # others take full rules and the declared centers paneled radial ones
+    # lattice probes on the line through both centers take zonal rules, the
+    # others full rules and the declared centers paneled radial ones
     seq = make_sequence([([0.25, 0, 0], 4.0, 1.0), ([-0.25, 0, 0], 16.0, 1.0)],
                         budget=1e4, n=3)
     for eps0 in (lambda0_oracle(3) / 20, 1e-3, 1e-13):
@@ -335,7 +336,8 @@ def test_batched_scan_matches_per_probe_with_two_centers():
 
 
 def test_batched_scan_matches_per_probe_with_one_probe_blocks():
-    # 65 x 65 nodes per probe: an odd node count and one probe per block
+    # 65 x 65 nodes per probe: an odd node count, one piece per
+    # ``integrate_pieces`` block
     seq = make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4, n=3)
     for eps0 in (1e-3, 1e-13):
         assert_same_scan(seq, 2, [0.1, 0.3], eps0, order=65)
@@ -368,8 +370,8 @@ class SharpLaterSequence(ConcentrationSequence):
 
 
 def test_batched_scan_hands_probes_to_paneled_rules_mid_scan():
-    # probes at x_1 = 0.5 leave the batch at their first k = 3 step and
-    # finish with paneled per-probe rules
+    # probes at x_1 = 0.5 switch to paneled rules at their first k = 3
+    # step
     seq = SharpLaterSequence(
         3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries, budget=1e4)
     for eps0 in (1e-3, 1e-13):
@@ -450,7 +452,6 @@ def test_ball_sup_unknown_unless_the_evaluation_is_closed_form():
     unknown = [
         CustomField(3, b.evaluate, b.analytic_gradient),
         RescaledField(b, np.zeros(3), 0.5),
-        SampledField(np.eye(3), np.ones(3)),
         nan_field,
         ShiftedBubble(3, np.zeros(3), 0.1),
         Superposition([b, CustomField(3, b.evaluate)]),

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bubblelab.grid import build_ball_rule, integrate, unit_ball_volume, unit_sphere_area
+from bubblelab.grid import (
+    build_ball_rule,
+    build_shell_pieces,
+    integrate,
+    unit_ball_volume,
+    unit_sphere_area,
+)
 from bubblelab.fields import (
     Bubble,
     ball_rule_for,
@@ -19,11 +25,9 @@ from bubblelab.fields import (
     pde_residual,
     pohozaev_report,
     pohozaev_residual,
-    read_field_csv,
     stationarity_residual,
     bump_adapted_rule,
     weak_residual,
-    write_field_csv,
 )
 
 
@@ -294,6 +298,41 @@ def test_stationarity_linear_in_test_function():
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def test_bump_vanishes_outside_support():
+    phi = ScalarTestFunction.bump(3, np.zeros(3), 1.0)
+    far = np.array([[1.0, 0.5, 0.0], [2.0, 0, 0]])
+    assert np.all(phi.value(far) == 0.0)
+    assert np.all(phi.gradient(far) == 0.0)
+    assert np.all(phi.laplacian(far) == 0.0)
+
+
+def test_bump_adapted_rule_layout_follows_the_integrand():
+    # a reduced layout needs the integrand u * phi symmetric: one radial
+    # bump on a field radial (or axisymmetric) about the bump's center
+    u = aubin_talenti(3)
+    centered = ScalarTestFunction.bump(3, np.zeros(3), 1.0)
+    off = ScalarTestFunction.bump(3, [0.2, 0, 0], 1.5)
+    cases = [
+        (u, centered, "radial", None),
+        (u, off, "zonal", [-1.0, 0.0, 0.0]),
+        (CustomField(3, u.evaluate), centered, "full", None),
+        (u, centered + ScalarTestFunction.bump(3, [0.1, 0, 0], 0.5), "full", None),
+        (u, VectorTestFunction([centered, None, None]), "full", None),
+    ]
+    order = 12
+    for field, phi, symmetry, axis in cases:
+        rule = bump_adapted_rule(field, phi, order=order)
+        assert rule.symmetry == symmetry
+        center, radius = phi.support_ball()
+        edges = [radius * (1.0 - 2.0 ** (-j)) for j in range(1, 13)] + [radius]
+        want = build_shell_pieces(
+            3, center, [(0.0, radius * (1.0 + 1e-9))], order, symmetry, axis,
+            polar_order=64, radial_panels=[edges],
+        ).rule(0)
+        assert rule.nodes.tobytes() == want.nodes.tobytes()
+        assert rule.weights.tobytes() == want.weights.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Pohozaev balance
 # ---------------------------------------------------------------------------
@@ -415,44 +454,6 @@ def test_pohozaev_passes_each_node_to_the_field_once(case, monkeypatch):
     for name, blocks in seen.items():
         got = np.concatenate(blocks)
         assert got.shape == nodes.shape and got.tobytes() == nodes.tobytes(), name
-
-
-# ---------------------------------------------------------------------------
-# sampled-field io
-# ---------------------------------------------------------------------------
-
-
-def test_field_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    pts = rng.standard_normal((30, 3))
-    vals = rng.standard_normal(30)
-    path = tmp_path / "field.csv"
-    write_field_csv(path, pts, vals)
-    first = path.read_bytes().split(b"\r\n")[0]
-    assert first == b"x1,x2,x3,u"
-    f = read_field_csv(path)
-    assert f.dimension == 3
-    assert np.allclose(f.values, vals)
-    assert f(pts[4]) == pytest.approx(vals[4])
-
-
-def test_field_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(2)
-    pts = rng.standard_normal((10, 4))
-    vals = rng.standard_normal(10)
-    path = tmp_path / "field.bin"
-    write_field_csv(path, pts, vals, binary=True)
-    f = read_field_csv(path, binary=True)
-    assert np.array_equal(f.points, pts)
-    assert np.array_equal(f.values, vals)
-
-
-def test_bump_vanishes_outside_support():
-    phi = ScalarTestFunction.bump(3, np.zeros(3), 1.0)
-    far = np.array([[1.0, 0.5, 0.0], [2.0, 0, 0]])
-    assert np.all(phi.value(far) == 0.0)
-    assert np.all(phi.gradient(far) == 0.0)
-    assert np.all(phi.laplacian(far) == 0.0)
 
 
 # ---------------------------------------------------------------------------

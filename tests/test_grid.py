@@ -11,17 +11,13 @@ from bubblelab.grid import (
     RadialGrid,
     build_annulus_rule,
     build_ball_rule,
-    build_radial_ball_rule,
     build_sphere_rule,
-    build_zonal_ball_rule,
-    build_zonal_sphere_rule,
     gauss_gegenbauer,
     gauss_legendre,
     geometric_panels,
     integrate,
     unit_ball_volume,
     unit_sphere_area,
-    zonal_template,
 )
 
 PI = np.pi
@@ -98,11 +94,12 @@ def test_weight_sums_match_measures(n):
     assert ann.weights.sum() == pytest.approx(
         unit_ball_volume(n) * (1.3**n - 0.4**n), rel=1e-12
     )
-    rad = build_radial_ball_rule(n, c, 1.1, order=16)
+    rad = grid.build_shell_pieces(n, c, [(0.0, 1.1)], 16, "radial").rule(0)
     assert rad.weights.sum() == pytest.approx(rad.measure, rel=1e-12)
-    zon = build_zonal_ball_rule(n, c, 1.1, np.arange(1, n + 1), order=8)
+    axis = np.arange(1, n + 1)
+    zon = grid.build_shell_pieces(n, c, [(0.0, 1.1)], 8, "zonal", axis).rule(0)
     assert zon.weights.sum() == pytest.approx(zon.measure, rel=1e-12)
-    zsp = build_zonal_sphere_rule(n, c, 1.1, np.arange(1, n + 1), polar_order=12)
+    zsp = grid.build_sphere_pieces(n, c, [1.1], 12, "zonal", axis).rule(0)
     assert zsp.weights.sum() == pytest.approx(zsp.measure, rel=1e-12)
 
 
@@ -143,14 +140,15 @@ def test_zonal_matches_full_for_axisymmetric():
     y = np.array([0.4, 0.0, 0.0])
     f = lambda p: 1.0 / (1.0 + np.linalg.norm(p - y, axis=1) ** 2)
     full = integrate(build_ball_rule(3, 0, 1.0, order=32), f)
-    zon = integrate(build_zonal_ball_rule(3, 0, 1.0, y, order=32, polar_order=48), f)
+    zonal = grid.build_shell_pieces(3, 0, [(0.0, 1.0)], 32, "zonal", y, polar_order=48)
+    zon = integrate(zonal.rule(0), f)
     assert zon == pytest.approx(full, rel=1e-9)
 
 
 def test_radial_rule_matches_full_for_radial():
     f = lambda p: np.exp(-2 * np.linalg.norm(p, axis=1))
     full = integrate(build_ball_rule(4, 0, 1.0, order=24), f)
-    rad = integrate(build_radial_ball_rule(4, 0, 1.0, order=48), f)
+    rad = integrate(grid.build_shell_pieces(4, 0, [(0.0, 1.0)], 48, "radial").rule(0), f)
     assert rad == pytest.approx(full, rel=1e-10)
 
 
@@ -277,9 +275,9 @@ def test_rule_builders_and_constants_reuse_cached_roots(monkeypatch):
     def build_all(target):
         build_ball_rule(4, 0, 1.0, order=9)
         build_sphere_rule(4, 0, 1.0, order=9)
-        build_radial_ball_rule(4, 0, 1.0, order=9)
-        build_zonal_ball_rule(4, 0, 1.0, [1, 0, 0, 0], order=9, polar_order=11)
-        build_zonal_sphere_rule(4, 0, 1.0, [1, 0, 0, 0], polar_order=11)
+        grid.build_shell_pieces(4, 0, [(0.0, 1.0)], 9, "radial")
+        grid.build_shell_pieces(4, 0, [(0.0, 1.0)], 9, "zonal", [1, 0, 0, 0], polar_order=11)
+        grid.build_sphere_pieces(4, 0, [1.0], 11, "zonal", [1, 0, 0, 0])
         bubble_energy_constant(4, radial_order=9)
         _standard_halfball_radius(4, target)
 
@@ -288,23 +286,6 @@ def test_rule_builders_and_constants_reuse_cached_roots(monkeypatch):
     geg = counting(monkeypatch, "roots_gegenbauer")
     build_all(1.5)  # a new target: the half-ball radius is recomputed
     assert leg == [] and geg == []
-
-
-def test_zonal_template_placed_at_many_probes_matches_builder():
-    n, r, order, polar = 4, 0.3, 7, 13
-    rng = np.random.default_rng(3)
-    xs = rng.standard_normal((5, n))
-    axes = rng.standard_normal((5, n))
-    template = zonal_template(n, r, order, polar)
-    frames = [grid._unit_perp_pair(a) for a in axes]
-    nodes = template.place(xs, np.stack([e for e, _ in frames]),
-                           np.stack([p for _, p in frames]))
-    for x, axis, placed in zip(xs, axes, nodes):
-        rule = build_zonal_ball_rule(n, x, r, axis, order, polar_order=polar)
-        assert same_bits(placed, rule.nodes)
-        assert same_bits(template.weights, rule.weights)
-    with pytest.raises(ValueError):
-        zonal_template(n, -1.0, order, polar)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +502,7 @@ def test_integrate_never_returns_negative_zero():
     def negative_zero(p):
         return -np.zeros(len(p))
 
-    one_node = build_zonal_sphere_rule(3, 0, 1.0, [1.0, 0.0, 0.0], polar_order=1)
+    one_node = grid.build_sphere_pieces(3, 0, [1.0], 1, "zonal", [1.0, 0.0, 0.0]).rule(0)
     assert len(one_node) == 1
     for rule in (one_node, build_ball_rule(3, 0, 1.0, order=4),
                  build_ball_rule(4, 0, 1.0, order=32)):
