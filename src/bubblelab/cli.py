@@ -476,7 +476,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -55,6 +55,7 @@ from .fields import (
     ScalarField,
     Superposition,
     _bubble_amplitude,
+    _energy_terms,
     _pts,
     ball_rule_for,
     shell_pieces_for,
@@ -285,27 +286,21 @@ def make_sequence(
 
 def _weighted_density(u: ScalarField):
     n = u.dimension
-    p = 2.0 * n / (n - 2)
+    terms = _energy_terms(u)
 
     def dens(pts):
-        v, g = u.value_and_gradient(pts)
-        return 0.5 * np.einsum("mi,mi->m", g, g) + (n - 2) / (2.0 * n) * np.abs(v) ** p
+        gsq, pot = terms(pts)
+        return 0.5 * gsq + (n - 2) / (2.0 * n) * pot
 
     return dens
 
 
 def _unweighted_density(u: ScalarField):
-    n = u.dimension
-    p = 2.0 * n / (n - 2)
-
-    def dens(pts):
-        v, g = u.value_and_gradient(pts)
-        return np.einsum("mi,mi->m", g, g) + np.abs(v) ** p
-
-    return dens
+    terms = _energy_terms(u)
+    return lambda pts: np.add(*terms(pts))
 
 
-def energy_in(u: ScalarField, rule: QuadratureRule, threads: int = 1) -> float:
+def energy_in(u: ScalarField, rule: QuadratureRule, threads: int | None = None) -> float:
     """Weighted energy  int e(u)  over the rule's region; nonnegative."""
     return integrate(rule, _weighted_density(u), threads=threads)
 
@@ -949,8 +944,9 @@ def read_sequence_spec(path) -> tuple[ConcentrationSequence, dict]:
 
     Layout: a [sequence] section with n, k_max, budget and optional
     thresholds, plus one [bubble:NAME] section per entry carrying
-    center (whitespace-separated), base and weight.  A missing ``n``, any
-    other section and any other key raise ValueError.
+    center (n whitespace-separated coordinates, the origin when missing),
+    base and weight.  A missing ``n``, a center with another number of
+    coordinates, any other section and any other key raise ValueError.
     """
     import configparser
 
@@ -981,9 +977,11 @@ def read_sequence_spec(path) -> tuple[ConcentrationSequence, dict]:
         if name == "sequence":
             continue
         b = cp[name]
-        center = np.array([float(t) for t in b.get("center", "0").split()])
-        if center.size == 1 and n > 1:
-            center = np.zeros(n)
+        center = (np.array([float(t) for t in b["center"].split()])
+                  if "center" in b else np.zeros(n))
+        if center.size != n:
+            raise ValueError(f"center in sequence spec section [{name}] has "
+                             f"{center.size} coordinates, expected {n}")
         spec.append((center, b.getfloat("base", fallback=4.0),
                      b.getfloat("weight", fallback=1.0)))
     seq = make_sequence(spec, budget, n, description=sec.get("description", ""))

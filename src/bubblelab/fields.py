@@ -765,20 +765,32 @@ def _check_support(rule: QuadratureRule, support: tuple[np.ndarray, float]) -> N
         raise ValueError("test-function support overlaps the excluded inner ball")
 
 
+def _energy_terms(u: ScalarField):
+    """Integrand of (int |grad u|^2, int |u|^(2n/(n-2))) from one
+    ``value_and_gradient`` pass per node."""
+    n = u.dimension
+    p = 2.0 * n / (n - 2)
+
+    def terms(pts):
+        v, g = u.value_and_gradient(pts)
+        return np.einsum("mi,mi->m", g, g), np.abs(v) ** p
+
+    return terms
+
+
 def weak_residual(
     u: ScalarField,
     phi: ScalarTestFunction,
     rule: QuadratureRule,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> float:
     """Weak-form defect: -int Lap(phi) u  -  int phi u|u|^(4/(n-2))."""
     _check_support(rule, phi.support_ball())
     n = u.dimension
 
     def f(pts):
-        return -phi.laplacian(pts) * u.evaluate(pts) - phi.value(
-            pts
-        ) * critical_power(u.evaluate(pts), n)
+        v = u.evaluate(pts)
+        return -phi.laplacian(pts) * v - phi.value(pts) * critical_power(v, n)
 
     return integrate(rule, f, threads=threads)
 
@@ -787,7 +799,7 @@ def stationarity_residual(
     u: ScalarField,
     phi: VectorTestFunction,
     rule: QuadratureRule,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> float:
     """Inner-variation defect against a compactly supported vector field.
 
@@ -800,12 +812,12 @@ def stationarity_residual(
     p = 2.0 * n / (n - 2)
 
     def f(pts):
-        g = u.gradient(pts)
+        v, g = u.value_and_gradient(pts)
         jac = phi.jacobian(pts)
         div = np.trace(jac, axis1=1, axis2=2)
         cross = np.einsum("mi,mj,mij->m", g, g, jac)
         gram = np.einsum("mi,mi->m", g, g)
-        vals = np.abs(u.evaluate(pts)) ** p
+        vals = np.abs(v) ** p
         return cross - 0.5 * gram * div + (n - 2) / (2.0 * n) * vals * div
 
     return integrate(rule, f, threads=threads)
@@ -990,7 +1002,7 @@ def pohozaev_report(
     x,
     r: float,
     order: int = 48,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> PohozaevReport:
     """Evaluate the five-term centered Pohozaev balance about ``x``.
 
@@ -1004,17 +1016,13 @@ def pohozaev_report(
     ball = shell_pieces_for(u, x, [(0.0, r)], order)
     sphere = sphere_pieces_for(u, x, [r], order)
 
-    def ball_terms(pts):
-        v, g = u.value_and_gradient(pts)
-        return np.abs(v) ** p, np.einsum("mi,mi->m", g, g)
-
     def sphere_terms(pts):
         v, g = u.value_and_gradient(pts)
         nu = (pts - x) / r
         return (np.abs(v) ** p, np.einsum("mi,mi->m", g, g),
                 np.einsum("mi,mi->m", g, nu) ** 2)
 
-    vol_pot, vol_grad = integrate_pieces(ball, ball_terms, threads)[0].tolist()
+    vol_grad, vol_pot = integrate_pieces(ball, _energy_terms(u), threads)[0].tolist()
     sph_pot, sph_grad, sph_norm = integrate_pieces(sphere, sphere_terms, threads)[0].tolist()
 
     terms = {

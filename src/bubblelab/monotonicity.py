@@ -15,8 +15,10 @@ solutions formulations are implemented:
   * "C": 1/(2(n-1)) int_B (|grad u|^2 + (n-2)/n |u|^p)
          + (n-2)/(4(n-1)) d/dr int_dB u^2.
 
-A and C carry a centered-difference error in the d/dr term.  The source
-displays for these formulations are mutually inconsistent as printed; see
+A and C take d/dr int_dB u^2 from the exact identity
+(n-1)/r int_dB u^2 + 2 int_dB u du/dr on the same sphere, so on exact
+solutions the three agree to quadrature precision.  The source displays
+for these formulations are mutually inconsistent as printed; see
 ``formulation_diagnostics`` which evaluates every literal variant and
 reports which pairs actually agree on a given field.
 """
@@ -27,9 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import QuadratureRule, RadialGrid, integrate, integrate_pieces
+from .grid import RadialGrid, integrate, integrate_pieces
 from .fields import (
     ScalarField,
+    _energy_terms,
     _pts,
     ball_rule_for,
     shell_pieces_for,
@@ -51,42 +54,46 @@ __all__ = [
     "write_profile_csv",
 ]
 
-DERIVATIVE_STEP_REL = 1e-3
-
 
 class DegenerateEnergyError(ValueError):
     """E_u(x, r) is non-positive where a positive value is required."""
 
 
-def _energy_terms(u: ScalarField):
-    """Integrand of (int |grad u|^2, int |u|^p) from one field pass per node."""
+def _sphere_terms(
+    u: ScalarField, x, rr: np.ndarray, order: int, threads: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, D) = (int_dB u^2, d/dr int_dB u^2) at each radius of ``rr``, one
+    sphere per radius in one piece batch.  D is the exact identity
+    (n-1)/r S + 2 int u du/dr, with r du/dr = grad u . (y - x)."""
     n = u.dimension
-    p = 2.0 * n / (n - 2)
 
     def terms(pts):
         v, g = u.value_and_gradient(pts)
-        return np.einsum("mi,mi->m", g, g), np.abs(v) ** p
+        return v**2, v * np.einsum("mi,mi->m", g, pts - x)
 
-    return terms
-
-
-def _sphere_integrals(u: ScalarField, x, radii, order: int, threads: int) -> np.ndarray:
-    """int_dB u^2 over the sphere of each radius about x, as one piece batch."""
-    spheres = sphere_pieces_for(u, x, radii, order)
-    return integrate_pieces(spheres, lambda pts: (u.evaluate(pts) ** 2,), threads)[:, 0]
+    S, W = integrate_pieces(sphere_pieces_for(u, x, rr, order), terms, threads).T
+    return S, (n - 1) / rr * S + 2.0 * W / rr
 
 
-def _boundary_terms(
-    u: ScalarField, x, rr: np.ndarray, order: int, threads: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(int_dB u^2, d/dr int_dB u^2) at each radius of ``rr``; the
-    derivative is a centered difference with relative step
-    DERIVATIVE_STEP_REL, and the spheres at r, r + rho and r - rho of every
-    radius form one piece batch."""
-    rho = DERIVATIVE_STEP_REL * rr
-    radii = np.stack([rr, rr + rho, rr - rho], axis=1)
-    usq = _sphere_integrals(u, x, radii, order, threads).reshape(-1, 3)
-    return usq[:, 0], (usq[:, 1] - usq[:, 2]) / (2.0 * rho)
+def _sweep(u: ScalarField, x, rr: np.ndarray, order: int, threads: int | None):
+    """(G, X, S, D) at each radius of ``rr``: the ball integrals
+    G = int_B |grad u|^2 and X = int_B |u|^p accumulated over consecutive
+    shells (a ball up to the first radius, then annuli between neighbours,
+    one piece batch), and ``_sphere_terms``."""
+    x = _pts(x, u.dimension)[0][0]
+    shells = shell_pieces_for(u, x, np.stack([np.r_[0.0, rr[:-1]], rr], axis=1), order)
+    G, X = np.cumsum(integrate_pieces(shells, _energy_terms(u), threads), axis=0).T
+    return (G, X, *_sphere_terms(u, x, rr, order, threads))
+
+
+def _formulations(n: int, r, G, X, S, D) -> dict:
+    """The three displays of E(x, r) from the ball integrals G, X and the
+    sphere terms S, D; scalars or arrays over radii."""
+    return {
+        "A": X / n + 0.25 * D - 0.25 * S / r,
+        "B": 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S,
+        "C": (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (4.0 * (n - 1)) * D,
+    }
 
 
 def energy_E(
@@ -95,28 +102,21 @@ def energy_E(
     r: float,
     formulation: str = "B",
     order: int = 32,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> float:
-    """Local monotone energy at center x and radius r.
+    """Local monotone energy at center x and radius r: the one-radius case
+    of ``profile``'s sweep.
 
-    Formulation "B" is canonical.  "A" and "C" evaluate the alternative
-    displays with a centered difference (relative step 1e-3) for the
-    boundary-derivative term; on exact solutions all three agree.
+    Formulation "B" is canonical.  "A" and "C" take the boundary derivative
+    from the exact identity on the sphere of radius r; on exact solutions
+    all three agree.
     """
     if not (r > 0):
         raise ValueError(f"radius must be positive, got {r}")
     if formulation not in ("A", "B", "C"):
         raise ValueError(f"unknown formulation {formulation!r}; use A, B or C")
-    n = u.dimension
-    ball = shell_pieces_for(u, x, [(0.0, r)], order)
-    G, X = integrate_pieces(ball, _energy_terms(u), threads)[0].tolist()
-    if formulation == "B":
-        S = float(_sphere_integrals(u, x, [r], order, threads)[0])
-        return 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S
-    S, D = (float(v[0]) for v in _boundary_terms(u, x, np.array([r]), order, threads))
-    if formulation == "A":
-        return X / n + 0.25 * D - 0.25 * S / r
-    return (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (4.0 * (n - 1)) * D
+    terms = (float(v[0]) for v in _sweep(u, x, np.array([r], dtype=float), order, threads))
+    return _formulations(u.dimension, r, *terms)[formulation]
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ class MonotonicityProfile:
     radii: np.ndarray
     values: np.ndarray
     components: np.ndarray  # (m, 3)
-    formulation: str = "B"
 
     def __post_init__(self):
         if np.any(np.diff(self.radii) <= 0):
@@ -145,35 +144,24 @@ def profile(
     x,
     radii,
     order: int = 32,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> MonotonicityProfile:
     """Radius sweep of E(x, .) in the B formulation.
 
-    The ball integrals accumulate over consecutive shells (a ball up to the
-    first radius, then annuli between neighbours), so each node of the
-    sweep's volume is integrated once; the shells are one piece batch with
-    one field pass per node.  The sphere integral at each radius and its
-    centered difference, which fills the d/dr column of ``components``, come
-    from a second batch of three spheres per radius."""
+    The ball integrals accumulate over consecutive shells, so each node of
+    the sweep's volume is integrated once; the shells are one piece batch
+    with one field pass per node.  A second batch holds one sphere per
+    radius, which gives int_dB u^2 and, from the exact identity, the d/dr
+    column of ``components``."""
     if isinstance(radii, RadialGrid):
         rr = radii.radii
     else:
         rr = np.asarray(radii, dtype=float)
         RadialGrid(rr)  # validates ordering/positivity
-    n = u.dimension
-    x = _pts(x, n)[0][0]
-    shells = shell_pieces_for(u, x, np.stack([np.r_[0.0, rr[:-1]], rr], axis=1), order)
-    terms = integrate_pieces(shells, _energy_terms(u), threads).tolist()
-    S, D = _boundary_terms(u, x, rr, order, threads)
-
-    G = X = 0.0
-    values = np.empty(len(rr))
-    comps = np.empty((len(rr), 3))
-    for i, (r, (g, v)) in enumerate(zip(rr, terms)):
-        G += g
-        X += v
-        values[i] = 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S[i]
-        comps[i] = (X, D[i], S[i] / r)
+    x = _pts(x, u.dimension)[0][0]
+    G, X, S, D = _sweep(u, x, rr, order, threads)
+    values = _formulations(u.dimension, rr, G, X, S, D)["B"]
+    comps = np.stack([X, D, S / rr], axis=1)
     return MonotonicityProfile(center=x, radii=rr.copy(), values=values, components=comps)
 
 
@@ -224,15 +212,8 @@ def energy_bound_check(
     """
     if not (0 < r < r0 / 2):
         raise ValueError("need 0 < r < r0/2")
-    n = u.dimension
-    p = 2.0 * n / (n - 2)
-    ball = ball_rule_for(u, x, r, order)
-
-    def dens(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g) + np.abs(u.evaluate(pts)) ** p
-
-    lhs = integrate(ball, dens)
+    terms = _energy_terms(u)
+    lhs = integrate(ball_rule_for(u, x, r, order), lambda pts: np.add(*terms(pts)))
     e = energy_E(u, x, r, "B", order)
     if abs(e) <= atol:
         if lhs <= atol:
@@ -276,15 +257,9 @@ def eps_regularity_check(
     if not (0 < r < r0):
         raise ValueError("need 0 < r < r0")
     n = u.dimension
-    p = 2.0 * n / (n - 2)
     x0 = _pts(x0, n)[0][0]
-    ball = ball_rule_for(u, x0, r0, order)
-
-    def dens(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g) + np.abs(u.evaluate(pts)) ** p
-
-    energy = integrate(ball, dens)
+    terms = _energy_terms(u)
+    energy = integrate(ball_rule_for(u, x0, r0, order), lambda pts: np.add(*terms(pts)))
     if energy > epsilon:
         return RegularityReport(
             center=x0, r0=r0, r=r, epsilon=epsilon, energy=energy,
@@ -321,19 +296,10 @@ def formulation_diagnostics(
       dev_<key>_vs_B     -- absolute deviations from B.
     """
     n = u.dimension
-    p = 2.0 * n / (n - 2)
-
-    def ball_terms(pts):
-        v, g = u.value_and_gradient(pts)
-        return np.einsum("mi,mi->m", g, g), np.abs(v) ** p, v ** 2
-
-    ball = shell_pieces_for(u, x, [(0.0, r)], order)
-    G, X, usq_ball = integrate_pieces(ball, ball_terms)[0].tolist()
-    S, D = (float(v[0]) for v in _boundary_terms(u, x, np.array([r]), order, 1))
+    G, X, S, D = (float(v[0]) for v in _sweep(u, x, np.array([r], dtype=float), order, None))
+    usq_ball = integrate(ball_rule_for(u, x, r, order), lambda pts: u.evaluate(pts) ** 2)
     out = {
-        "A": X / n + 0.25 * D - 0.25 * S / r,
-        "B": 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S,
-        "C": (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (4.0 * (n - 1)) * D,
+        **_formulations(n, r, G, X, S, D),
         "intro_literal": X + D + S / r,
         "derivation_literal": (X + D - S / r) / n,
         "printed_literal": (X + S + usq_ball / r) / n,

@@ -153,7 +153,14 @@ SPEC_BUBBLE = "[bubble:one]\ncenter = 0 0 0\nbase = 4\nweight = 1\n"
     (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE + "\n[run]\nthreads = 2\n", "section [run]"),
     (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE.replace("bubble:one", "bubble"),
      "section [bubble]"),
-], ids=["missing-n", "sequence-key", "bubble-key", "other-section", "unnamed-bubble"])
+    ("n = 3\n\n" + SPEC_BUBBLE, "no section headers"),
+    (SPEC_SEQUENCE + "n = 4\n\n" + SPEC_BUBBLE, "option 'n'"),
+    (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE.replace("0 0 0", "0.5"),
+     "center in sequence spec section [bubble:one] has 1 coordinates"),
+    (SPEC_SEQUENCE + "\n" + SPEC_BUBBLE.replace("0 0 0", "0 0 0 0"),
+     "center in sequence spec section [bubble:one] has 4 coordinates"),
+], ids=["missing-n", "sequence-key", "bubble-key", "other-section", "unnamed-bubble",
+        "no-section-header", "duplicate-n", "short-center", "long-center"])
 def test_quantize_spec_rejects_missing_n_and_unknown_keys(tmp_path, capsys, text, message):
     spec = tmp_path / "seq.ini"
     spec.write_text(text)
@@ -163,6 +170,15 @@ def test_quantize_spec_rejects_missing_n_and_unknown_keys(tmp_path, capsys, text
     assert code == 2
     assert message in captured.err
     assert not out.exists()
+
+
+def test_config_with_a_key_set_twice_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nn = 3\nn = 4\n")
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert "option 'n'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bubble_constant_command(tmp_path, capsys):

@@ -833,6 +833,13 @@ def test_sequence_spec_roundtrip(tmp_path):
     assert seq.scales(2)[1] == pytest.approx(16.0**-2)
 
 
+def test_sequence_spec_without_center_puts_the_bubble_at_the_origin(tmp_path):
+    spec = tmp_path / "seq.ini"
+    spec.write_text("[sequence]\nn = 3\n\n[bubble:one]\nbase = 4\n")
+    seq, _ = read_sequence_spec(spec)
+    assert np.array_equal(seq.entries[0].center, np.zeros(3))
+
+
 def test_sequence_spec_requires_section(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[nope]\nn = 3\n")

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bubblelab import grid
+from bubblelab.concentration import energy_in
 from bubblelab.grid import RadialGrid, integrate, unit_ball_volume, unit_sphere_area
 from bubblelab.fields import (
     BubbleConfiguration,
@@ -8,14 +10,18 @@ from bubblelab.fields import (
     ConstantField,
     CustomField,
     RescaledField,
+    ScalarTestFunction,
     Superposition,
+    VectorTestFunction,
     annulus_rule_for,
     aubin_talenti,
     ball_rule_for,
+    pohozaev_report,
     sphere_rule_for,
+    stationarity_residual,
+    weak_residual,
 )
 from bubblelab.monotonicity import (
-    DERIVATIVE_STEP_REL,
     DegenerateEnergyError,
     check_monotone,
     check_positive,
@@ -46,7 +52,7 @@ def test_formulations_agree_on_exact_solution(r):
     u = aubin_talenti(3)
     vals = {f: energy_E(u, np.zeros(3), r, f) for f in "ABC"}
     for f in "AC":
-        assert vals[f] == pytest.approx(vals["B"], rel=1e-5)
+        assert vals[f] == pytest.approx(vals["B"], rel=1e-12)
 
 
 def test_formulation_agreement_off_center():
@@ -55,7 +61,7 @@ def test_formulation_agreement_off_center():
     for r in (0.5, 2.0):
         b = energy_E(u, x, r, "B")
         for f in "AC":
-            assert abs(energy_E(u, x, r, f) - b) <= 1e-4 * (1 + abs(b))
+            assert abs(energy_E(u, x, r, f) - b) <= 1e-12 * (1 + abs(b))
 
 
 def test_constant_field_closed_form():
@@ -71,10 +77,24 @@ def test_constant_field_closed_form():
     assert energy_E(u, np.zeros(n), r, "B") == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_profile_boundary_derivative_matches_closed_form(n):
+    # S(r) = int_dB u^2 = |S^(n-1)| a^2 r^(n-1) (1 + r^2)^(2-n) for the
+    # centered bubble, so dS/dr = S ((n-1)/r - 2(n-2) r/(1 + r^2))
+    rr = RadialGrid.log_spaced(0.05, 5.0, 40).radii
+    prof = profile(aubin_talenti(n), np.zeros(n), rr)
+    a = (n * (n - 2)) ** ((n - 2) / 4)
+    S = unit_sphere_area(n) * a**2 * rr ** (n - 1) * (1 + rr**2) ** (2 - n)
+    dS = S * ((n - 1) / rr - 2 * (n - 2) * rr / (1 + rr**2))
+    # dS/dr crosses zero for n >= 4, so the error is scaled by S/r there
+    err = np.abs(prof.components[:, 1] - dS) / np.maximum(np.abs(dS), S / rr)
+    assert np.max(err) <= 1e-10
+
+
 def test_formulation_diagnostics_identifies_consistent_displays():
     d = formulation_diagnostics(aubin_talenti(3), np.zeros(3), 2.0)
-    assert d["dev_A_vs_B"] <= 1e-4 * (1 + abs(d["B"]))
-    assert d["dev_C_vs_B"] <= 1e-4 * (1 + abs(d["B"]))
+    assert d["dev_A_vs_B"] <= 1e-12 * (1 + abs(d["B"]))
+    assert d["dev_C_vs_B"] <= 1e-12 * (1 + abs(d["B"]))
     # the literal printed variants disagree, and the diagnostics expose that
     assert d["dev_derivation_literal_vs_B"] > 0.1
     assert d["dev_printed_literal_vs_B"] > 0.1
@@ -237,8 +257,19 @@ def test_profile_csv_columns(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def per_rule_sphere_terms(u, x, r, order=32, threads=1):
+    """Reference (int_dB u^2, d/dr int_dB u^2) from one sphere rule, the
+    derivative by the identity (n-1)/r int u^2 + 2 int u du/dr."""
+    n = u.dimension
+    sphere = sphere_rule_for(u, x, r, order)
+    S = integrate(sphere, lambda pts: u.evaluate(pts) ** 2, threads=threads)
+    W = integrate(sphere, lambda pts: u.evaluate(pts) * np.einsum(
+        "mi,mi->m", u.gradient(pts), pts - x), threads=threads)
+    return S, (n - 1) / r * S + 2.0 * W / r
+
+
 def per_rule_profile(u, x, radii, order=32, threads=1):
-    """Reference: one shell rule and three sphere rules per radius."""
+    """Reference: one shell rule and one sphere rule per radius."""
     n = u.dimension
     p = 2.0 * n / (n - 2)
     x = np.asarray(x, dtype=float)
@@ -247,10 +278,6 @@ def per_rule_profile(u, x, radii, order=32, threads=1):
         g = u.gradient(pts)
         return np.einsum("mi,mi->m", g, g)
 
-    def sphere_usq(r):
-        return integrate(sphere_rule_for(u, x, r, order), lambda pts: u.evaluate(pts) ** 2,
-                         threads=threads)
-
     G = X = 0.0
     values, comps, prev = [], [], 0.0
     for r in np.asarray(radii, dtype=float):
@@ -258,9 +285,7 @@ def per_rule_profile(u, x, radii, order=32, threads=1):
             u, x, r, order)
         G += integrate(shell, gradsq, threads=threads)
         X += integrate(shell, lambda pts: np.abs(u.evaluate(pts)) ** p, threads=threads)
-        S = sphere_usq(r)
-        rho = DERIVATIVE_STEP_REL * r
-        D = (sphere_usq(r + rho) - sphere_usq(r - rho)) / (2.0 * rho)
+        S, D = per_rule_sphere_terms(u, x, r, order, threads)
         values.append(0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S)
         comps.append((X, D, S / r))
         prev = r
@@ -268,22 +293,15 @@ def per_rule_profile(u, x, radii, order=32, threads=1):
 
 
 def per_rule_energy(u, x, r, formulation, order=32):
-    """Reference energy_E: one ball rule, one rule per sphere."""
+    """Reference energy_E: one ball rule and one sphere rule."""
     n = u.dimension
     p = 2.0 * n / (n - 2)
     ball = ball_rule_for(u, x, r, order)
     G = integrate(ball, lambda pts: np.einsum("mi,mi->m", u.gradient(pts), u.gradient(pts)))
     X = integrate(ball, lambda pts: np.abs(u.evaluate(pts)) ** p)
-
-    def sphere_usq(radius):
-        sphere = sphere_rule_for(u, x, radius, order)
-        return integrate(sphere, lambda pts: u.evaluate(pts) ** 2)
-
-    S = sphere_usq(r)
+    S, D = per_rule_sphere_terms(u, np.asarray(x, dtype=float), r, order)
     if formulation == "B":
         return 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S
-    rho = DERIVATIVE_STEP_REL * r
-    D = (sphere_usq(r + rho) - sphere_usq(r - rho)) / (2.0 * rho)
     if formulation == "A":
         return X / n + 0.25 * D - 0.25 * S / r
     return (G + (n - 2) / n * X) / (2.0 * (n - 1)) + (n - 2) / (4.0 * (n - 1)) * D
@@ -347,3 +365,38 @@ def test_energy_E_matches_per_rule_reference(n):
                 got = energy_E(u, x, r, formulation, order)
                 assert type(got) is float
                 assert got == per_rule_energy(u, x, r, formulation, order)
+
+
+THREADED_CALLS = {
+    "pohozaev_report": lambda u, ball: pohozaev_report(u, np.zeros(4), 1.0, order=32),
+    "profile": lambda u, ball: profile(u, np.zeros(4), [0.3, 1.0], order=32),
+    "energy_E": lambda u, ball: energy_E(u, np.zeros(4), 1.0, "B", 32),
+    "energy_in": lambda u, ball: energy_in(u, ball),
+    "weak_residual": lambda u, ball: weak_residual(
+        u, ScalarTestFunction.bump(4, np.zeros(4), 0.5), ball),
+    "stationarity_residual": lambda u, ball: stationarity_residual(
+        u, VectorTestFunction([ScalarTestFunction.bump(4, np.zeros(4), 0.5), None, None, None]),
+        ball),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREADED_CALLS))
+def test_default_thread_count_reaches_the_integrals(monkeypatch, name):
+    # a full n = 4 order-32 ball holds 110,592 nodes, two spans, so its
+    # integral starts a pool exactly when it runs with more than one thread
+    pools = []
+    real = grid.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(grid, "_DEFAULT_THREADS", grid._DEFAULT_THREADS)  # restored after
+    grid.set_default_threads(2)
+    b = aubin_talenti(4, 0.5)
+    full = CustomField(4, b.evaluate, b.analytic_gradient)
+    ball = ball_rule_for(full, np.zeros(4), 1.0, 32)
+    assert len(ball) == 110_592
+    THREADED_CALLS[name](full, ball)
+    assert pools and set(pools) == {2}
