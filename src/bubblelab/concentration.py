@@ -56,6 +56,7 @@ from .fields import (
     Superposition,
     _bubble_amplitude,
     _energy_terms,
+    _finest_scale,
     _pts,
     ball_rule_for,
     shell_pieces_for,
@@ -653,7 +654,7 @@ def _half_threshold_radius(
     if energy_hi < target:
         return None
     lo, hi = r_hi, r_hi
-    floor = max((w.finest_scale or 1e-12) * 1e-3, 1e-300)
+    floor = max((_finest_scale(w) or 1e-12) * 1e-3, 1e-300)
     while lo > floor:
         cand = lo / 4.0
         if bubbling_energy(w, x, cand, order) < target:

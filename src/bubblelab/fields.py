@@ -150,39 +150,17 @@ class ScalarField:
             acc += up + dn - 2.0 * mid
         return acc / hh**2
 
-    # --- symmetry hints used to pick reduced quadrature layouts -------
+    # --- the symmetry fact used to pick reduced quadrature layouts ----
 
     @property
-    def radial_center(self) -> Optional[np.ndarray]:
-        """Center the field is radially symmetric about, if any."""
-        return None
-
-    @property
-    def finest_scale(self) -> Optional[float]:
-        """Smallest feature scale, used to panel radial quadratures."""
-        return None
-
-    def symmetry_axis(self, through: np.ndarray) -> Optional[np.ndarray]:
-        """Axis direction if the field is axisymmetric about a line through
-        ``through``; None when no such axis is known."""
-        c = self.radial_center
-        if c is None:
-            return None
-        d = c - np.asarray(through, dtype=float)
-        norm = float(np.linalg.norm(d))
-        if norm < 1e-14:
-            return np.zeros(self.dimension)  # fully radial about ``through``
-        return d / norm
-
-    def local_scale(self, x: np.ndarray) -> Optional[float]:
-        """Finest feature scale the field concentrates at the point ``x``,
-        None when no sharp feature sits there; drives radial paneling."""
-        c = self.radial_center
-        if c is None or self.finest_scale is None:
-            return None
-        if float(np.linalg.norm(c - np.asarray(x, dtype=float))) <= 1e-12:
-            return self.finest_scale
-        return None
+    def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        """``(centers, scales, opaque)``: the field is a sum of parts, each
+        radial about one row of ``centers`` (shape (k, n)) with its finest
+        feature scale in ``scales`` (NaN when it has none), plus a part of
+        unknown symmetry when ``opaque`` is true.  The default knows no part;
+        the fields below report it too for a subclass that changes how the
+        field or its gradient is evaluated."""
+        return np.empty((0, self.dimension)), np.empty(0), True
 
     def ball_sup(
         self, xs: np.ndarray, r: float
@@ -271,13 +249,11 @@ class Bubble(ScalarField):
         )
         return amp * g ** (-(n + 2) / 2)
 
-    @property
-    def radial_center(self) -> Optional[np.ndarray]:
-        return self.center
-
-    @property
-    def finest_scale(self) -> Optional[float]:
-        return self.scale
+    @cached_property
+    def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        if _evaluation_overridden(self, Bubble):
+            return super().radial_parts
+        return self.center[None, :], np.array([self.scale], dtype=float), False
 
     def ball_sup(self, xs, r):
         """Closed form: with t = |y - center|/scale, |U| decreases in t and
@@ -352,24 +328,12 @@ class Superposition(ScalarField):
         return val, grad
 
     @cached_property
-    def radial_center(self) -> Optional[np.ndarray]:
+    def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
         # computed once: nothing reassigns or mutates ``parts`` after __init__
-        centers = [p.radial_center for p in self.parts]
-        if any(c is None for c in centers):
-            return None
-        first = centers[0]
-        if all(np.allclose(c, first, atol=1e-14) for c in centers[1:]):
-            return first
-        return None
-
-    @property
-    def finest_scale(self) -> Optional[float]:
-        scales = [p.finest_scale for p in self.parts if p.finest_scale is not None]
-        return min(scales) if scales else None
-
-    def local_scale(self, x: np.ndarray) -> Optional[float]:
-        scales = [s for p in self.parts if (s := p.local_scale(x)) is not None]
-        return min(scales) if scales else None
+        if _evaluation_overridden(self, Superposition):
+            return super().radial_parts
+        centers, scales, opaque = zip(*(p.radial_parts for p in self.parts))
+        return np.concatenate(centers), np.concatenate(scales), any(opaque)
 
     def ball_sup(self, xs, r):
         """Sum of the parts' bounds times ``|weight|``; None when a part
@@ -384,28 +348,6 @@ class Superposition(ScalarField):
             sup_u += abs(w) * part[0]
             sup_g += abs(w) * part[1]
         return sup_u, sup_g
-
-    def symmetry_axis(self, through: np.ndarray) -> Optional[np.ndarray]:
-        common = self.radial_center
-        if common is not None:
-            d = common - np.asarray(through, dtype=float)
-            norm = float(np.linalg.norm(d))
-            return np.zeros(self.dimension) if norm < 1e-14 else d / norm
-        centers = [p.radial_center for p in self.parts]
-        if any(c is None for c in centers):
-            return None
-        # axisymmetric iff all centers and the probe point are collinear
-        pts = np.stack(centers + [np.asarray(through, dtype=float)])
-        rel = pts[1:] - pts[0]
-        norms = np.linalg.norm(rel, axis=1)
-        keep = rel[norms > 1e-13]
-        if keep.shape[0] == 0:
-            return np.zeros(self.dimension)
-        axis = keep[0] / np.linalg.norm(keep[0])
-        residue = keep - np.outer(keep @ axis, axis)
-        if np.max(np.linalg.norm(residue, axis=1)) > 1e-10:
-            return None
-        return axis
 
 
 class BubbleConfiguration(Superposition):
@@ -460,23 +402,11 @@ class RescaledField(ScalarField):
         )
 
     @property
-    def radial_center(self) -> Optional[np.ndarray]:
-        c = self.base.radial_center
-        return None if c is None else (c - self.y) / self.delta
-
-    @property
-    def finest_scale(self) -> Optional[float]:
-        s = self.base.finest_scale
-        return None if s is None else s / self.delta
-
-    def local_scale(self, x: np.ndarray) -> Optional[float]:
-        s = self.base.local_scale(self._map(np.asarray(x, dtype=float)[None, :])[0])
-        return None if s is None else s / self.delta
-
-    def symmetry_axis(self, through: np.ndarray) -> Optional[np.ndarray]:
-        # the affine map preserves directions, so the base field's axis at
-        # the mapped point is this field's axis
-        return self.base.symmetry_axis(self._map(np.asarray(through)[None, :])[0])
+    def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        if _evaluation_overridden(self, RescaledField):
+            return super().radial_parts
+        centers, scales, opaque = self.base.radial_parts
+        return (centers - self.y) / self.delta, scales / self.delta, opaque
 
 
 class ConstantField(ScalarField):
@@ -494,8 +424,10 @@ class ConstantField(ScalarField):
         return np.zeros(len(points))
 
     @property
-    def radial_center(self) -> Optional[np.ndarray]:
-        return np.zeros(self.dimension)
+    def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        if _evaluation_overridden(self, ConstantField):
+            return super().radial_parts
+        return np.zeros((1, self.dimension)), np.array([np.nan]), False
 
 
 class CustomField(ScalarField):
@@ -829,14 +761,38 @@ def stationarity_residual(
 
 
 def _layout(u: ScalarField, x: np.ndarray) -> tuple[str, np.ndarray | None]:
-    """The cheapest node layout valid for ``u`` about ``x``: "full",
-    "radial", or "zonal" about the returned axis."""
-    axis = u.symmetry_axis(x)
-    if axis is None:
+    """The cheapest node layout valid for ``u`` about ``x``, read from
+    ``u.radial_parts``: "full" when a part is opaque; "radial" when every
+    part is radial about ``x``; "zonal" about the returned axis when every
+    part's center lies on one line through ``x``; "full" otherwise."""
+    centers, _, opaque = u.radial_parts
+    if opaque:
         return "full", None
-    if np.all(axis == 0):
+    x = np.asarray(x, dtype=float)
+    if np.abs(centers - centers[0]).max() <= 1e-14:
+        d = centers[0] - x
+        norm = float(np.linalg.norm(d))
+        return ("radial", None) if norm < 1e-14 else ("zonal", d / norm)
+    # several centers: axisymmetric iff they and x are collinear
+    rel = np.vstack([centers[1:], x]) - centers[0]
+    keep = rel[np.linalg.norm(rel, axis=1) > 1e-13]
+    if keep.shape[0] == 0:
         return "radial", None
+    axis = keep[0] / np.linalg.norm(keep[0])
+    residue = keep - np.outer(keep @ axis, axis)
+    if np.max(np.linalg.norm(residue, axis=1)) > 1e-10:
+        return "full", None
     return "zonal", axis
+
+
+def _finest_scale(u: ScalarField, x=None) -> float | None:
+    """Finest feature scale of ``u``'s radial parts, or of those centered
+    within 1e-12 of ``x``; None when no such part has a scale."""
+    centers, scales, _ = u.radial_parts
+    if x is not None:
+        scales = scales[np.linalg.norm(centers - x, axis=1) <= 1e-12]
+    finest = np.fmin.reduce(scales, initial=np.inf)  # skips NaN
+    return float(finest) if finest < np.inf else None
 
 
 def _shell_panels(u: ScalarField, x: np.ndarray, inner: float, outer: float):
@@ -844,7 +800,7 @@ def _shell_panels(u: ScalarField, x: np.ndarray, inner: float, outer: float):
     the field concentrates at ``x``; a wide annulus (outer/inner > 8) is
     cut at doubling radii."""
     if inner == 0:
-        scale = u.local_scale(x)
+        scale = _finest_scale(u, x)
         return None if scale is None else geometric_panels(0.0, outer, scale)
     if outer / inner > 8:
         edges, a = [], inner
@@ -861,46 +817,31 @@ def shell_pieces_for(
     regions,
     order: int = 32,
     angular_order: int | None = None,
-    polar_order: int | None = None,
 ) -> PieceSet:
     """Ball and annulus pieces ``regions = [(inner, outer), ...]`` about
     ``x`` in the cheapest layout valid for ``u``, each with its own radial
-    panels; piece ``i`` equals ``annulus_rule_for(u, x, *regions[i], ...)``."""
+    panels; piece ``i`` equals ``annulus_rule_for(u, x, *regions[i], order)``
+    when ``angular_order`` is None."""
     x = _pts(x, u.dimension)[0][0]
     symmetry, axis = _layout(u, x)
     regions = np.asarray(regions, dtype=float).reshape(-1, 2)
     return build_shell_pieces(
         u.dimension, x, regions, order, symmetry, axis,
-        angular_order=angular_order, polar_order=polar_order or max(order, 48),
+        angular_order=angular_order, polar_order=max(order, 48),
         radial_panels=[_shell_panels(u, x, a, b) for a, b in regions],
     )
 
 
-def ball_rule_for(
-    u: ScalarField,
-    x,
-    r: float,
-    order: int = 32,
-    angular_order: int | None = None,
-    polar_order: int | None = None,
-) -> QuadratureRule:
+def ball_rule_for(u: ScalarField, x, r: float, order: int = 32) -> QuadratureRule:
     """Ball rule about ``x`` using the cheapest layout valid for ``u``."""
-    return shell_pieces_for(u, x, [(0.0, r)], order, angular_order, polar_order).rule(0)
+    return shell_pieces_for(u, x, [(0.0, r)], order).rule(0)
 
 
 def annulus_rule_for(
-    u: ScalarField,
-    x,
-    inner: float,
-    outer: float,
-    order: int = 32,
-    angular_order: int | None = None,
-    polar_order: int | None = None,
+    u: ScalarField, x, inner: float, outer: float, order: int = 32
 ) -> QuadratureRule:
     """Annulus rule about ``x`` using the cheapest layout valid for ``u``."""
-    return shell_pieces_for(
-        u, x, [(inner, outer)], order, angular_order, polar_order
-    ).rule(0)
+    return shell_pieces_for(u, x, [(inner, outer)], order).rule(0)
 
 
 def bump_adapted_rule(
@@ -928,15 +869,9 @@ def bump_adapted_rule(
     ).rule(0)
 
 
-def sphere_pieces_for(
-    u: ScalarField,
-    x,
-    radii,
-    order: int = 32,
-    polar_order: int | None = None,
-) -> PieceSet:
+def sphere_pieces_for(u: ScalarField, x, radii, order: int = 32) -> PieceSet:
     """Sphere pieces of the given radii about ``x`` in the cheapest layout
-    valid for ``u``; piece ``i`` equals ``sphere_rule_for(u, x, radii[i], ...)``."""
+    valid for ``u``; piece ``i`` equals ``sphere_rule_for(u, x, radii[i], order)``."""
     x = _pts(x, u.dimension)[0][0]
     symmetry, axis = _layout(u, x)
     n = u.dimension
@@ -945,17 +880,11 @@ def sphere_pieces_for(
     if symmetry == "radial":
         # field constant on each sphere: a few polar nodes still integrate it
         return build_sphere_pieces(n, x, radii, 4, "zonal", np.eye(n)[0])
-    return build_sphere_pieces(n, x, radii, polar_order or max(order, 64), "zonal", axis)
+    return build_sphere_pieces(n, x, radii, max(order, 64), "zonal", axis)
 
 
-def sphere_rule_for(
-    u: ScalarField,
-    x,
-    r: float,
-    order: int = 32,
-    polar_order: int | None = None,
-) -> QuadratureRule:
-    return sphere_pieces_for(u, x, [r], order, polar_order).rule(0)
+def sphere_rule_for(u: ScalarField, x, r: float, order: int = 32) -> QuadratureRule:
+    return sphere_pieces_for(u, x, [r], order).rule(0)
 
 
 # ---------------------------------------------------------------------------

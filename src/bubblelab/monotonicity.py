@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, integrate, integrate_pieces
+from .grid import _BLOCK_NODES, RadialGrid, integrate, integrate_pieces
 from .fields import (
     ScalarField,
     _energy_terms,
@@ -265,12 +265,16 @@ def eps_regularity_check(
             center=x0, r0=r0, r=r, epsilon=epsilon, energy=energy,
             applicable=False, sup_u=float("nan"), c_meas=float("nan"),
         )
-    # dense sample: quadrature nodes of a full rule on the half ball + center
-    sample = np.vstack(
-        [ball_rule_for(u, x0, r / 2, sample_order, angular_order=sample_order).nodes,
-         x0[None, :]]
-    )
-    sup_u = float(np.max(np.abs(u.evaluate(sample))))
+    # dense sample: the center and the quadrature nodes of a rule on the
+    # half ball, streamed in blocks
+    sample = shell_pieces_for(u, x0, [(0.0, r / 2)], sample_order,
+                              angular_order=sample_order)
+    size = int(sample.sizes[0])
+    peaks = [np.abs(u.evaluate(x0[None, :]))[0]]
+    for c in range(0, size, _BLOCK_NODES):
+        nodes = sample.node_range(c, min(c + _BLOCK_NODES, size))[0]
+        peaks.append(np.max(np.abs(u.evaluate(nodes))))
+    sup_u = float(np.max(peaks))
     return RegularityReport(
         center=x0, r0=r0, r=r, epsilon=epsilon, energy=energy,
         applicable=True, sup_u=sup_u, c_meas=sup_u * r ** ((n - 2) / 2),

@@ -21,9 +21,11 @@ from bubblelab.fields import (
     CustomField,
     RescaledField,
     Superposition,
+    _layout,
     annulus_rule_for,
     aubin_talenti,
     ball_rule_for,
+    shell_pieces_for,
 )
 from bubblelab.monotonicity import energy_E, profile
 from bubblelab.concentration import (
@@ -350,17 +352,23 @@ def test_batched_scan_leaves_monotonicity_detector_alone():
         assert_same_scan(seq, 4, [0.05, 0.15], eps0, detector="monotonicity")
 
 
+SHARP = np.array([0.5, 0.0, 0.0])
+
+
 class SharpLater(BubbleConfiguration):
-    """Reports a fine feature at probes with x_1 = 0.5 from k = 3 on."""
+    """Reports a fine feature, a part of scale 1e-3 at ``SHARP``, from
+    k = 3 on."""
 
     def __init__(self, bubbles, weights, k):
         super().__init__(bubbles, weights)
         self.k = k
 
-    def local_scale(self, x):
-        if self.k >= 3 and x[0] == 0.5:
-            return 1e-3
-        return super().local_scale(x)
+    @property
+    def radial_parts(self):
+        centers, scales, opaque = super().radial_parts
+        if self.k < 3:
+            return centers, scales, opaque
+        return np.vstack([centers, SHARP]), np.append(scales, 1e-3), opaque
 
 
 class SharpLaterSequence(ConcentrationSequence):
@@ -370,10 +378,12 @@ class SharpLaterSequence(ConcentrationSequence):
 
 
 def test_batched_scan_hands_probes_to_paneled_rules_mid_scan():
-    # probes at x_1 = 0.5 switch to paneled rules at their first k = 3
-    # step
+    # the probe at SHARP switches to a paneled rule at its first k = 3 step
     seq = SharpLaterSequence(
         3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries, budget=1e4)
+    for k in (2, 3, 4):
+        pieces = shell_pieces_for(seq.field(k), SHARP, [(0.0, 0.05)], 12)
+        assert (pieces.bounds[-1] > 12) == (k >= 3)
     for eps0 in (1e-3, 1e-13):
         assert_same_scan(seq, 4, [0.05, 0.15], eps0)
 
@@ -437,10 +447,14 @@ def test_nonfinite_energy_bound_drops_no_probe(bound):
 
 
 class ShiftedBubble(Bubble):
-    """A bubble evaluated one unit along x_1 from where it claims to sit."""
+    """A bubble evaluated and differentiated one unit along x_1 from where
+    it claims to sit."""
 
     def evaluate(self, points):
         return super().evaluate(points - np.eye(self.dimension)[0])
+
+    def analytic_gradient(self, points):
+        return super().analytic_gradient(points - np.eye(self.dimension)[0])
 
 
 def test_ball_sup_unknown_unless_the_evaluation_is_closed_form():
@@ -462,6 +476,58 @@ def test_ball_sup_unknown_unless_the_evaluation_is_closed_form():
     for u in (b, BubbleConfiguration([b], [1.0]), Superposition([b, b], [1.0, -1.0])):
         sup_u, sup_g = u.ball_sup(xs, 0.1)
         assert sup_u.shape == sup_g.shape == (2,)
+
+
+class ShiftedRescaled(RescaledField):
+    """A rescaled field evaluated one unit along x_1 from where it claims
+    to sit."""
+
+    def evaluate(self, points):
+        return super().evaluate(points - np.eye(self.dimension)[0])
+
+    def analytic_gradient(self, points):
+        return super().analytic_gradient(points - np.eye(self.dimension)[0])
+
+
+class TiltedConstant(ConstantField):
+    """The linear function value * x_1, not the constant it claims to be."""
+
+    def evaluate(self, points):
+        return self.value * points[:, 0]
+
+    def analytic_gradient(self, points):
+        return self.value * np.eye(self.dimension)[[0] * len(points)]
+
+
+def test_symmetry_fact_unknown_unless_the_evaluation_is_closed_form():
+    # none of these is radial about its claimed center: each takes the
+    # full rule a wrapper of the same callables takes
+    b = aubin_talenti(3, 0.5)
+    for u in (ShiftedBubble(3, np.zeros(3), 0.5), ShiftedRescaled(b, np.zeros(3), 1.0),
+              TiltedConstant(3, 2.0)):
+        wrapped = CustomField(3, u.evaluate, u.analytic_gradient)
+        assert (bubbling_energy(u, np.zeros(3), 0.8, 24)
+                == bubbling_energy(wrapped, np.zeros(3), 0.8, 24))
+        for v in (u, wrapped, Superposition([b, u])):
+            assert v.radial_parts[2]
+            assert _layout(v, np.zeros(3)) == ("full", None)
+    nan_field = NaNSequence(
+        3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries,
+        budget=1e4).field(2)
+    assert nan_field.radial_parts[2]
+
+
+def test_nearby_centers_are_not_one_center():
+    # bubbles 5e-6 apart near (1, 0, 0) are two centers, although a
+    # relative tolerance of 1e-5 would take them for one.  Moving the second
+    # along x_1 or along x_2 is a rotation about c1, so the energies agree
+    c1 = np.array([1.0, 0.0, 0.0])
+    energies = []
+    for e in np.eye(3)[:2]:
+        u = BubbleConfiguration([Bubble(3, c1, 1e-7), Bubble(3, c1 + 5e-6 * e, 1e-7)])
+        assert _layout(u, c1)[0] != "radial"
+        energies.append(bubbling_energy(u, c1, 0.1))
+    assert energies[0] == pytest.approx(energies[1], rel=1e-8)
 
 
 @st.composite

@@ -8,8 +8,11 @@ from bubblelab.grid import (
     unit_ball_volume,
     unit_sphere_area,
 )
+from bubblelab.concentration import bubbling_energy
 from bubblelab.fields import (
     Bubble,
+    _finest_scale,
+    _layout,
     ball_rule_for,
     sphere_rule_for,
     BubbleConfiguration,
@@ -162,12 +165,47 @@ def test_superposition_sums_parts():
     assert s.evaluate(pts)[0] == pytest.approx(
         2 * a.evaluate(pts)[0] - b.evaluate(pts)[0], rel=1e-14
     )
-    assert s.radial_center is None
+    centers, scales, opaque = s.radial_parts
+    assert centers.tolist() == [[0, 0, 0], [0.5, 0, 0]]
+    assert scales.tolist() == [1.0, 0.25] and not opaque
+    assert _finest_scale(s) == 0.25
+    assert _finest_scale(s, np.zeros(3)) == 1.0
+    assert _finest_scale(s, [0.2, 0, 0]) is None
+    assert _layout(s, [0.2, 0, 0]) == ("zonal", pytest.approx([1, 0, 0]))
+    assert _layout(s, [0.2, 0.1, 0]) == ("full", None)
     tower = BubbleConfiguration(
         [Bubble(3, np.zeros(3), 1.0), Bubble(3, np.zeros(3), 0.1)]
     )
-    assert np.allclose(tower.radial_center, 0.0)
-    assert tower.finest_scale == pytest.approx(0.1)
+    assert _layout(tower, np.zeros(3)) == ("radial", None)
+    assert _finest_scale(tower) == _finest_scale(tower, np.zeros(3)) == 0.1
+    # a constant is radial about every point and has no scale
+    with_constant = Superposition([ConstantField(3, 2.0), b])
+    assert _finest_scale(with_constant) == 0.25
+    assert _finest_scale(ConstantField(3, 2.0)) is None
+    assert _layout(with_constant, [0.2, 0, 0]) == ("zonal", pytest.approx([1, 0, 0]))
+    # rescaling maps centers and scales
+    centers, scales, opaque = RescaledField(s, [0.5, 0, 0], 0.5).radial_parts
+    assert centers.tolist() == [[-1, 0, 0], [0, 0, 0]]
+    assert scales.tolist() == [2.0, 0.5] and not opaque
+    assert Superposition([s, CustomField(3, a.evaluate)]).radial_parts[2]
+
+
+def test_nested_superposition_takes_the_flat_layout():
+    # every leaf center and the probe lie on the x_1 axis: the nested sum
+    # is zonal about it, like the flat one
+    a = Bubble(3, [0.0, 0, 0], 0.3)
+    b = Bubble(3, [0.3, 0, 0], 0.2)
+    c = Bubble(3, [-0.2, 0, 0], 0.4)
+    nested = Superposition([Superposition([a, b]), c])
+    flat = Superposition([a, b, c])
+    x = np.array([0.1, 0, 0])
+    symmetry, axis = _layout(nested, x)
+    assert symmetry == "zonal"
+    assert _layout(flat, x) == (symmetry, pytest.approx(axis))
+    full = CustomField(3, flat.evaluate, flat.analytic_gradient)
+    want = bubbling_energy(full, x, 0.8, 48)
+    for u in (nested, flat):
+        assert bubbling_energy(u, x, 0.8) == pytest.approx(want, rel=1e-7)
 
 
 def test_rescaled_bubble_is_standard_profile():

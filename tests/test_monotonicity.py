@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bubblelab.fields import (
     aubin_talenti,
     ball_rule_for,
     pohozaev_report,
+    shell_pieces_for,
     sphere_rule_for,
     stationarity_residual,
     weak_residual,
@@ -229,6 +232,29 @@ def test_eps_regularity_core_not_applicable():
     assert not rep.applicable
     assert rep.energy > 0.1
     assert np.isnan(rep.c_meas)
+
+
+def test_eps_regularity_streams_its_sup_sample():
+    # a full-rule field off its center: the n = 5 half-ball sample holds
+    # 497,664 nodes, 20 MB of coordinates, built one block at a time
+    for n in (4, 5):
+        bubble = aubin_talenti(n)
+        u = CustomField(n, bubble.evaluate, bubble.analytic_gradient)
+        x0 = 0.5 * np.eye(n)[0]
+        tracemalloc.start()
+        try:
+            rep = eps_regularity_check(u, x0, 1.0, 0.5, 1e9, order=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.applicable
+        if n == 5:
+            assert peak < 8e6
+        else:
+            rule = shell_pieces_for(u, x0, [(0.0, 0.25)], 12, angular_order=12).rule(0)
+            sample = np.vstack([rule.nodes, x0])
+            assert rep.sup_u == float(np.max(np.abs(u.evaluate(sample))))
+            assert rep.sup_u > abs(u(x0))
 
 
 def test_degenerate_energy_reported():
