@@ -5,7 +5,7 @@ bubble-constant.  Options come from a flat INI config file (section [run])
 overridden by CLI flags; the effective configuration is echoed into every
 output directory.  Exit codes: 0 pass, 1 tolerance failure, 2 usage error.
 
-Outputs are deterministic: fixed seeds, fixed float formatting (%.17g),
+Outputs are deterministic: fixed seeds, one round-trip float format (``_csv``),
 sorted JSON keys, and a bit-stable quadrature reduction, so repeated runs
 (and runs with different --threads) produce byte-identical files.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grid
+from ._csv import write_csv as _write_csv
 from .grid import RadialGrid
 from .fields import (
     ConstantField,
@@ -78,6 +80,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not (math.isfinite(self.eps0) and self.eps0 >= 0):
+            raise ValueError(f"eps0 must be finite and >= 0 (0 = auto), got {self.eps0}")
 
 
 def _load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -87,12 +91,16 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
         read = cp.read(path)
         if not read:
             raise FileNotFoundError(path)
+        other = [s for s in cp.sections() if s != "run"]
+        if cp.defaults():
+            other.append(cp.default_section)
+        if other:
+            raise ValueError(f"{path}: config section [{other[0]}] is not [run]")
         if "run" in cp:
             for key, raw in cp["run"].items():
-                if not hasattr(cfg, key):
+                if key not in asdict(cfg):
                     raise ValueError(f"unknown config key {key!r}")
-                cur = getattr(cfg, key)
-                setattr(cfg, key, type(cur)(raw) if not isinstance(cur, bool) else raw)
+                setattr(cfg, key, type(getattr(cfg, key))(raw))
     for key, val in overrides.items():
         if val is not None and hasattr(cfg, key):
             setattr(cfg, key, val)
@@ -109,17 +117,6 @@ def _prepare_out(cfg: RunConfig, command: str, extra: dict | None = None) -> Pat
     with open(out / "effective_config.ini", "w") as fh:
         cp.write(fh)
     return out
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\r\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -148,9 +145,7 @@ def _field_from_args(args, n: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_residual(args) -> int:
-    cfg = _load_config(args.config, _cfg_overrides(args))
-    grid.set_default_threads(cfg.threads)
+def cmd_residual(args, cfg: RunConfig) -> tuple[dict, str]:
     out = _prepare_out(cfg, "residual", {"delta": args.delta, "points": args.points})
     n = cfg.n
     u, label = _field_from_args(args, n)
@@ -158,11 +153,8 @@ def cmd_residual(args) -> int:
     pts = rng.standard_normal((args.points, n))
     pts *= (5.0 * rng.random(args.points) ** (1.0 / n) / np.linalg.norm(pts, axis=1))[:, None]
     res = pde_residual(u, pts)
-    _write_csv(
-        out / "residuals.csv",
-        [f"x{i + 1}" for i in range(n)] + ["residual"],
-        (list(p) + [r] for p, r in zip(pts, res)),
-    )
+    _write_csv(out / "residuals.csv", [f"x{i + 1}" for i in range(n)] + ["residual"],
+               [*pts.T, res])
     worst = float(np.max(np.abs(res)))
     payload = {"field": label, "n": n, "max_abs_residual": worst}
 
@@ -174,24 +166,17 @@ def cmd_residual(args) -> int:
             for name in rep.terms:
                 rows.append([n, r, name, rep.terms[name], rep.paper_terms[name]])
             rows.append([n, r, "sum", rep.residual, rep.paper_residual])
-        _write_csv(
-            out / "pohozaev.csv",
-            ["n", "r", "term", "derived", "as_printed"],
-            rows,
-        )
+        _write_csv(out / "pohozaev.csv", ["n", "r", "term", "derived", "as_printed"],
+                   zip(*rows))
         payload["pohozaev_rel_residual"] = max(rep.relative_residual for rep in reports)
 
     failed = args.constant is None and worst > args.tol
     if args.pohozaev and args.constant is None:
         failed = failed or payload["pohozaev_rel_residual"] > 1e-6
-    payload["status"] = "fail" if failed else "pass"
-    _emit(args, payload)
-    return EXIT_TOL if failed else EXIT_PASS
+    return payload, "fail" if failed else "pass"
 
 
-def cmd_monotonicity(args) -> int:
-    cfg = _load_config(args.config, _cfg_overrides(args))
-    grid.set_default_threads(cfg.threads)
+def cmd_monotonicity(args, cfg: RunConfig) -> tuple[dict, str]:
     out = _prepare_out(cfg, "monotonicity", {"delta": args.delta})
     n = cfg.n
     if args.zero:
@@ -211,13 +196,10 @@ def cmd_monotonicity(args) -> int:
         "violations": len(mono.violations) + len(pos.violations),
         "E_max": float(np.max(prof.values)) if len(prof.radii) else 0.0,
     }
-    _emit(args, payload)
-    return EXIT_PASS if (mono.passed and pos.passed) else EXIT_TOL
+    return payload, "pass" if (mono.passed and pos.passed) else "fail"
 
 
-def cmd_lorentz(args) -> int:
-    cfg = _load_config(args.config, _cfg_overrides(args))
-    grid.set_default_threads(cfg.threads)
+def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
     out = _prepare_out(cfg, "lorentz", {"p": args.p, "q": args.q})
     n = cfg.n
     q = float("inf") if str(args.q).lower() in ("inf", "infinity") else float(args.q)
@@ -257,14 +239,10 @@ def cmd_lorentz(args) -> int:
         payload["duality_failures"] = fails
 
     _write_json(out / "norms.json", payload)
-    payload["status"] = "fail" if fails else "pass"
-    _emit(args, payload)
-    return EXIT_TOL if fails else EXIT_PASS
+    return payload, "fail" if fails else "pass"
 
 
-def cmd_neck(args) -> int:
-    cfg = _load_config(args.config, _cfg_overrides(args))
-    grid.set_default_threads(cfg.threads)
+def cmd_neck(args, cfg: RunConfig) -> tuple[dict, str]:
     out = _prepare_out(cfg, "neck", {"base": args.base})
     n = cfg.n
     seq = make_sequence([(np.zeros(n), args.base, 1.0)], budget=1e6, n=n)
@@ -274,11 +252,8 @@ def cmd_neck(args) -> int:
             rep = neck_energy(seq, k, outer=args.outer, R=R, order=cfg.quad_order)
             worst_shell = max(s[2] for s in rep.shells)
             rows.append([R, k, rep.inner, rep.outer, rep.total, worst_shell])
-    _write_csv(
-        out / "neck.csv",
-        ["R", "k", "inner", "outer", "energy", "max_shell"],
-        rows,
-    )
+    _write_csv(out / "neck.csv", ["R", "k", "inner", "outer", "energy", "max_shell"],
+               zip(*rows))
     lam0 = bubble_energy_constant(n)
     payload = {
         "n": n,
@@ -286,14 +261,10 @@ def cmd_neck(args) -> int:
         "max_neck_fraction": max(r[4] for r in rows) / lam0.value,
     }
     _write_json(out / "summary.json", payload)
-    payload["status"] = "pass"
-    _emit(args, payload)
-    return EXIT_PASS
+    return payload, "pass"
 
 
-def cmd_quantize(args) -> int:
-    cfg = _load_config(args.config, _cfg_overrides(args))
-    grid.set_default_threads(cfg.threads)
+def cmd_quantize(args, cfg: RunConfig) -> tuple[dict, str]:
     extras: dict = {}
     if args.spec:
         seq, extras = read_sequence_spec(args.spec)
@@ -314,58 +285,50 @@ def cmd_quantize(args) -> int:
     try:
         report = quantization_report(seq, qcfg)
     except BudgetError as exc:
-        _emit(args, {"status": "rejected", "reason": str(exc)})
-        return EXIT_TOL
+        return {"reason": str(exc)}, "rejected"
 
     payload = report_to_json(report)
     _write_json(out / "report.json", payload)
     _write_csv(
         out / "sigma.csv",
         [f"x{i + 1}" for i in range(n)] + ["theta", "n_hat", "ratio", "integer_distance"],
-        (
-            list(p.point) + [p.theta, p.n_hat, p.ratio, p.integer_distance]
+        zip(*(
+            [*p.point, p.theta, p.n_hat, p.ratio, p.integer_distance]
             for p in report.points
-        ),
+        )),
     )
     _write_csv(
         out / "necks.csv",
         ["point_index", "R", "k", "energy"],
-        (
+        zip(*(
             [i, R, k, v]
             for i, p in enumerate(report.points)
             for R, per_k in sorted(p.necks.items())
             for k, v in sorted(per_k.items())
-        ),
+        )),
     )
     _write_csv(
         out / "inventory.csv",
         ["point_index", "delta"] + [f"y{i + 1}" for i in range(n)] + ["energy"],
-        (
-            [i, d] + list(c) + [e]
+        zip(*(
+            [i, d, *c, e]
             for i, p in enumerate(report.points)
             for d, c, e in p.inventory
-        ),
+        )),
     )
     summary = {
         "points": len(report.points),
         "n_hat": [p.n_hat for p in report.points],
         "ratios": [p.ratio for p in report.points],
-        "status": "pass",
     }
-    if args.assert_integer is not None:
-        bad = [
-            p.integer_distance
-            for p in report.points
-            if not (p.integer_distance <= args.assert_integer)
-        ]
-        if bad or not report.points:
-            summary["status"] = "fail"
-    _emit(args, summary)
-    return EXIT_PASS if summary["status"] == "pass" else EXIT_TOL
+    failed = args.assert_integer is not None and not (
+        report.points
+        and all(p.integer_distance <= args.assert_integer for p in report.points)
+    )
+    return summary, "fail" if failed else "pass"
 
 
-def cmd_bubble_constant(args) -> int:
-    cfg = _load_config(args.config, _cfg_overrides(args))
+def cmd_bubble_constant(args, cfg: RunConfig) -> tuple[dict, str]:
     out = _prepare_out(cfg, "bubble-constant", {})
     lam0 = bubble_energy_constant(cfg.n, radial_order=args.radial_order)
     payload = {
@@ -375,9 +338,7 @@ def cmd_bubble_constant(args) -> int:
         "radial_order": lam0.radial_order,
     }
     _write_json(out / "bubble_constant.json", payload)
-    payload["status"] = "pass"
-    _emit(args, payload)
-    return EXIT_PASS
+    return payload, "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +433,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one subcommand: load the config, set the thread count, run it,
+    then print its payload with its status and map the status to the exit
+    code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config, _cfg_overrides(args))
+        grid.set_default_threads(cfg.threads)
+        payload, status = args.func(args, cfg)
+        payload["status"] = status
+        _emit(args, payload)
     except (ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_PASS if status == "pass" else EXIT_TOL
 
 
 if __name__ == "__main__":

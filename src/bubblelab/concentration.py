@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -173,16 +174,15 @@ class SequenceEntry:
     center: np.ndarray
     schedule: Callable[[int], float]
     weight: float = 1.0
-    base: float | None = None  # set when the schedule is base**(-k)
 
 
-def _as_schedule(spec) -> tuple[Callable[[int], float], float | None]:
+def _as_schedule(spec) -> Callable[[int], float]:
     if callable(spec):
-        return spec, None
+        return spec
     base = float(spec)
     if base <= 1.0:
         raise ValueError(f"geometric schedule base must exceed 1, got {base}")
-    return (lambda k, b=base: b ** (-k)), base
+    return lambda k, b=base: b ** (-k)
 
 
 class ConcentrationSequence:
@@ -273,9 +273,8 @@ def make_sequence(
         c = np.asarray(center, dtype=float).reshape(-1)
         if dim is None:
             dim = c.size
-        schedule, base = _as_schedule(sched)
         entries.append(
-            SequenceEntry(center=c, schedule=schedule, weight=float(weight), base=base)
+            SequenceEntry(center=c, schedule=_as_schedule(sched), weight=float(weight))
         )
     return ConcentrationSequence(dim, entries, budget, description)
 
@@ -672,16 +671,11 @@ def _half_threshold_radius(
     return hi
 
 
-_HALF_RADIUS_CACHE: dict[tuple[int, float], float] = {}
-
-
+@cache
 def _standard_halfball_radius(n: int, energy_target: float) -> float:
     """Radius s with int_{B_s}(|grad U|^2 + U^(2n/(n-2))) = energy_target
     for the standard profile; links the half-threshold radius of a
     concentrating field to its bubble scale."""
-    key = (n, round(energy_target, 12))
-    if key in _HALF_RADIUS_CACHE:
-        return _HALF_RADIUS_CACHE[key]
     dens = _bubble_density_1d(n)
     x, w = gauss_legendre(48)
 
@@ -702,7 +696,6 @@ def _standard_halfball_radius(n: int, energy_target: float) -> float:
             lo = mid
         if hi / lo < 1 + 1e-12:
             break
-    _HALF_RADIUS_CACHE[key] = hi
     return hi
 
 

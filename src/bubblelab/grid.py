@@ -330,10 +330,9 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing positive radii, with a refinement counter."""
+    """Strictly increasing positive radii."""
 
     radii: np.ndarray
-    refinement_level: int = 0
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
@@ -350,13 +349,6 @@ class RadialGrid:
         if not (0 < rmin < rmax) or count < 2:
             raise ValueError("need 0 < rmin < rmax and count >= 2")
         return cls(np.geomspace(rmin, rmax, count))
-
-    def refine(self) -> "RadialGrid":
-        """Insert geometric midpoints between consecutive radii."""
-        r = self.radii
-        mids = np.sqrt(r[:-1] * r[1:])
-        merged = np.sort(np.concatenate([r, mids]))
-        return RadialGrid(merged, self.refinement_level + 1)
 
     def __len__(self) -> int:
         return self.radii.size
@@ -473,9 +465,8 @@ def geometric_panels(
         return None
     if finest >= (outer - inner) / 4:
         return None
-    start = max(finest / 4, outer * 1e-17)
     edges = []
-    h = start
+    h = finest / 4
     while inner + h < outer and len(edges) < max_panels:
         edges.append(inner + h)
         h *= 2.0

@@ -22,6 +22,7 @@ from math import isinf
 
 import numpy as np
 
+from ._csv import write_csv
 from .fields import ScalarField, _layout, annulus_rule_for
 from .grid import build_shell_pieces, unit_ball_volume
 
@@ -48,7 +49,6 @@ class SampledFunction:
 
     values: np.ndarray
     measures: np.ndarray
-    domain: str = ""
     expected_volume: float | None = None
 
     def __post_init__(self):
@@ -79,12 +79,12 @@ class SampledFunction:
         return float(self.measures.sum())
 
     def scaled(self, c: float) -> "SampledFunction":
-        return SampledFunction(c * self.values, self.measures, self.domain)
+        return SampledFunction(c * self.values, self.measures)
 
     def power(self, alpha: float) -> "SampledFunction":
         if alpha != int(alpha) and np.any(self.values < 0):
             raise ValueError("fractional powers need nonnegative values")
-        return SampledFunction(self.values**alpha, self.measures, self.domain)
+        return SampledFunction(self.values**alpha, self.measures)
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def sample_radial(
         edges[1:] + edges[:-1]
     )
     values = np.asarray(u_of_r(mids), dtype=float)
-    return SampledFunction(values, measures, domain=f"shells[{inner},{outer}]^{n}")
+    return SampledFunction(values, measures)
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def tail_decay_check(
     dist = np.linalg.norm(rule.nodes - c, axis=1)
     sup_decay = float(np.max(dist ** (n / 2) * mag))
     weak = lorentz_norm(
-        SampledFunction(mag, rule.weights, domain="annulus"),
+        SampledFunction(mag, rule.weights),
         LorentzIndex(2.0, float("inf")),
     )
     return TailDecayReport(
@@ -303,33 +303,15 @@ def tail_decay_check(
 # ---------------------------------------------------------------------------
 
 
-_WRITE_BLOCK_ROWS = 4096
-
-
-def _write_pairs(path, header: str, first, second) -> None:
-    """Write ``header``, then one ``%.17g,%.17g`` row per pair.
-
-    Rows are formatted a block at a time with one ``%`` over the block's
-    values, which yields the bytes of a per-value ``format(v, '.17g')``
-    loop; the fixed block size bounds the text held in memory.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for start in range(0, len(first), _WRITE_BLOCK_ROWS):
-            stop = start + _WRITE_BLOCK_ROWS
-            block = np.column_stack((first[start:stop], second[start:stop]))
-            fh.write(("%.17g,%.17g\r\n" * len(block)) % tuple(block.ravel().tolist()))
-
-
 def write_table_csv(path, table: RearrangementTable) -> None:
     """Columns: t_break, level (level paired with its left breakpoint; the
     last breakpoint closes the table with level 0)."""
-    _write_pairs(path, "t_break,level\r\n", table.breaks, np.append(table.levels, 0.0))
+    write_csv(path, ["t_break", "level"], [table.breaks, np.append(table.levels, 0.0)])
 
 
 def write_samples_csv(path, f: SampledFunction) -> None:
     """Columns: value, cell_measure."""
-    _write_pairs(path, "value,cell_measure\r\n", f.values, f.measures)
+    write_csv(path, ["value", "cell_measure"], [f.values, f.measures])
 
 
 def read_samples_csv(path) -> SampledFunction:

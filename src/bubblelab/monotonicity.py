@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csv import write_csv
 from .grid import _BLOCK_NODES, RadialGrid, integrate, integrate_pieces
 from .fields import (
     ScalarField,
@@ -320,9 +321,8 @@ def formulation_diagnostics(
 
 def write_profile_csv(path, prof: MonotonicityProfile) -> None:
     """Columns: r, E, term_volume, term_boundary_derivative, term_boundary_over_r."""
-    with open(path, "w", newline="") as fh:
-        fh.write("r,E,term_volume,term_boundary_derivative,term_boundary_over_r\r\n")
-        for r, e, (x, d, pr) in zip(prof.radii, prof.values, prof.components):
-            fh.write(
-                ",".join(format(v, ".17g") for v in (r, e, x, d, pr)) + "\r\n"
-            )
+    write_csv(
+        path,
+        ["r", "E", "term_volume", "term_boundary_derivative", "term_boundary_over_r"],
+        [prof.radii, prof.values, *prof.components.T],
+    )

@@ -181,6 +181,55 @@ def test_config_with_a_key_set_twice_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, section", [
+    ("[Run]\nn = 4\n", "[Run]"),
+    ("[run]\nn = 4\n\n[extra]\nseed = 1\n", "[extra]"),
+    ("[DEFAULT]\nn = 4\n", "[DEFAULT]"),
+], ids=["misnamed", "extra-section", "default-section"])
+def test_config_section_other_than_run_is_usage_error(tmp_path, capsys, text, section):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert f"config section {section}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_naming_a_method_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nvalidate = 1\n")
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert "unknown config key 'validate'" in capsys.readouterr().err
+
+
+def test_empty_config_file_is_valid(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("")
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_config_eps0_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\neps0 = {value}\n")
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert "eps0 must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_monotonicity_json_carries_status(tmp_path, capsys):
+    code = run(["monotonicity", "--n", 3, "--count", 6, "--out", tmp_path / "b", "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    code = run(["monotonicity", "--constant", 2, "--count", 6, "--out", tmp_path / "c",
+                "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
 def test_bubble_constant_command(tmp_path, capsys):
     code = run(["bubble-constant", "--n", 3, "--out", tmp_path / "b", "--json"])
     payload = json.loads(capsys.readouterr().out)

@@ -188,6 +188,16 @@ def test_energy_concentrates_at_small_scale():
     assert large == pytest.approx(small, rel=1e-4)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0])
+@pytest.mark.parametrize("delta", [1e-18, 1e-19, 1e-22])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_tiny_bubble_ball_energy_is_the_bubble_constant(n, delta, r):
+    # the energy outside B(0, r) is below (delta / r)^(n-2) <= 1e-18 of the
+    # total, so the ball holds Lambda_0 however far below r the scale sits
+    got = bubbling_energy(aubin_talenti(n, delta), np.zeros(n), r)
+    assert got == pytest.approx(bubble_energy_constant(n).value, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------

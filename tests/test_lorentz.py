@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubblelab import lorentz
+from bubblelab import _csv
 from bubblelab.grid import unit_ball_volume
 from bubblelab.fields import aubin_talenti, ConstantField
 from bubblelab.lorentz import (
@@ -296,15 +296,17 @@ def test_csv_roundtrip(tmp_path):
 # zero, the smallest subnormal, the largest magnitudes and full 17-digit
 # mantissas
 WRITER_SPECIALS = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0]
-WRITER_ROWS = [1, lorentz._WRITE_BLOCK_ROWS - 1, lorentz._WRITE_BLOCK_ROWS,
-               lorentz._WRITE_BLOCK_ROWS + 1, 100_000]
+WRITER_ROWS = [1, _csv._WRITE_BLOCK_ROWS - 1, _csv._WRITE_BLOCK_ROWS,
+               _csv._WRITE_BLOCK_ROWS + 1, 100_000]
 
 
-def _per_value_csv(header, first, second, last_row=""):
-    """The reference writer: every value formatted on its own."""
-    rows = "".join(f"{format(a, '.17g')},{format(b, '.17g')}\r\n"
-                   for a, b in zip(first, second))
-    return (header + rows + last_row).encode()
+def _per_value_csv(header, columns, last_row=""):
+    """The reference writer: every value formatted on its own, text as is."""
+    def cell(v):
+        return v if isinstance(v, str) else format(float(v), ".17g")
+
+    rows = "".join(",".join(map(cell, row)) + "\r\n" for row in zip(*columns))
+    return (",".join(header) + "\r\n" + rows + last_row).encode()
 
 
 def _writer_values(rng, rows):
@@ -324,7 +326,16 @@ def test_samples_writer_bytes_match_per_value_format(tmp_path, rows):
     f = SampledFunction(values, measures)
     path = tmp_path / "samples.csv"
     write_samples_csv(path, f)
-    assert path.read_bytes() == _per_value_csv("value,cell_measure\r\n", values, measures)
+    assert path.read_bytes() == _per_value_csv(["value", "cell_measure"], [values, measures])
+    # the shared writer on a mixed table: int, text, bool and float columns,
+    # the floats with the non-finite values a sampled function rejects
+    specials = np.resize(WRITER_SPECIALS + [np.nan, np.inf, -np.inf], rows)
+    header = ["i", "k", "term", "flag", "value"]
+    mixed = [np.arange(rows), [i % 3 for i in range(rows)],
+             [f"term{i % 7}" for i in range(rows)], np.arange(rows) % 2 == 0,
+             np.where(np.arange(rows) % 5 == 0, specials, values)]
+    _csv.write_csv(tmp_path / "mixed.csv", header, mixed)
+    assert (tmp_path / "mixed.csv").read_bytes() == _per_value_csv(header, mixed)
 
 
 @pytest.mark.parametrize("rows", WRITER_ROWS)
@@ -340,7 +351,7 @@ def test_table_writer_bytes_match_per_value_format(tmp_path, rows):
     table = RearrangementTable(breaks, levels)
     path = tmp_path / "table.csv"
     write_table_csv(path, table)
-    want = _per_value_csv("t_break,level\r\n", breaks[:-1], levels,
+    want = _per_value_csv(["t_break", "level"], [breaks[:-1], levels],
                           f"{format(breaks[-1], '.17g')},0\r\n")
     assert path.read_bytes() == want
     assert path.read_bytes().count(b"\r\n") == rows + 2
