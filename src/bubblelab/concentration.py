@@ -25,14 +25,13 @@ factor 2 covers all rounding.  So it is a miss, and since only hits keep
 scores, hits, scores and cluster sizes are exactly those of the full scan.
 Off the concentration set this rejects almost every lattice probe.  The
 probes left, and every probe of the monotonicity detector (E(x, r) is not
-bounded by the ball energy), run the per-probe loop: one
-``bubbling_energy`` (or ``energy_E``) per step, leaving the scan at the
-first value below the threshold.
+bounded by the ball energy), run the per-probe loop, leaving the scan at
+the first value below the threshold: one piece batch over the radii per
+field for the ball energy, one ``energy_E`` per step otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cache
@@ -58,6 +57,7 @@ from .fields import (
     _bubble_amplitude,
     _energy_terms,
     _finest_scale,
+    _layout,
     _pts,
     ball_rule_for,
     shell_pieces_for,
@@ -347,26 +347,49 @@ def _ball_energy_bound(u: ScalarField, xs: np.ndarray, r: float) -> Optional[np.
     return (sup_g**2 + sup_u ** (2.0 * n / (n - 2))) * (unit_ball_volume(n) * r**n)
 
 
-def _detection_quantity(detector: str, u: ScalarField, x, r: float, order: int) -> float:
+def _detection_quantity(detector: str, u: ScalarField, x, radii, order: int) -> list[float]:
+    """The detector's value about ``x`` at each of ``radii``: E(x, r) per
+    radius, or the ball energies as one piece batch."""
     if detector == "monotonicity":
-        return energy_E(u, x, r, "B", order)
+        return [energy_E(u, x, r, "B", order) for r in radii]
     if detector == "ball-energy":
-        return bubbling_energy(u, x, r, order)
+        return _shell_energies(u, x, [(0.0, r) for r in radii], order)
     raise ValueError(f"unknown detector {detector!r}")
 
 
 def _scan_probe(
-    detector: str, steps: Sequence, x, eps0: float, order: int
+    detector: str, radii: Sequence[float], us: Sequence[ScalarField], x, eps0: float,
+    order: int,
 ) -> tuple[bool, float]:
-    """One probe through (radius, field) steps until a value falls below
-    ``eps0``; returns (passed, minimum value seen)."""
+    """One probe through the (radius, field) steps, radius-major, until a
+    value falls below ``eps0``; returns (passed, minimum value seen).
+
+    A ball-energy probe takes every radius of a field in one piece batch
+    when it first reaches that field; each piece equals its one-ball rule,
+    so the values are those of one rule per step.  E(x, r) is taken one
+    step at a time."""
+    batches: dict[int, list[float]] = {}
     score = np.inf
-    for r, u in steps:
-        q = _detection_quantity(detector, u, x, r, order)
-        score = min(score, q)
-        if q < eps0:
-            return False, score
+    for i, r in enumerate(radii):
+        for j, u in enumerate(us):
+            if detector == "ball-energy":
+                if j not in batches:
+                    batches[j] = _detection_quantity(detector, u, x, radii, order)
+                q = batches[j][i]
+            else:
+                q = _detection_quantity(detector, u, x, [r], order)[0]
+            score = min(score, q)
+            if q < eps0:
+                return False, score
     return True, score
+
+
+def _dedup_points(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` whose coordinates rounded to 10 decimals
+    (-0.0 read as 0.0) differ from every earlier row's, in their order."""
+    keys = np.round(points, 10) + 0.0
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 def _detect_detailed(
@@ -396,30 +419,24 @@ def _detect_detailed(
     n = seq.dimension
     k0 = max(0, math.ceil(k_max / 2))
     us = [seq.field(k) for k in range(k0, k_max + 1)]
-    candidates, seen = [], set()
-    for p in itertools.chain((e.center for e in seq.entries),
-                             _lattice(n, lattice_extent, lattice_spacing)):
-        key = tuple(np.round(p, 10))
-        if key not in seen:
-            seen.add(key)
-            candidates.append(p)
+    candidates = _dedup_points(np.vstack(
+        [e.center for e in seq.entries] + [_lattice(n, lattice_extent, lattice_spacing)]))
     radii = sorted(r_grid)  # smallest radius fails fastest off-points
-    steps = [(r, u) for r in radii for u in us]
 
     if detector == "ball-energy":
-        xs = np.stack([np.asarray(x, dtype=float) for x in candidates])
-        keep = np.ones(len(xs), dtype=bool)
-        for r, u in steps:
-            bound = _ball_energy_bound(u, xs, r)
-            if bound is not None:
-                keep &= ~(bound < eps0 / 2)
-        candidates = [x for x, k in zip(candidates, keep) if k]
+        keep = np.ones(len(candidates), dtype=bool)
+        for r in radii:
+            for u in us:
+                bound = _ball_energy_bound(u, candidates, r)
+                if bound is not None:
+                    keep &= ~(bound < eps0 / 2)
+        candidates = candidates[keep]
 
     hits, scores = [], []
     for x in candidates:
-        ok, score = _scan_probe(detector, steps, x, eps0, order)
+        ok, score = _scan_probe(detector, radii, us, x, eps0, order)
         if ok:
-            hits.append(np.asarray(x, dtype=float))
+            hits.append(x)
             scores.append(score)
 
     # merge lattice-adjacent hits into clusters; keep the best-scoring member
@@ -644,31 +661,58 @@ class DefectReport:
                 raise ValueError("detected points must carry at least one bubble")
 
 
+# Geometric steps per refinement ladder.  In a radial or zonal layout a
+# shell is at most a few thousand nodes, and three refinements take a
+# factor-4 bracket below the stopping ratio 1 + 1e-3 (4 ** (1 / 12**3) =
+# 1 + 8.0e-4).  A full-layout shell holds every direction (196,608 nodes at
+# n = 5, order 24), so there each refinement halves the bracket in log r
+# with one shell, as many nodes as a bisection step.
+_LADDER_STEPS = 12
+
+
 def _half_threshold_radius(
     w: ScalarField, x, target: float, r_hi: float, order: int, energy_hi: float
 ) -> float | None:
-    """Smallest radius where the unweighted ball energy reaches ``target``
-    (log-bisection; None when even r_hi falls short).  ``energy_hi`` is the
-    known ball energy of ``w`` at ``r_hi``."""
+    """Smallest radius where the unweighted ball energy reaches ``target``,
+    within a factor 1 + 1e-3 above it; None when even ``r_hi`` falls short.
+    ``energy_hi`` is the known ball energy of ``w`` at ``r_hi``.
+
+    One piece batch brackets the radius: the rungs ``r_hi * 4**-j`` down to
+    the first at or below ``floor`` (1e-3 of the finest scale of ``w``),
+    whose ball energies are one inner ball plus the shells between rungs,
+    summed outward (``np.cumsum``).  The bracket is the largest rung below
+    ``target`` and the rung above it.  Each further batch cuts the bracket
+    into ``_LADDER_STEPS`` geometric steps (two in a full layout) and sums
+    their shells onto the bracket's lower energy, until the bracket is
+    narrower than 1 + 1e-3; its upper end is returned.  That is at most
+    four batches in a radial or zonal layout.  When every rung is at or
+    above ``target`` the lowest rung is the lower end, and the result sits
+    just above it."""
     if energy_hi < target:
         return None
-    lo, hi = r_hi, r_hi
     floor = max((_finest_scale(w) or 1e-12) * 1e-3, 1e-300)
-    while lo > floor:
-        cand = lo / 4.0
-        if bubbling_energy(w, x, cand, order) < target:
-            lo = cand
-            break
-        lo = cand
-    for _ in range(48):
-        mid = math.sqrt(lo * hi)
-        if bubbling_energy(w, x, mid, order) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo < 1.0 + 1e-3:
-            break
-    return hi
+    rungs = [r_hi]
+    while rungs[-1] > floor:
+        rungs.append(rungs[-1] / 4.0)
+    if len(rungs) == 1:
+        return r_hi
+    rungs.reverse()  # ascending, r_hi last
+    regions = [(0.0, rungs[0])] + list(zip(rungs[:-2], rungs[1:-1]))
+    energies = np.cumsum(_shell_energies(w, x, regions, order))
+    below = max(int(np.count_nonzero(energies < target)), 1)
+    lo, hi, e_lo = rungs[below - 1], rungs[below], energies[below - 1]
+    ladder = 2 if _layout(w, x)[0] == "full" else _LADDER_STEPS
+    while hi / lo >= 1.0 + 1e-3:
+        steps = lo * (hi / lo) ** (np.arange(1, ladder) / ladder)
+        edges = [lo, *steps]
+        shells = _shell_energies(w, x, list(zip(edges[:-1], edges[1:])), order)
+        energies = np.cumsum([e_lo, *shells])[1:]
+        below = int(np.count_nonzero(energies < target))
+        if below:
+            lo, e_lo = steps[below - 1], energies[below - 1]
+        if below < len(steps):
+            hi = steps[below]
+    return float(hi)
 
 
 @cache
@@ -705,10 +749,33 @@ def _fit_sample_points(n: int, x: np.ndarray, scale: float) -> np.ndarray:
     return (x[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
 
 
+def _profile_model(n: int, sign: float, samples: np.ndarray):
+    """The signed standard profile at ``samples`` as a function of
+    ``params = (log delta, center)``, and its closed-form Jacobian in
+    ``params``: dU/dc = -grad U and dU/dlog(delta) =
+    U (n-2)/2 (|z|^2 - 1)/(|z|^2 + 1), with z = (y - c)/delta."""
+
+    def bubble(params):
+        return Bubble(n, params[1:], math.exp(params[0]), sign)
+
+    def profile(params):
+        return bubble(params).evaluate(samples)
+
+    def jacobian(params):
+        b = bubble(params)
+        v, grad = b.value_and_gradient(samples)
+        z = (samples - b.center) / b.scale
+        zz = np.einsum("ij,ij->i", z, z)
+        return np.column_stack([0.5 * (n - 2) * v * (zz - 1.0) / (zz + 1.0), -grad])
+
+    return profile, jacobian
+
+
 def _fit_bubble(
     w: ScalarField, x: np.ndarray, delta0: float, tol: float
 ) -> tuple[Bubble, dict]:
-    """Least squares on (log delta, center) of a signed standard profile.
+    """Least squares on (log delta, center) of a signed standard profile,
+    Levenberg-Marquardt with the closed-form Jacobian of ``_profile_model``.
 
     The sample cloud spans radii delta0/30 .. 30*delta0 around the probe
     point and excludes the point itself, where imperfect cancellation of
@@ -725,15 +792,12 @@ def _fit_bubble(
     core = np.linalg.norm(samples - x, axis=1) <= delta0
     sign = 1.0 if float(np.mean(target[core])) >= 0 else -1.0
     scale_ref = np.abs(target).max()
-
-    def resid(params):
-        d = math.exp(params[0])
-        b = Bubble(n, params[1:], d, sign)
-        return (b.evaluate(samples) - target) / scale_ref
+    profile, jacobian = _profile_model(n, sign, samples)
 
     p0 = np.concatenate([[math.log(delta0)], x])
-    res = least_squares(resid, p0, method="lm", xtol=tol * 1e-4, ftol=tol * 1e-4,
-                        gtol=tol * 1e-4, max_nfev=400)
+    res = least_squares(lambda p: (profile(p) - target) / scale_ref, p0,
+                        jac=lambda p: jacobian(p) / scale_ref, method="lm",
+                        xtol=tol * 1e-4, ftol=tol * 1e-4, gtol=tol * 1e-4, max_nfev=400)
     delta = math.exp(res.x[0])
     center = res.x[1:]
     # snap to the probe point when the offset is far below the bubble scale:

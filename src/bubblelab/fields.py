@@ -769,9 +769,12 @@ def _layout(u: ScalarField, x: np.ndarray) -> tuple[str, np.ndarray | None]:
     if opaque:
         return "full", None
     x = np.asarray(x, dtype=float)
-    if np.abs(centers - centers[0]).max() <= 1e-14:
-        d = centers[0] - x
-        norm = float(np.linalg.norm(d))
+    d = centers[0] - x
+    norm = math.sqrt(d.dot(d))  # np.linalg.norm(d), without its overhead
+    # one part at a finite distance, the common case, has no centers to
+    # compare: they all equal the first
+    if (len(centers) == 1 and math.isfinite(norm)
+            or np.abs(centers - centers[0]).max() <= 1e-14):
         return ("radial", None) if norm < 1e-14 else ("zonal", d / norm)
     # several centers: axisymmetric iff they and x are collinear
     rel = np.vstack([centers[1:], x]) - centers[0]
@@ -789,6 +792,14 @@ def _finest_scale(u: ScalarField, x=None) -> float | None:
     """Finest feature scale of ``u``'s radial parts, or of those centered
     within 1e-12 of ``x``; None when no such part has a scale."""
     centers, scales, _ = u.radial_parts
+    if len(scales) == 1:
+        # one part: the general path's distance test and minimum, in scalars
+        if x is not None:
+            d = centers[0] - x
+            if not math.sqrt(np.add.reduce(d * d)) <= 1e-12:
+                return None
+        finest = float(scales[0])
+        return finest if finest < math.inf else None
     if x is not None:
         scales = scales[np.linalg.norm(centers - x, axis=1) <= 1e-12]
     finest = np.fmin.reduce(scales, initial=np.inf)  # skips NaN

@@ -32,8 +32,13 @@ from bubblelab.concentration import (
     BudgetError,
     ConcentrationSequence,
     _ball_energy_bound,
+    _dedup_points,
     _detect_detailed,
+    _fit_sample_points,
+    _half_threshold_radius,
     _lattice,
+    _profile_model,
+    _standard_halfball_radius,
     QuantizationConfig,
     bubble_energy_constant,
     bubble_energy_limit,
@@ -396,6 +401,39 @@ def test_batched_scan_hands_probes_to_paneled_rules_mid_scan():
         assert (pieces.bounds[-1] > 12) == (k >= 3)
     for eps0 in (1e-3, 1e-13):
         assert_same_scan(seq, 4, [0.05, 0.15], eps0)
+
+
+def per_point_dedup(points):
+    """Reference candidate list: one rounded-tuple check per point, as
+    ``per_probe_scan`` builds it."""
+    candidates, seen = [], set()
+    for p in points:
+        if tuple(np.round(p, 10)) not in seen:
+            seen.add(tuple(np.round(p, 10)))
+            candidates.append(p)
+    return candidates
+
+
+def test_vectorized_dedup_matches_per_point_loop():
+    # entries on a lattice point, -0.0 against 0.0, rounding to one key,
+    # and an off-lattice entry: same rows, signs of zero and order
+    lattice = _lattice(3, 1.0, 0.5)
+    entries = [np.array([0.5, 0.0, 0.0]), np.array([-0.0, 0.0, -0.0]),
+               np.array([0.3, 0.1, -0.2]), np.array([0.3, 0.1, -0.2 + 1e-12]),
+               np.array([1e-12, -1e-13, 0.0])]
+    points = np.vstack(entries + [lattice])
+    got, want = _dedup_points(points), per_point_dedup(points)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert len(got) == len(lattice) + 1  # only the off-lattice entry is new
+    assert np.signbit(got[1]).tolist() == [True, False, True]
+
+
+def test_scan_of_entries_on_and_off_the_lattice_matches_per_probe():
+    seq = make_sequence([([-0.0, 0.0, 0.0], 4.0, 1.0), ([0.5, 0.0, 0.0], 16.0, 1.0),
+                         ([0.3, 0.1, 0.0], 4.0, 1.0), (np.zeros(3), 64.0, 1.0)],
+                        budget=1e4, n=3)
+    for eps0 in (lambda0_oracle(3) / 20, 1e-13):
+        assert_same_scan(seq, 4, [0.05, 0.15, 0.45], eps0)
 
 
 class NaNBeyond(BubbleConfiguration):
@@ -870,6 +908,117 @@ def test_quantization_report_computes_each_ball_energy_once(monkeypatch):
     assert [p.n_hat for p in rep.points] == [3]
     assert len(counts) > 100
     assert {key: c for key, c in counts.items() if c > 1} == {}
+
+
+def recorded_piece_batches(monkeypatch) -> list:
+    """The regions of every piece batch ``concentration`` builds from now on."""
+    from bubblelab import concentration
+
+    batches = []
+    original = concentration.shell_pieces_for
+
+    def recording(u, x, regions, *args, **kwargs):
+        batches.append(regions)
+        return original(u, x, regions, *args, **kwargs)
+
+    monkeypatch.setattr(concentration, "shell_pieces_for", recording)
+    return batches
+
+
+@pytest.mark.parametrize("delta", [0.1, 1e-6, 1e-18])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_half_threshold_radius_of_a_centered_bubble(n, delta, monkeypatch):
+    # at most 4 piece batches, and the radius sits within 1e-3 above the
+    # standard profile's, scaled by delta
+    u, x = aubin_talenti(n, delta), np.zeros(n)
+    target = bubble_energy_constant(n).value / 20
+    energy_hi = bubbling_energy(u, x, 1.0, 24)
+    batches = recorded_piece_batches(monkeypatch)
+    rho = _half_threshold_radius(u, x, target, 1.0, 24, energy_hi)
+    assert 1 <= len(batches) <= 4
+    assert rho / (delta * _standard_halfball_radius(n, target)) == pytest.approx(1.0, abs=2e-3)
+
+
+def test_half_threshold_radius_edge_cases(monkeypatch):
+    n, delta = 4, 1e-6
+    u, x = aubin_talenti(n, delta), np.zeros(n)
+    energy_hi = bubbling_energy(u, x, 1.0, 24)
+    calls = recorded_piece_batches(monkeypatch)
+    # short of the target at r_hi: None, and no quadrature
+    assert _half_threshold_radius(u, x, 2 * energy_hi, 1.0, 24, energy_hi) is None
+    assert calls == []
+    # r_hi already at the floor (1e-3 of the finest scale): r_hi itself
+    assert _half_threshold_radius(u, x, 1e-300, 1e-10, 24, 1.0) == 1e-10
+    assert calls == []
+    # every rung down to the floor still reaches the target: the result
+    # sits just above the lowest rung, the first at or below the floor
+    lowest = 1.0
+    while lowest > delta * 1e-3:
+        lowest /= 4.0
+    rho = _half_threshold_radius(u, x, 1e-300, 1.0, 24, energy_hi)
+    assert lowest < rho < lowest * (1 + 1e-3)
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("layout", ["radial", "zonal", "full"])
+def test_half_threshold_radius_brackets_the_target_in_every_layout(layout):
+    # ball rules of their own, not the search's shells: the target is
+    # reached at the radius found and missed a factor 1 + 1e-3 below it
+    e = np.eye(3)
+    parts = {
+        "radial": [Bubble(3, np.zeros(3), 1e-2), Bubble(3, np.zeros(3), 1e-5)],
+        "zonal": [Bubble(3, np.zeros(3), 1e-2), Bubble(3, 0.01 * e[0], 1e-3)],
+        "full": [Bubble(3, np.zeros(3), 1e-3), Bubble(3, 0.3 * e[0], 0.1),
+                 Bubble(3, 0.3 * e[1], 0.1)],
+    }[layout]
+    w, x = Superposition(parts), np.zeros(3)
+    assert _layout(w, x)[0] == layout
+    target = lambda0_oracle(3) / 20
+    rho = _half_threshold_radius(w, x, target, 0.05, 24, bubbling_energy(w, x, 0.05, 24))
+    assert bubbling_energy(w, x, rho, 24) >= target > bubbling_energy(w, x, rho / (1 + 1e-3), 24)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_fit_jacobian_matches_central_differences(n, sign):
+    rng = np.random.default_rng(10 * n + (sign > 0))
+    for _ in range(4):
+        delta = 10.0 ** rng.uniform(-8, 0)
+        x = rng.uniform(-0.5, 0.5, n)
+        samples = _fit_sample_points(n, x, delta * 10.0 ** rng.uniform(-0.5, 0.5))
+        params = np.concatenate([[math.log(delta)], x + 0.3 * delta * rng.standard_normal(n)])
+        profile, jacobian = _profile_model(n, sign, samples)
+        # the residual against a nearby bubble, as in the fit
+        target = profile(params + 0.1 * np.concatenate([[1.0], np.full(n, delta)])
+                         * rng.standard_normal(n + 1))
+        scale_ref = np.abs(target).max()
+
+        def resid(p):
+            return (profile(p) - target) / scale_ref
+
+        steps = 1e-5 * np.concatenate([[1.0], np.full(n, delta)])
+        fd = np.empty((len(samples), n + 1))
+        for i, h in enumerate(steps):
+            up, down = params.copy(), params.copy()
+            up[i] += h
+            down[i] -= h
+            # the exact step taken, after rounding the perturbed parameters
+            fd[:, i] = (resid(up) - resid(down)) / (up[i] - down[i])
+        jac = jacobian(params) / scale_ref
+        assert np.all(np.abs(jac - fd).max(axis=0) <= 1e-6 * np.abs(jac).max(axis=0))
+
+
+def test_quantization_extracts_the_n7_two_bubble_tower():
+    # the fit on the fine bubble of this tower used to stop at max_nfev
+    # without success (fit-not-converged, n_hat 0)
+    seq = make_sequence([(np.zeros(7), b, 1.0) for b in (4.0, 16.0)], budget=1e4, n=7)
+    rep = quantization_report(seq, QuantizationConfig(k_max=8, lattice_spacing=1.0))
+    assert [p.n_hat for p in rep.points] == [2]
+    p = rep.points[0]
+    assert p.flags == []
+    assert abs(p.ratio - 2.0) <= 0.05
+    scales = sorted(d for d, _, _ in p.inventory)
+    assert scales == pytest.approx([16.0**-8, 4.0**-8], rel=1e-3)
 
 
 def test_quantization_zero_sequence_empty_report():

@@ -190,6 +190,32 @@ def test_superposition_sums_parts():
     assert Superposition([s, CustomField(3, a.evaluate)]).radial_parts[2]
 
 
+@pytest.mark.parametrize("center", [
+    pytest.param([0.0, 0.0, 0.0], id="origin"),
+    pytest.param([0.3, -0.2, 0.1], id="off-origin"),
+    pytest.param([np.nan, 0.0, 0.0], id="nan"),
+])
+def test_one_part_rule_selection_matches_the_several_part_path(center):
+    # a one-part field skips the comparison of centers; the same part twice
+    # takes the several-part path, and both choose bit for bit the same
+    one = Bubble(3, center, 0.01)
+    two = Superposition([one, one])
+    c = np.asarray(center, dtype=float)
+    probes = [c, c + [5e-13, 0, 0], c + [2e-12, 0, 0], c + [1e-15, 0, 0],
+              c + [0.1, 0.2, 0], np.zeros(3), np.array([0.1, -0.4, 0.7])]
+    for x in probes:
+        (sym_one, axis_one), (sym_two, axis_two) = _layout(one, x), _layout(two, x)
+        assert sym_one == sym_two
+        assert (axis_one is None) == (axis_two is None)
+        if axis_one is not None:
+            assert axis_one.tobytes() == axis_two.tobytes()
+        assert _finest_scale(one, x) == _finest_scale(two, x)
+    assert _finest_scale(one) == _finest_scale(two) == 0.01
+    constant = ConstantField(3, 1.0)
+    assert _finest_scale(constant, np.zeros(3)) is None
+    assert _finest_scale(Superposition([constant, constant]), np.zeros(3)) is None
+
+
 def test_nested_superposition_takes_the_flat_layout():
     # every leaf center and the probe lie on the x_1 axis: the nested sum
     # is zonal about it, like the flat one
