@@ -321,9 +321,11 @@ def cmd_quantize(args, cfg: RunConfig) -> tuple[dict, str]:
         "n_hat": [p.n_hat for p in report.points],
         "ratios": [p.ratio for p in report.points],
     }
+    # a NaN integer_distance (non-finite ratio) fails before round is reached
     failed = args.assert_integer is not None and not (
         report.points
-        and all(p.integer_distance <= args.assert_integer for p in report.points)
+        and all(p.integer_distance <= args.assert_integer and p.n_hat == round(p.ratio)
+                for p in report.points)
     )
     return summary, "fail" if failed else "pass"
 
@@ -421,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-max", dest="k_max", type=int, default=8)
     sp.add_argument("--budget", type=float, default=1e6)
     sp.add_argument("--assert-integer", dest="assert_integer", type=float,
-                    help="fail unless every ratio is this close to an integer")
+                    help="fail unless every ratio is this close to an integer "
+                    "and equals its point's number of extracted bubbles")
     sp.set_defaults(func=cmd_quantize)
 
     sp = sub.add_parser("bubble-constant", help="print the single-bubble energy")

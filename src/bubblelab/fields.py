@@ -77,10 +77,29 @@ def _pts(x, n: int) -> tuple[np.ndarray, bool]:
     return a, False
 
 
+_EVALUATION = ("evaluate", "gradient", "analytic_gradient", "value_and_gradient")
+_FACTS = ("value_and_gradient", "radial_parts", "ball_sup")
+
+
 class ScalarField:
     """Base class: a function R^n -> R with optional analytic derivatives."""
 
     dimension: int
+
+    def __init_subclass__(cls, **kwargs):
+        """The one trust rule for closed-form facts: when a class body
+        defines an evaluation method (``evaluate``, ``gradient``,
+        ``analytic_gradient`` or ``value_and_gradient``), each fact
+        (``value_and_gradient``, ``radial_parts``, ``ball_sup``) that the
+        body does not define reverts to this class's default, so no parent's
+        closed form describes a field it was not derived for.  A fact the
+        body defines is its own, ``super()`` calls included."""
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if any(name in own for name in _EVALUATION):
+            for name in _FACTS:
+                if name not in own:
+                    setattr(cls, name, vars(ScalarField)[name])
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -112,7 +131,8 @@ class ScalarField:
 
     def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(evaluate(points), gradient(points))``; fields that can share
-        work between the two compute them in one pass, bit for bit equal."""
+        work between the two compute them in one pass, bit for bit equal.
+        A subclass that changes evaluation gets this default back."""
         return self.evaluate(points), self.gradient(points)
 
     def laplacian(self, points: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -157,9 +177,8 @@ class ScalarField:
         """``(centers, scales, opaque)``: the field is a sum of parts, each
         radial about one row of ``centers`` (shape (k, n)) with its finest
         feature scale in ``scales`` (NaN when it has none), plus a part of
-        unknown symmetry when ``opaque`` is true.  The default knows no part;
-        the fields below report it too for a subclass that changes how the
-        field or its gradient is evaluated."""
+        unknown symmetry when ``opaque`` is true.  The default knows no
+        part; a subclass that changes evaluation gets it back."""
         return np.empty((0, self.dimension)), np.empty(0), True
 
     def ball_sup(
@@ -170,19 +189,9 @@ class ScalarField:
         when the field knows no bound.
 
         The balls are taken ``node_slack(r)`` wider, so the bounds also
-        hold at every node of a valid rule on B(x, r).  A subclass that
-        changes how the field or its gradient is evaluated gets None unless
-        it overrides this too."""
+        hold at every node of a valid rule on B(x, r).  The default knows
+        none; a subclass that changes evaluation gets it back."""
         return None
-
-
-def _evaluation_overridden(u: ScalarField, owner: type) -> bool:
-    """True when ``type(u)`` evaluates the field or its gradient other than
-    ``owner`` does, so ``owner``'s closed-form bounds do not apply."""
-    return any(
-        getattr(type(u), name) is not getattr(owner, name)
-        for name in ("evaluate", "gradient", "analytic_gradient")
-    )
 
 
 def _bubble_amplitude(n: int) -> float:
@@ -215,44 +224,37 @@ class Bubble(ScalarField):
         z = (points - self.center) / self.scale
         return z, 1.0 + np.einsum("ij,ij->i", z, z)
 
+    @cached_property
+    def _amplitudes(self) -> tuple[float, float]:
+        """Unsigned ``(a, b)``: U = sign a g^(-(n-2)/2) and grad U =
+        -sign b z g^(-n/2), with ``(z, g)`` from ``_z``."""
+        n, amp = self.dimension, _bubble_amplitude(self.dimension)
+        return amp * self.scale ** (-(n - 2) / 2), (n - 2) * amp * self.scale ** (-n / 2)
+
+    def _value(self, g: np.ndarray) -> np.ndarray:
+        return self.sign * self._amplitudes[0] * g ** (-(self.dimension - 2) / 2)
+
+    def _gradient(self, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return -self.sign * self._amplitudes[1] * z * (g ** (-self.dimension / 2))[:, None]
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        n = self.dimension
-        _, g = self._z(points)
-        amp = self.sign * _bubble_amplitude(n) * self.scale ** (-(n - 2) / 2)
-        return amp * g ** (-(n - 2) / 2)
+        return self._value(self._z(points)[1])
 
     def analytic_gradient(self, points: np.ndarray) -> np.ndarray:
-        n = self.dimension
-        z, g = self._z(points)
-        amp = -self.sign * (n - 2) * _bubble_amplitude(n) * self.scale ** (-n / 2)
-        return amp * z * (g ** (-n / 2))[:, None]
+        return self._gradient(*self._z(points))
 
     def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One pass: ``z`` and ``1 + |z|^2`` are computed once per node."""
-        if _evaluation_overridden(self, Bubble):
-            return super().value_and_gradient(points)
-        n = self.dimension
         z, g = self._z(points)
-        amp = self.sign * _bubble_amplitude(n) * self.scale ** (-(n - 2) / 2)
-        grad_amp = -self.sign * (n - 2) * _bubble_amplitude(n) * self.scale ** (-n / 2)
-        return amp * g ** (-(n - 2) / 2), grad_amp * z * (g ** (-n / 2))[:, None]
+        return self._value(g), self._gradient(z, g)
 
     def analytic_laplacian(self, points: np.ndarray) -> np.ndarray:
         n = self.dimension
-        _, g = self._z(points)
-        amp = (
-            -self.sign
-            * n
-            * (n - 2)
-            * _bubble_amplitude(n)
-            * self.scale ** (-(n + 2) / 2)
-        )
-        return amp * g ** (-(n + 2) / 2)
+        amp = -self.sign * n * (n - 2) * _bubble_amplitude(n) * self.scale ** (-(n + 2) / 2)
+        return amp * self._z(points)[1] ** (-(n + 2) / 2)
 
     @cached_property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        if _evaluation_overridden(self, Bubble):
-            return super().radial_parts
         return self.center[None, :], np.array([self.scale], dtype=float), False
 
     def ball_sup(self, xs, r):
@@ -260,14 +262,11 @@ class Bubble(ScalarField):
         |grad U| goes as t (1+t^2)^(-n/2), which decreases for t >= t* =
         1/sqrt(n-1); both are taken at the ball's nearest t (clamped to t*
         for the gradient)."""
-        if _evaluation_overridden(self, Bubble):
-            return None
         n = self.dimension
         gap = np.linalg.norm(xs - self.center, axis=1) - (r + node_slack(r))
         t = np.maximum(gap, 0.0) / self.scale
         tg = np.maximum(t, 1.0 / math.sqrt(n - 1))
-        amp = _bubble_amplitude(n) * self.scale ** (-(n - 2) / 2)
-        grad_amp = (n - 2) * _bubble_amplitude(n) * self.scale ** (-n / 2)
+        amp, grad_amp = self._amplitudes
         return (amp * (1.0 + t**2) ** (-(n - 2) / 2),
                 grad_amp * tg * (1.0 + tg**2) ** (-n / 2))
 
@@ -318,7 +317,7 @@ class Superposition(ScalarField):
     def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One pass over the parts when every part has an analytic
         gradient (which ``gradient`` then sums)."""
-        if _evaluation_overridden(self, Superposition) or not self.has_analytic_gradient:
+        if not self.has_analytic_gradient:
             return super().value_and_gradient(points)
         val, grad = np.zeros(len(points)), np.zeros_like(points)
         for w, p in zip(self.weights, self.parts):
@@ -330,16 +329,12 @@ class Superposition(ScalarField):
     @cached_property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
         # computed once: nothing reassigns or mutates ``parts`` after __init__
-        if _evaluation_overridden(self, Superposition):
-            return super().radial_parts
         centers, scales, opaque = zip(*(p.radial_parts for p in self.parts))
         return np.concatenate(centers), np.concatenate(scales), any(opaque)
 
     def ball_sup(self, xs, r):
         """Sum of the parts' bounds times ``|weight|``; None when a part
         has none."""
-        if _evaluation_overridden(self, Superposition):
-            return None
         sup_u, sup_g = np.zeros(len(xs)), np.zeros(len(xs))
         for w, p in zip(self.weights, self.parts):
             part = p.ball_sup(xs, r)
@@ -403,8 +398,6 @@ class RescaledField(ScalarField):
 
     @property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        if _evaluation_overridden(self, RescaledField):
-            return super().radial_parts
         centers, scales, opaque = self.base.radial_parts
         return (centers - self.y) / self.delta, scales / self.delta, opaque
 
@@ -425,8 +418,6 @@ class ConstantField(ScalarField):
 
     @property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        if _evaluation_overridden(self, ConstantField):
-            return super().radial_parts
         return np.zeros((1, self.dimension)), np.array([np.nan]), False
 
 

@@ -130,6 +130,22 @@ def test_quantize_spec_file(tmp_path, capsys):
     assert payload["ratios"][0] == pytest.approx(1.0, abs=0.05)
 
 
+def test_assert_integer_fails_when_no_bubble_is_extracted(tmp_path, capsys):
+    # one bubble of weight w carries (w^2 + w^6)/2 ~ 2.002 Lambda_0 at n = 3,
+    # an integer ratio, but no bubble fits it: the point must not pass
+    spec = tmp_path / "heavy.ini"
+    spec.write_text("[sequence]\nn = 3\nk_max = 8\n\n"
+                    "[bubble:heavy]\nbase = 4\nweight = 1.1745\n")
+    code = run(["quantize", "--spec", spec, "--out", tmp_path / "qh", "--json",
+                "--assert-integer", 0.05])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ratios"][0] == pytest.approx(2.0, abs=0.05)
+    assert payload["n_hat"] == [0]
+    assert (code, payload["status"]) == (1, "fail")
+    report = json.loads((tmp_path / "qh" / "report.json").read_text())
+    assert {"fit-not-converged", "no-bubble-extracted"} <= set(report["flags"][0])
+
+
 def test_quantize_zero_sequence_empty(tmp_path, capsys):
     spec = tmp_path / "zero.ini"
     spec.write_text(

@@ -547,15 +547,41 @@ class TiltedConstant(ConstantField):
         return self.value * np.eye(self.dimension)[[0] * len(points)]
 
 
+class ShiftedPass(Bubble):
+    """A bubble whose one-pass value and gradient sit one unit along x_1
+    from where it claims to sit."""
+
+    def value_and_gradient(self, points):
+        return super().value_and_gradient(points - np.eye(self.dimension)[0])
+
+
+class ShiftedPassSum(Superposition):
+    """A superposition whose one-pass value and gradient sit one unit
+    along x_1 from where its parts claim to sit."""
+
+    def value_and_gradient(self, points):
+        return super().value_and_gradient(points - np.eye(self.dimension)[0])
+
+
+def one_pass_wrapper(u):
+    """A custom field of ``u.value_and_gradient``'s two outputs."""
+    return CustomField(u.dimension, lambda p: u.value_and_gradient(p)[0],
+                       lambda p: u.value_and_gradient(p)[1])
+
+
 def test_symmetry_fact_unknown_unless_the_evaluation_is_closed_form():
     # none of these is radial about its claimed center: each takes the
-    # full rule a wrapper of the same callables takes
+    # full rule a wrapper of the same callables takes, and has no bound
     b = aubin_talenti(3, 0.5)
-    for u in (ShiftedBubble(3, np.zeros(3), 0.5), ShiftedRescaled(b, np.zeros(3), 1.0),
-              TiltedConstant(3, 2.0)):
-        wrapped = CustomField(3, u.evaluate, u.analytic_gradient)
+    cases = [(u, CustomField(3, u.evaluate, u.analytic_gradient))
+             for u in (ShiftedBubble(3, np.zeros(3), 0.5),
+                       ShiftedRescaled(b, np.zeros(3), 1.0), TiltedConstant(3, 2.0))]
+    cases += [(u, one_pass_wrapper(u))
+              for u in (ShiftedPass(3, np.zeros(3), 0.5), ShiftedPassSum([b]))]
+    for u, wrapped in cases:
         assert (bubbling_energy(u, np.zeros(3), 0.8, 24)
                 == bubbling_energy(wrapped, np.zeros(3), 0.8, 24))
+        assert u.ball_sup(np.zeros((1, 3)), 0.8) is None
         for v in (u, wrapped, Superposition([b, u])):
             assert v.radial_parts[2]
             assert _layout(v, np.zeros(3)) == ("full", None)
@@ -1008,17 +1034,20 @@ def test_fit_jacobian_matches_central_differences(n, sign):
         assert np.all(np.abs(jac - fd).max(axis=0) <= 1e-6 * np.abs(jac).max(axis=0))
 
 
-def test_quantization_extracts_the_n7_two_bubble_tower():
-    # the fit on the fine bubble of this tower used to stop at max_nfev
-    # without success (fit-not-converged, n_hat 0)
-    seq = make_sequence([(np.zeros(7), b, 1.0) for b in (4.0, 16.0)], budget=1e4, n=7)
-    rep = quantization_report(seq, QuantizationConfig(k_max=8, lattice_spacing=1.0))
-    assert [p.n_hat for p in rep.points] == [2]
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("n", [6, 7])
+def test_quantization_extracts_high_dimensional_towers(n, N):
+    # the fit on the fine bubble of the n = 7 two-bubble tower used to stop
+    # at max_nfev without success (fit-not-converged, n_hat 0)
+    bases = [4.0, 16.0, 64.0][:N]
+    seq = make_sequence([(np.zeros(n), b, 1.0) for b in bases], budget=1e4, n=n)
+    rep = quantization_report(seq, QuantizationConfig(k_max=8))
+    assert [p.n_hat for p in rep.points] == [N]
     p = rep.points[0]
     assert p.flags == []
-    assert abs(p.ratio - 2.0) <= 0.05
+    assert abs(p.ratio - N) <= 0.05
     scales = sorted(d for d, _, _ in p.inventory)
-    assert scales == pytest.approx([16.0**-8, 4.0**-8], rel=1e-3)
+    assert scales == pytest.approx(sorted(b**-8 for b in bases), rel=1e-3)
 
 
 def test_quantization_zero_sequence_empty_report():
