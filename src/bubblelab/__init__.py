@@ -53,6 +53,7 @@ from .lorentz import (
     RearrangementTable,
     SampledFunction,
     duality_product_check,
+    duality_product_checks,
     lorentz_norm,
     power_rule_check,
     rearrange,

@@ -39,8 +39,7 @@ from .monotonicity import (
 )
 from .lorentz import (
     LorentzIndex,
-    SampledFunction,
-    duality_product_check,
+    duality_product_checks,
     lorentz_norm,
     read_samples_csv,
     rearrange,
@@ -199,7 +198,31 @@ def cmd_monotonicity(args, cfg: RunConfig) -> tuple[dict, str]:
     return payload, "pass" if (mono.passed and pos.passed) else "fail"
 
 
+def _duality_failures(seed: int, trials: int) -> int:
+    """How many of ``trials`` random sampled pairs break the pairing bound
+    ||fg||_1 <= ||f||_{2,1} ||g||_{2,inf}.  Every trial is drawn first, in
+    the per-trial order a seed has always drawn them, then all are checked
+    in one batch."""
+    rng = np.random.default_rng(seed)
+    lengths = np.empty(trials, dtype=int)
+    # rng.integers(3, 40) draws at most 39 cells per trial
+    meas, fv, gv = np.empty((3, 39 * trials))
+    end = 0
+    for i in range(trials):
+        m = lengths[i] = int(rng.integers(3, 40))
+        meas[end:end + m] = rng.random(m) + 0.05
+        fv[end:end + m] = rng.standard_normal(m) * 10 ** rng.uniform(-2, 2)
+        gv[end:end + m] = rng.standard_normal(m) * 10 ** rng.uniform(-2, 2)
+        end += m
+    prod, n21, n2inf = duality_product_checks(fv[:end], gv[:end], meas[:end], lengths)
+    return int(np.count_nonzero(prod > n21 * n2inf * (1 + 1e-12)))
+
+
 def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
+    if args.duality_trials < 0:
+        raise ValueError(
+            f"--duality-trials must be >= 0 (0 runs none), got {args.duality_trials}"
+        )
     out = _prepare_out(cfg, "lorentz", {"p": args.p, "q": args.q})
     n = cfg.n
     q = float("inf") if str(args.q).lower() in ("inf", "infinity") else float(args.q)
@@ -216,25 +239,16 @@ def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
     else:
         raise ValueError("provide --input or --analytic")
 
+    # the trials run before the table is built, so that the process never
+    # holds their arrays and the table at once
+    fails = _duality_failures(cfg.seed, args.duality_trials) if args.duality_trials else 0
+
     table = rearrange(f)
     write_table_csv(out / "table.csv", table)
     norm = lorentz_norm(table, idx)
     payload = {"field": label, "p": idx.p, "q": "inf" if q == float("inf") else q,
                "norm": norm}
-
-    fails = 0
     if args.duality_trials:
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(args.duality_trials):
-            m = int(rng.integers(3, 40))
-            meas = rng.random(m) + 0.05
-            fv = rng.standard_normal(m) * 10 ** rng.uniform(-2, 2)
-            gv = rng.standard_normal(m) * 10 ** rng.uniform(-2, 2)
-            prod, n21, n2inf = duality_product_check(
-                SampledFunction(fv, meas), SampledFunction(gv, meas)
-            )
-            if prod > n21 * n2inf * (1 + 1e-12):
-                fails += 1
         payload["duality_trials"] = args.duality_trials
         payload["duality_failures"] = fails
 
@@ -405,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--inner", type=float, default=1e-3)
     sp.add_argument("--outer", type=float, default=10.0)
-    sp.add_argument("--duality-trials", dest="duality_trials", type=int, default=0)
+    sp.add_argument("--duality-trials", dest="duality_trials", type=int, default=0,
+                    help="random pairing-bound trials, checked as one batch (>= 0)")
     sp.set_defaults(func=cmd_lorentz)
 
     sp = sub.add_parser("neck", help="annulus energy between scales")

@@ -7,6 +7,13 @@ are then evaluated in closed form on the step function, so equimeasurability
 and the power rule hold exactly and discretization error is confined to the
 sampling stage.
 
+Many small samples are rearranged at once: ``duality_product_checks`` takes
+its trials back to back in flat arrays with per-trial lengths, pads them to
+one row each and sorts and accumulates every row in one call, so the
+``bubblelab lorentz --duality-trials K`` trials are checked as one batch
+(``K`` must be >= 0; 0 runs none).  ``rearrange``, ``lorentz_norm`` and
+``duality_product_check`` are the one-row case of the same code.
+
 Norm convention: ||f||_{p,q}^q = int_0^inf (t^(1/p) f*(t))^q dt/t for finite
 q, and ||f||_{p,inf} = sup_t t^(1/p) f*(t).  With this normalization
 ||f||_{2,1} = int_0^inf t^(-1/2) f*(t) dt and the pairing bound
@@ -18,13 +25,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isinf
+from math import isfinite, isinf
 
 import numpy as np
 
 from ._csv import write_csv
 from .fields import ScalarField, _layout, annulus_rule_for
-from .grid import build_shell_pieces, unit_ball_volume
+from .grid import _BLOCK_NODES, build_shell_pieces, unit_ball_volume
 
 __all__ = [
     "SampledFunction",
@@ -34,6 +41,7 @@ __all__ = [
     "rearrange",
     "lorentz_norm",
     "duality_product_check",
+    "duality_product_checks",
     "power_rule_check",
     "tail_decay_check",
     "sample_radial",
@@ -136,21 +144,80 @@ class LorentzIndex:
             raise ValueError(f"q must be positive or inf, got {self.q}")
 
 
+def _row_mask(lengths) -> np.ndarray:
+    """(rows, width) mask of ragged rows: row ``i`` owns its first
+    ``lengths[i]`` cells, ``width`` is the longest row."""
+    lengths = np.asarray(lengths)
+    return np.arange(lengths.max(initial=0)) < lengths[:, None]
+
+
+def _padded(flat: np.ndarray, valid: np.ndarray, fill: float) -> np.ndarray:
+    """``flat`` laid out row by row in the True cells of ``valid`` and
+    ``fill`` elsewhere; a view of ``flat`` when there is no padding."""
+    if valid.all():
+        return flat.reshape(valid.shape)
+    out = np.full(valid.shape, fill)
+    out[valid] = flat
+    return out
+
+
+def _rearranged_rows(values, measures, valid: np.ndarray):
+    """Rearrange ragged rows of cells at once.
+
+    Row ``i`` holds the next ``valid[i].sum()`` cells of the flat
+    ``values`` and ``measures``.  Each row is sorted by a stable argsort of
+    -|value|, with padding keyed +inf so that it sorts last, and its
+    measures are accumulated in that order.  Returns ``levels`` (rows,
+    width) and ``breaks`` (rows, width + 1) with ``breaks[:, 0] == 0``:
+    the first ``m`` levels and ``m + 1`` breaks of a row of ``m`` cells
+    are the ``RearrangementTable`` of its cells; its padding has level 0
+    and no measure.
+    """
+    key = _padded(-np.abs(values), valid, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    levels = np.take_along_axis(key, order, axis=1)
+    np.negative(levels, out=levels)
+    levels[~valid] = 0.0
+    breaks = np.zeros((valid.shape[0], valid.shape[1] + 1))
+    np.cumsum(np.take_along_axis(_padded(measures, valid, 0.0), order, axis=1),
+              axis=1, out=breaks[:, 1:])
+    return levels, breaks
+
+
+def _row_norms(levels: np.ndarray, breaks: np.ndarray, idx: LorentzIndex) -> np.ndarray:
+    """``lorentz_norm`` of each row of a rearrangement laid out as
+    ``_rearranged_rows`` returns it; a row whose levels are all 0 has norm 0
+    and is not evaluated."""
+    p, q = idx.p, idx.q
+    live = np.any(levels != 0, axis=1)
+    norms = np.zeros(len(levels))
+    if not live.any():
+        return norms
+    if not live.all():
+        levels, breaks = levels[live], breaks[live]
+    t0, t1 = breaks[:, :-1], breaks[:, 1:]
+    if isinf(q):
+        norms[live] = np.max(t1 ** (1.0 / p) * levels, axis=1)
+        return norms
+    with np.errstate(over="ignore"):
+        e = q / p
+        chunks = levels**q * (p / q) * (t1**e - t0**e)
+        totals = np.sum(chunks, axis=1)
+    # the root in Python floats, the C library's pow: numpy's vectorized
+    # power may round differently
+    norms[live] = [t ** (1.0 / q) if isfinite(t) else float("inf")
+                   for t in totals.tolist()]
+    return norms
+
+
 def rearrange(f: SampledFunction) -> RearrangementTable:
     """Sort |values| in decreasing order, accumulate measures.
 
     Ties keep the original cell order (stable sort), which does not affect
     the table since tied levels are equal.
     """
-    mags = np.abs(f.values)
-    order = np.argsort(-mags, kind="stable")
-    levels = mags[order]
-    breaks = np.concatenate([[0.0], np.cumsum(f.measures[order])])
-    return RearrangementTable(breaks=breaks, levels=levels)
-
-
-def _as_table(f) -> RearrangementTable:
-    return f if isinstance(f, RearrangementTable) else rearrange(f)
+    levels, breaks = _rearranged_rows(f.values, f.measures, _row_mask([f.values.size]))
+    return RearrangementTable(breaks=breaks[0], levels=levels[0])
 
 
 def lorentz_norm(f, idx: LorentzIndex) -> float:
@@ -160,39 +227,56 @@ def lorentz_norm(f, idx: LorentzIndex) -> float:
     constancy intervals.  Finite q: exact closed-form integral over the
     step function; overflow is reported as +inf.
     """
-    table = _as_table(f)
-    p, q = idx.p, idx.q
-    lv = table.levels
-    if lv.size == 0 or np.all(lv == 0):
-        return 0.0
-    t0, t1 = table.breaks[:-1], table.breaks[1:]
-    if isinf(q):
-        return float(np.max(t1 ** (1.0 / p) * lv))
-    with np.errstate(over="ignore"):
-        e = q / p
-        chunks = lv**q * (p / q) * (t1**e - t0**e)
-        total = float(np.sum(chunks))
-        if not np.isfinite(total):
-            return float("inf")
-        return total ** (1.0 / q)
+    if isinstance(f, RearrangementTable):
+        levels, breaks = f.levels[None, :], f.breaks[None, :]
+    else:
+        levels, breaks = _rearranged_rows(f.values, f.measures, _row_mask([f.values.size]))
+    return float(_row_norms(levels, breaks, idx)[0])
+
+
+def duality_product_checks(
+    f_values, g_values, measures, lengths
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||fg||_1, ||f||_{2,1}, ||g||_{2,inf}) of many trials at once, one
+    entry per trial.
+
+    Trial ``i`` owns the next ``lengths[i]`` cells of the flat arrays; f and
+    g share the cells' measures.  The inputs are checked once, as
+    ``SampledFunction`` checks them, and every length must be at least 1
+    with the lengths summing to the number of cells.
+    """
+    f = SampledFunction(f_values, measures)
+    g = SampledFunction(g_values, measures)
+    lengths = np.asarray(lengths)
+    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or np.any(lengths < 1)
+            or lengths.sum() != f.values.size):
+        raise ValueError(
+            f"trial lengths must be integers >= 1 summing to the {f.values.size} "
+            f"cells; got {lengths.size} lengths summing to {lengths.sum()}"
+        )
+    valid = _row_mask(lengths)
+    prod = np.sum(_padded(np.abs(f.values * g.values) * f.measures, valid, 0.0), axis=1)
+    return (
+        prod,
+        _row_norms(*_rearranged_rows(f.values, f.measures, valid), LorentzIndex(2.0, 1.0)),
+        _row_norms(*_rearranged_rows(g.values, g.measures, valid),
+                   LorentzIndex(2.0, float("inf"))),
+    )
 
 
 def duality_product_check(
     f: SampledFunction, g: SampledFunction
 ) -> tuple[float, float, float]:
-    """(||fg||_1, ||f||_{2,1}, ||g||_{2,inf}) on shared cells.
+    """(||fg||_1, ||f||_{2,1}, ||g||_{2,inf}) on shared cells: the
+    one-trial case of ``duality_product_checks``.
 
     Under this module's normalization the caller may assert
     ||fg||_1 <= ||f||_{2,1} * ||g||_{2,inf} with constant 1.
     """
     if f.values.shape != g.values.shape or not np.array_equal(f.measures, g.measures):
         raise ValueError("duality check needs both functions on the same cells")
-    prod = float(np.sum(np.abs(f.values * g.values) * f.measures))
-    return (
-        prod,
-        lorentz_norm(f, LorentzIndex(2.0, 1.0)),
-        lorentz_norm(g, LorentzIndex(2.0, float("inf"))),
-    )
+    checks = duality_product_checks(f.values, g.values, f.measures, [f.values.size])
+    return tuple(float(c[0]) for c in checks)
 
 
 def power_rule_check(
@@ -283,14 +367,20 @@ def tail_decay_check(
                                   radial_panels=[panels]).rule(0)
     else:
         rule = annulus_rule_for(u, c, inner, outer, order=24)
-    g = u.gradient(rule.nodes)
-    mag = np.sqrt(np.einsum("mi,mi->m", g, g))
-    dist = np.linalg.norm(rule.nodes - c, axis=1)
-    sup_decay = float(np.max(dist ** (n / 2) * mag))
-    weak = lorentz_norm(
-        SampledFunction(mag, rule.weights),
-        LorentzIndex(2.0, float("inf")),
-    )
+    # |grad u| and the decay sup per block of nodes: only the magnitudes
+    # and weights of the whole rule are kept, for the weak-norm sort
+    size = len(rule)
+    mag, weights = np.empty(size), np.empty(size)
+    peaks = []
+    for a in range(0, size, _BLOCK_NODES):
+        b = min(a + _BLOCK_NODES, size)
+        nodes, weights[a:b] = rule.piece.node_range(a, b)
+        g = u.gradient(nodes)
+        mag[a:b] = np.sqrt(np.einsum("mi,mi->m", g, g))
+        dist = np.linalg.norm(nodes - c, axis=1)
+        peaks.append(np.max(dist ** (n / 2) * mag[a:b]))
+    sup_decay = float(np.max(peaks))
+    weak = lorentz_norm(SampledFunction(mag, weights), LorentzIndex(2.0, float("inf")))
     return TailDecayReport(
         sup_decay=sup_decay,
         weak_norm=weak,

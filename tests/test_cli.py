@@ -270,6 +270,21 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "seed = 99" in echoed
 
 
+def test_negative_duality_trials_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "l"
+    code = run(["lorentz", "--analytic", "inv-sqrt-n", "--samples", 100,
+                "--duality-trials", -5, "--out", out, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--duality-trials must be >= 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    # zero still means no trials
+    assert run(["lorentz", "--analytic", "inv-sqrt-n", "--samples", 100,
+                "--duality-trials", 0, "--out", out, "--quiet"]) == 0
+    assert "duality_trials" not in json.loads((out / "norms.json").read_text())
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -1,15 +1,21 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bubblelab import _csv
 from bubblelab.grid import unit_ball_volume
-from bubblelab.fields import aubin_talenti, ConstantField
+from bubblelab.fields import CustomField, aubin_talenti, annulus_rule_for, ConstantField
 from bubblelab.lorentz import (
     LorentzIndex,
     RearrangementTable,
     SampledFunction,
+    _rearranged_rows,
+    _row_mask,
     duality_product_check,
+    duality_product_checks,
     lorentz_norm,
     power_rule_check,
     read_samples_csv,
@@ -194,6 +200,115 @@ def test_duality_mismatched_cells_rejected():
 
 
 # ---------------------------------------------------------------------------
+# batched trials: the row-wise rearrangement core
+# ---------------------------------------------------------------------------
+
+
+def reference_row(values, measures):
+    """One trial by hand: |values| sorted decreasing (ties in cell order),
+    measures accumulated, then the closed forms of ||.||_{2,1} and
+    ||.||_{2,inf} on the step function."""
+    order = sorted(range(len(values)), key=lambda i: -abs(values[i]))
+    levels = [abs(values[i]) for i in order]
+    breaks = [0.0]
+    for i in order:
+        breaks.append(breaks[-1] + measures[i])
+    n21 = sum(lv * 2 * (math.sqrt(t1) - math.sqrt(t0))
+              for lv, t0, t1 in zip(levels, breaks, breaks[1:]))
+    n2inf = max(math.sqrt(t1) * lv for lv, t1 in zip(levels, breaks[1:]))
+    return levels, breaks, n21, n2inf
+
+
+# magnitudes 1e-2..1e2 with either sign, exact zeros, and a few repeated
+# values so that rows hold ties
+row_value = st.one_of(
+    st.floats(min_value=1e-2, max_value=1e2),
+    st.floats(min_value=-1e2, max_value=-1e-2),
+    st.sampled_from([0.0, 1.0, -1.0, 2.5]),
+)
+ragged_rows = st.lists(
+    st.one_of(
+        st.lists(row_value, min_size=1, max_size=40),
+        st.lists(st.just(0.0), min_size=1, max_size=40),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def close(a, b, rel=1e-13):
+    return abs(a - b) <= rel * abs(b)
+
+
+@given(ragged_rows, st.integers(0, 2**31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_row_core_matches_per_row_reference(rows, seed):
+    rng = np.random.default_rng(seed)
+    lengths = [len(r) for r in rows]
+    fv = np.concatenate(rows)
+    gv = np.roll(fv, 1) * rng.uniform(0.5, 2.0)
+    meas = rng.uniform(0.05, 1.05, fv.size)
+    # a quarter of the rows share one measure, so measures tie too
+    meas[rng.random(fv.size) < 0.25] = 0.5
+    levels, breaks = _rearranged_rows(fv, meas, _row_mask(lengths))
+    prod, n21, n2inf = duality_product_checks(fv, gv, meas, lengths)
+    assert prod.shape == n21.shape == n2inf.shape == (len(rows),)
+    start = 0
+    for i, m in enumerate(lengths):
+        cells = slice(start, start + m)
+        ref_levels, ref_breaks, ref21, ref2inf = reference_row(
+            fv[cells].tolist(), meas[cells].tolist())
+        g_ref = reference_row(gv[cells].tolist(), meas[cells].tolist())
+        # the row's own cells come first, bit for bit; its padding after
+        assert levels[i, :m].tolist() == ref_levels
+        assert breaks[i, :m + 1].tolist() == ref_breaks
+        assert np.all(levels[i, m:] == 0.0) and np.all(breaks[i, m:] == ref_breaks[-1])
+        assert close(n21[i], ref21) and close(n2inf[i], g_ref[3])
+        ref_prod = math.fsum(abs(a * b) * w for a, b, w in
+                             zip(fv[cells], gv[cells], meas[cells]))
+        assert close(prod[i], ref_prod)
+        start += m
+
+
+def test_row_core_keeps_tied_cells_in_cell_order():
+    # 40 cells of two tied levels with distinct measures: the breaks follow
+    # the cells' own order within each level
+    values = np.tile([1.0, -2.0], 20)
+    measures = np.arange(1.0, 41.0)
+    levels, breaks = _rearranged_rows(values, measures, _row_mask([40]))
+    order = list(range(1, 40, 2)) + list(range(0, 40, 2))
+    assert levels[0].tolist() == [2.0] * 20 + [1.0] * 20
+    assert breaks[0].tolist() == [0.0] + np.cumsum(measures[order]).tolist()
+
+
+def test_one_trial_of_the_batch_is_the_single_check():
+    rng = np.random.default_rng(5)
+    f = sampled(rng.standard_normal(25), rng.random(25) + 0.05)
+    g = sampled(rng.standard_normal(25), f.measures)
+    batch = duality_product_checks(f.values, g.values, f.measures, [25])
+    assert duality_product_check(f, g) == tuple(float(c[0]) for c in batch)
+    # batched with a longer trial, its row is padded; only the summation
+    # order of ||fg||_1 and ||f||_{2,1} over the padded row may change
+    other = rng.standard_normal(39)
+    both = duality_product_checks(np.append(f.values, other), np.append(g.values, other),
+                                  np.append(f.measures, rng.random(39) + 0.05), [25, 39])
+    for single, c in zip(duality_product_check(f, g), both):
+        assert close(c[0], single, rel=1e-14)
+
+
+def test_batched_trials_validate_their_inputs():
+    ones = np.ones(4)
+    with pytest.raises(ValueError, match="values must be finite; cell 2 has nan"):
+        duality_product_checks(ones, np.array([1.0, 1.0, np.nan, 1.0]), ones, [2, 2])
+    with pytest.raises(ValueError, match="measures must be positive and finite; cell 1"):
+        duality_product_checks(ones, ones, np.array([1.0, 0.0, 1.0, 1.0]), [2, 2])
+    with pytest.raises(ValueError, match="equal-length vectors"):
+        duality_product_checks(ones, np.ones(3), ones, [4])
+    for lengths in ([2, 1], [2, 3], [4, 0], [5, -1], [2.0, 2.0], [[2, 2]]):
+        with pytest.raises(ValueError, match="trial lengths"):
+            duality_product_checks(ones, ones, ones, lengths)
+
+
+# ---------------------------------------------------------------------------
 # power rule
 # ---------------------------------------------------------------------------
 
@@ -249,6 +364,41 @@ def test_tail_decay_weak_norm_within_bound():
     for delta in (1e-2, 3e-3, 1e-3):
         rep = tail_decay_check(aubin_talenti(3, delta), 0.1, 1.0)
         assert rep.weak_norm <= rep.weak_bound * 1.05
+
+
+def full_layout_bubble(n):
+    b = aubin_talenti(n)
+    return CustomField(n, b.evaluate, b.gradient)
+
+
+@pytest.mark.parametrize("kind,n", [("full", 3), ("full", 4), ("zonal", 3),
+                                    ("zonal", 4), ("zonal", 5)])
+def test_tail_decay_streams_the_whole_rule_result(kind, n):
+    # the report equals the one computed on the whole rule at once
+    if kind == "full":
+        u, center = full_layout_bubble(n), np.zeros(n)
+    else:
+        u, center = aubin_talenti(n, 0.05, 0.3 * np.eye(n)[0]), 0.2 * np.eye(n)[1]
+    rule = annulus_rule_for(u, center, 0.1, 1.0, order=24)
+    assert rule.symmetry == kind
+    g = u.gradient(rule.nodes)
+    mag = np.sqrt(np.einsum("mi,mi->m", g, g))
+    sup = float(np.max(np.linalg.norm(rule.nodes - center, axis=1) ** (n / 2) * mag))
+    weak = lorentz_norm(SampledFunction(mag, rule.weights), L2INF)
+    rep = tail_decay_check(u, 0.1, 1.0, center=center)
+    assert (rep.sup_decay, rep.weak_norm) == (sup, weak)
+
+
+def test_tail_decay_memory_stays_below_the_whole_rule():
+    # 786,432 nodes: the whole-rule evaluation peaked at 151 MB
+    u = full_layout_bubble(5)
+    tracemalloc.start()
+    try:
+        tail_decay_check(u, 0.1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_tail_decay_rejects_bad_annulus():
