@@ -69,6 +69,7 @@ from .concentration import (
     detect_sigma,
     energy_in,
     make_sequence,
+    neck_energies,
     neck_energy,
     quantization_report,
     rescale,

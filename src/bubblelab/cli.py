@@ -51,7 +51,7 @@ from .concentration import (
     QuantizationConfig,
     bubble_energy_constant,
     make_sequence,
-    neck_energy,
+    neck_energies,
     quantization_report,
     read_sequence_spec,
     report_to_json,
@@ -262,8 +262,9 @@ def cmd_neck(args, cfg: RunConfig) -> tuple[dict, str]:
     seq = make_sequence([(np.zeros(n), args.base, 1.0)], budget=1e6, n=n)
     rows = []
     for k in args.k:
-        for R in args.R:
-            rep = neck_energy(seq, k, outer=args.outer, R=R, order=cfg.quad_order)
+        reps = neck_energies(seq, k, args.R, outer=args.outer, order=cfg.quad_order)
+        for R, rep in zip(args.R, reps):
+            rep.checked()  # a degenerate annulus is a usage error
             worst_shell = max(s[2] for s in rep.shells)
             rows.append([R, k, rep.inner, rep.outer, rep.total, worst_shell])
     _write_csv(out / "neck.csv", ["R", "k", "inner", "outer", "energy", "max_shell"],

@@ -82,6 +82,7 @@ __all__ = [
     "rescale",
     "bubble_energy_limit",
     "neck_energy",
+    "neck_energies",
     "theta_estimate",
     "scaled_measure",
     "quantization_report",
@@ -411,9 +412,11 @@ def _detect_detailed(
     is dropped before any rule or quadrature: its exact value there
     is below ``eps0`` (the rule weights sum to ``|B_r|`` within 1e-10, and
     the factor 2 covers rounding), so it cannot be a hit, and only hits
-    carry scores.  A NaN or infinite bound drops nothing.  Every probe
-    left, and every probe of the monotonicity detector, is scanned by
-    ``_scan_probe``."""
+    carry scores.  Each step bounds only the probes that passed every
+    earlier step: a row's bound depends on that row alone, so the probes
+    left, and their order, are those of one mask over every step.  A NaN
+    or infinite bound drops nothing.  Every probe left, and every probe of
+    the monotonicity detector, is scanned by ``_scan_probe``."""
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     n = seq.dimension
@@ -424,13 +427,11 @@ def _detect_detailed(
     radii = sorted(r_grid)  # smallest radius fails fastest off-points
 
     if detector == "ball-energy":
-        keep = np.ones(len(candidates), dtype=bool)
         for r in radii:
             for u in us:
                 bound = _ball_energy_bound(u, candidates, r)
                 if bound is not None:
-                    keep &= ~(bound < eps0 / 2)
-        candidates = candidates[keep]
+                    candidates = candidates[~(bound < eps0 / 2)]
 
     hits, scores = [], []
     for x in candidates:
@@ -503,8 +504,60 @@ def bubble_energy_limit(
 class NeckReport:
     inner: float
     outer: float
-    total: float
+    total: float  # nan when the annulus is degenerate
     shells: list  # (a, b, energy) dyadic breakdown
+
+    def checked(self) -> "NeckReport":
+        """This report; ValueError when its annulus is degenerate."""
+        if not (0 < self.inner < self.outer):
+            raise ValueError(f"need 0 < inner < outer, got ({self.inner}, {self.outer})")
+        return self
+
+
+def _neck_reports(u: ScalarField, x, inners, outer: float, order: int) -> list[NeckReport]:
+    """A ``NeckReport`` of ``u`` on each annulus (inner, outer) about ``x``:
+    the dyadic shells inner, 2 inner, ... up to ``outer`` of every annulus
+    laid out back to back and integrated as one piece batch, each total
+    summed in shell order.  A degenerate annulus (not 0 < inner < outer)
+    has no shells and total NaN."""
+    spans, regions = [], []
+    for inner in inners:
+        edges = [inner]
+        if 0 < inner < outer:
+            while edges[-1] * 2 < outer:
+                edges.append(edges[-1] * 2)
+            edges.append(outer)
+        start = len(regions)
+        regions += zip(edges[:-1], edges[1:])
+        spans.append((start, len(regions)))
+    energies = _shell_energies(u, x, regions, order) if regions else []
+    reports = []
+    for inner, (a, b) in zip(inners, spans):
+        shells = [(lo, hi, val) for (lo, hi), val in zip(regions[a:b], energies[a:b])]
+        total = 0.0 if shells else float("nan")
+        for _, _, val in shells:
+            total += val
+        reports.append(NeckReport(inner=inner, outer=outer, total=total, shells=shells))
+    return reports
+
+
+def neck_energies(
+    seq: ConcentrationSequence,
+    k: int,
+    Rs: Sequence[float],
+    outer: float = 0.5,
+    entry: int = 0,
+    order: int = 24,
+) -> list[NeckReport]:
+    """``neck_energy`` of u_k for each R of ``Rs``, in order, from one piece
+    batch: the annuli (R delta_k, outer) about the entry's center share the
+    field, the center and the order.  Each piece equals its one-piece rule,
+    so every report is bit-identical to its one-R call.  A degenerate
+    annulus reports total NaN and no shells (``NeckReport.checked`` raises
+    on it) instead of failing the batch."""
+    e = seq.entries[entry]
+    delta = e.schedule(k)
+    return _neck_reports(seq.field(k), e.center, [R * delta for R in Rs], outer, order)
 
 
 def neck_energy(
@@ -517,24 +570,13 @@ def neck_energy(
     order: int = 24,
 ) -> NeckReport:
     """Unweighted energy in the annulus between the bubble scale and the
-    macroscopic scale, with its dyadic-shell breakdown."""
+    macroscopic scale, with its dyadic-shell breakdown: the one-R case of
+    ``neck_energies``, with ``inner`` (default R delta_k) overridable.
+    Raises ValueError unless 0 < inner < outer."""
     e = seq.entries[entry]
     if inner is None:
         inner = R * e.schedule(k)
-    if not (0 < inner < outer):
-        raise ValueError(f"need 0 < inner < outer, got ({inner}, {outer})")
-    u = seq.field(k)
-    edges = [inner]
-    while edges[-1] * 2 < outer:
-        edges.append(edges[-1] * 2)
-    edges.append(outer)
-    regions = list(zip(edges[:-1], edges[1:]))
-    shells = []
-    total = 0.0
-    for (a, b), val in zip(regions, _shell_energies(u, e.center, regions, order)):
-        shells.append((a, b, val))
-        total += val
-    return NeckReport(inner=inner, outer=outer, total=total, shells=shells)
+    return _neck_reports(seq.field(k), e.center, [inner], outer, order)[0].checked()
 
 
 @dataclass(frozen=True)
@@ -895,17 +937,12 @@ def quantization_report(
         entry_idx = int(
             np.argmin([np.linalg.norm(e.center - x) for e in seq.entries])
         )
-        necks: dict = {}
-        for R in cfg.neck_R:
-            necks[R] = {}
-            for k in sorted({max(0, cfg.k_max - 2), cfg.k_max - 1, cfg.k_max}):
-                try:
-                    necks[R][k] = neck_energy(
-                        seq, k, outer=cfg.neck_outer, R=R,
-                        entry=entry_idx, order=cfg.order,
-                    ).total
-                except ValueError:
-                    necks[R][k] = float("nan")  # annulus degenerate at this (R, k)
+        # one batch per k; a degenerate (R, k) annulus reads NaN
+        necks: dict = {R: {} for R in cfg.neck_R}
+        for k in sorted({max(0, cfg.k_max - 2), cfg.k_max - 1, cfg.k_max}):
+            reps = neck_energies(seq, k, cfg.neck_R, cfg.neck_outer, entry_idx, cfg.order)
+            for R, rep in zip(cfg.neck_R, reps):
+                necks[R][k] = rep.total
 
         theta_val = theta.value if theta.stable else float("nan")
         ratio = theta_val / lam0.value if theta.stable else float("nan")

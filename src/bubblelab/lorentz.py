@@ -205,9 +205,18 @@ def _row_norms(levels: np.ndarray, breaks: np.ndarray, idx: LorentzIndex) -> np.
         totals = np.sum(chunks, axis=1)
     # the root in Python floats, the C library's pow: numpy's vectorized
     # power may round differently
-    norms[live] = [t ** (1.0 / q) if isfinite(t) else float("inf")
-                   for t in totals.tolist()]
+    norms[live] = [_root(t, q) for t in totals.tolist()]
     return norms
+
+
+def _root(t: float, q: float) -> float:
+    """t ** (1/q) in Python floats, +inf where it overflows (q < 1)."""
+    if not isfinite(t):
+        return float("inf")
+    try:
+        return t ** (1.0 / q)
+    except OverflowError:
+        return float("inf")
 
 
 def rearrange(f: SampledFunction) -> RearrangementTable:

@@ -356,6 +356,18 @@ def test_lorentz_input_needs_two_columns_and_a_row(tmp_path, capsys, text, messa
     assert not (out / "table.csv").exists()
 
 
+def test_lorentz_input_with_overflowing_norm_writes_infinity(tmp_path, capsys):
+    # ||f||_{1,0.1} of these two cells overflows a float: +inf, not a traceback
+    samples = tmp_path / "samples.csv"
+    samples.write_text("value,cell_measure\n1e300,1\n1,1\n")
+    out = tmp_path / "o"
+    code = run(["lorentz", "--input", samples, "--p", 1, "--q", 0.1, "--out", out])
+    assert code == 0
+    assert "status: pass" in capsys.readouterr().out
+    assert '"norm": Infinity' in (out / "norms.json").read_text()
+    assert json.loads((out / "norms.json").read_text())["norm"] == float("inf")
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Only the bubble fit needs scipy.optimize; no other run should pay for
     importing it."""

@@ -38,6 +38,7 @@ from bubblelab.concentration import (
     _half_threshold_radius,
     _lattice,
     _profile_model,
+    _scan_probe,
     _standard_halfball_radius,
     QuantizationConfig,
     bubble_energy_constant,
@@ -46,6 +47,7 @@ from bubblelab.concentration import (
     detect_sigma,
     energy_in,
     make_sequence,
+    neck_energies,
     neck_energy,
     quantization_report,
     read_sequence_spec,
@@ -286,6 +288,12 @@ def per_probe_scan(seq, k_max, r_grid, eps0, detector, extent, spacing, order):
         if ok:
             hits.append(np.asarray(x, dtype=float))
             scores.append(score)
+    return merge_hits(hits, scores, spacing)
+
+
+def merge_hits(hits, scores, spacing):
+    """Reference cluster merge: best score first, absorbing every unused hit
+    within 1.5 lattice spacings."""
     merged, sizes, best = [], [], []
     used = [False] * len(hits)
     for i in sorted(range(len(hits)), key=lambda i: -scores[i]):
@@ -492,6 +500,176 @@ def test_nonfinite_energy_bound_drops_no_probe(bound):
     # the probes at x_1 = 1 reach the NaN nodes beyond x_1 = 0.7
     with pytest.raises(NonFiniteFieldError):
         _detect_detailed(seq, 4, [0.05, 0.15, 0.45], 1e3, "ball-energy", 1.0, 0.5, 12)
+
+
+def mask_prefilter(seq, k_max, r_grid, eps0, extent, spacing):
+    """Reference prefilter: one keep mask over every candidate, AND-ed over
+    every (radius, k) step, each step bounding every candidate."""
+    n = seq.dimension
+    us = [seq.field(k) for k in range(max(0, math.ceil(k_max / 2)), k_max + 1)]
+    candidates = _dedup_points(np.vstack(
+        [e.center for e in seq.entries] + [_lattice(n, extent, spacing)]))
+    keep = np.ones(len(candidates), dtype=bool)
+    for r in sorted(r_grid):
+        for u in us:
+            bound = _ball_energy_bound(u, candidates, r)
+            if bound is not None:
+                keep &= ~(bound < eps0 / 2)
+    return candidates[keep], us
+
+
+def recorded_scan_probes(monkeypatch) -> list:
+    """The probe of every ``_scan_probe`` call ``concentration`` makes from
+    now on."""
+    from bubblelab import concentration
+
+    probes = []
+
+    def recording(detector, radii, us, x, eps0, order):
+        probes.append(np.array(x))
+        return _scan_probe(detector, radii, us, x, eps0, order)
+
+    monkeypatch.setattr(concentration, "_scan_probe", recording)
+    return probes
+
+
+def assert_prefilter_matches_the_mask(monkeypatch, seq, k_max, r_grid, eps0,
+                                      extent=1.0, spacing=0.5, order=12):
+    """The scan against ``mask_prefilter`` followed by the same per-probe
+    scan and merge: same probes scanned in the same order, same points,
+    cluster sizes and scores, bit for bit."""
+    probes = recorded_scan_probes(monkeypatch)
+    got = _detect_detailed(seq, k_max, r_grid, eps0, "ball-energy", extent, spacing, order)
+    kept, us = mask_prefilter(seq, k_max, r_grid, eps0, extent, spacing)
+    assert np.array(probes).reshape(-1, seq.dimension).tobytes() == kept.tobytes()
+    hits, scores = [], []
+    for x in kept:
+        ok, score = _scan_probe("ball-energy", sorted(r_grid), us, x, eps0, order)
+        if ok:
+            hits.append(x)
+            scores.append(score)
+    want = merge_hits(hits, scores, spacing)
+    assert [p.tobytes() for p in got[0]] == [p.tobytes() for p in want[0]]
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    monkeypatch.undo()
+    return got, kept
+
+
+def tower(n, count):
+    bases = (4.0, 16.0, 64.0)[:count]
+    return make_sequence([(np.zeros(n), b, 1.0) for b in bases], budget=1e4, n=n)
+
+
+CRITERION_7_K_MAX = {3: 10, 4: 8, 5: 8}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_survivor_prefilter_matches_the_all_candidates_mask(n, N, monkeypatch):
+    # the criterion-7 cells at the pipeline's threshold, one that stops
+    # probes at different steps and one that keeps lattice hits (n = 3)
+    seq = tower(n, N)
+    cfg = QuantizationConfig(k_max=CRITERION_7_K_MAX[n])
+    for eps0 in (lambda0_oracle(n) / 20, 1e-3, 1e-9):
+        got, kept = assert_prefilter_matches_the_mask(
+            monkeypatch, seq, cfg.k_max, cfg.r_grid, eps0, cfg.lattice_extent,
+            cfg.lattice_spacing, cfg.detection_order)
+        assert len(got[0]) >= 1 and len(kept) >= 1
+
+
+def test_survivor_prefilter_matches_the_mask_with_two_centers(monkeypatch):
+    seq = make_sequence([([0.25, 0, 0], 4.0, 1.0), ([-0.25, 0, 0], 16.0, -1.0)],
+                        budget=1e4, n=3)
+    for eps0 in (lambda0_oracle(3) / 20, 1e-3, 1e-9):
+        got, _ = assert_prefilter_matches_the_mask(
+            monkeypatch, seq, 6, [0.05, 0.15, 0.45], eps0)
+        assert sum(got[1]) >= 2  # both centers hit, one cluster 0.5 wide
+
+
+class NaNBoundBeyond(BubbleConfiguration):
+    """Knows no finite energy bound where x_1 > 0.7: NaN there."""
+
+    def ball_sup(self, xs, r):
+        sup_u, sup_g = super().ball_sup(xs, r)
+        far = xs[:, 0] > 0.7
+        return np.where(far, np.nan, sup_u), np.where(far, np.nan, sup_g)
+
+
+class NaNBoundSequence(ConcentrationSequence):
+    def field(self, k):
+        base = super().field(k)
+        return NaNBoundBeyond(base.bubbles, base.weights)
+
+
+def test_survivor_prefilter_keeps_probes_with_nan_bounds(monkeypatch):
+    seq = NaNBoundSequence(3, tower(3, 2).entries, budget=1e4)
+    for eps0 in (lambda0_oracle(3) / 20, 1e-9):
+        _, kept = assert_prefilter_matches_the_mask(
+            monkeypatch, seq, 6, [0.05, 0.15, 0.45], eps0)
+        # the 25 lattice probes at x_1 = 1 have NaN bounds: none is dropped
+        assert np.count_nonzero(kept[:, 0] > 0.7) == 25
+
+
+class BoundedByZero(BubbleConfiguration):
+    """Claims a zero energy bound everywhere."""
+
+    def ball_sup(self, xs, r):
+        return np.zeros(len(xs)), np.zeros(len(xs))
+
+
+class EmptiedAtLastK(ConcentrationSequence):
+    """Its last field, k = 6, bounds every probe by zero."""
+
+    def field(self, k):
+        base = super().field(k)
+        return BoundedByZero(base.bubbles, base.weights) if k == 6 else base
+
+
+def test_survivor_prefilter_empties_mid_loop(monkeypatch):
+    from bubblelab import concentration
+
+    seq = EmptiedAtLastK(3, tower(3, 2).entries, budget=1e4)
+    bounded = []
+    original = concentration._ball_energy_bound
+
+    def recording(u, xs, r):
+        bounded.append(len(xs))
+        return original(u, xs, r)
+
+    monkeypatch.setattr(concentration, "_ball_energy_bound", recording)
+    got, kept = assert_prefilter_matches_the_mask(
+        monkeypatch, seq, 6, [0.05, 0.15, 0.45], 1e-9)
+    assert got == ([], [], []) and len(kept) == 0
+    # four fields (k = 3..6) per radius: the fourth step of the first radius
+    # empties the set, and the eight steps after it bound no probe
+    assert len(bounded) == 12 and bounded[4:] == [0] * 8 and bounded[3] == 125
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_prefilter_bounds_only_the_surviving_rows(n, monkeypatch):
+    from bubblelab import concentration
+
+    calls = []
+    original = concentration._ball_energy_bound
+
+    def recording(u, xs, r):
+        bound = original(u, xs, r)
+        calls.append((np.array(xs), bound))
+        return bound
+
+    monkeypatch.setattr(concentration, "_ball_energy_bound", recording)
+    seq = tower(n, 3)
+    eps0 = lambda0_oracle(n) / 20
+    _detect_detailed(seq, 8, [0.05, 0.15, 0.45], eps0, "ball-energy", 1.0, 0.5, 12)
+    candidates = mask_prefilter(seq, 8, [0.05, 0.15, 0.45], eps0, 1.0, 0.5)[0]
+    assert len(calls) == 3 * 5  # (radius, k) steps, k = 4..8
+    assert len(calls[0][0]) == 5**n
+    for (xs, bound), (nxt, _) in zip(calls[:-1], calls[1:]):
+        assert nxt.tobytes() == xs[~(bound < eps0 / 2)].tobytes()
+    assert calls[-1][0][~(calls[-1][1] < eps0 / 2)].tobytes() == candidates.tobytes()
+    # after the first step only the shared center is left
+    assert [len(xs) for xs, _ in calls[1:]] == [1] * (len(calls) - 1)
 
 
 class ShiftedBubble(Bubble):
@@ -814,6 +992,84 @@ def test_neck_matches_per_rule_loop(n):
             assert rep.shells == shells
             assert rep.total == total
             assert all(type(v) is float for _, _, v in rep.shells)
+
+
+def shell_order_total(shells):
+    """A neck total summed shell by shell, innermost first."""
+    total = 0.0
+    for _, _, val in shells:
+        total += val
+    return total
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_neck_batch_matches_one_rule_per_shell(n):
+    # R = 3000 leaves no annulus at k = 4 (inner 11.7 > 0.5) and one at
+    # k = 8 (inner 0.046)
+    Rs = (10.0, 100.0, 3000.0)
+    seqs = [tower(n, N) for N in (1, 2, 3)] + [make_sequence(
+        [(0.25 * np.eye(n)[0], 4.0, 1.0), (-0.25 * np.eye(n)[0], 16.0, -1.0)],
+        budget=1e4, n=n)]
+    for seq in seqs:
+        for k in (4, 8):
+            reps = neck_energies(seq, k, Rs)
+            delta = seq.entries[0].schedule(k)
+            assert [rep.inner for rep in reps] == [R * delta for R in Rs]
+            for R, rep in zip(Rs, reps):
+                if R * delta >= 0.5:
+                    assert math.isnan(rep.total) and rep.shells == []
+                    with pytest.raises(ValueError, match="need 0 < inner < outer"):
+                        neck_energy(seq, k, R=R)
+                    with pytest.raises(ValueError, match="need 0 < inner < outer"):
+                        rep.checked()
+                    continue
+                one = neck_energy(seq, k, R=R)
+                assert rep.shells == one.shells and rep.total == one.total
+                assert rep.checked() is rep
+                shells, _ = per_rule_neck(seq, k, R, 0.5)
+                assert rep.shells == shells
+                assert rep.total == shell_order_total(shells)
+        assert math.isnan(neck_energies(seq, 4, Rs)[2].total)
+
+
+def test_neck_batch_of_no_annulus_and_of_no_R():
+    seq = tower(3, 1)
+    reps = neck_energies(seq, 2, [100.0, -1.0, float("nan")])
+    assert all(math.isnan(rep.total) and rep.shells == [] for rep in reps)
+    assert neck_energies(seq, 2, []) == []
+
+
+def test_report_takes_one_neck_batch_per_k(monkeypatch):
+    from bubblelab import concentration
+
+    batches = []
+    original = concentration._shell_energies
+
+    def recording(u, x, regions, order):
+        batches.append(list(regions))
+        return original(u, x, regions, order)
+
+    monkeypatch.setattr(concentration, "_shell_energies", recording)
+    seq = tower(3, 2)
+    cfg = QuantizationConfig(k_max=8, neck_R=(10.0, 100.0, 3000.0))
+    rep = quantization_report(seq, cfg)
+    monkeypatch.undo()
+    assert len(rep.points) == 1
+    # a neck batch is the one whose shells reach neck_outer; three k, each
+    # with every R that has an annulus (R = 3000 has none at k = 6)
+    necks = [b for b in batches if any(hi == cfg.neck_outer for _, hi in b)]
+    assert len(necks) == 3
+    assert [sum(hi == cfg.neck_outer for _, hi in b) for b in necks] == [2, 3, 3]
+    got = rep.points[0].necks
+    assert list(got) == list(cfg.neck_R)
+    for R in cfg.neck_R:
+        assert list(got[R]) == [6, 7, 8]
+        for k in (6, 7, 8):
+            if R * seq.entries[0].schedule(k) >= cfg.neck_outer:
+                assert math.isnan(got[R][k])
+            else:
+                assert got[R][k] == neck_energy(seq, k, R=R).total
+    assert math.isnan(got[3000.0][6]) and not math.isnan(got[3000.0][7])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

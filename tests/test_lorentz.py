@@ -150,6 +150,17 @@ def test_nesting_between_secondary_indices(vals, q2):
     assert lorentz_norm(f, LorentzIndex(p, float("inf"))) <= weak_bound * (1 + 1e-10)
 
 
+def test_overflowing_root_is_infinite():
+    # q < 1: the sum ~ 1e31 is finite, its root sum ** (1/q) ~ 1e310 is not
+    idx = LorentzIndex(1.0, 0.1)
+    f = sampled([1e300, 1.0])
+    assert lorentz_norm(f, idx) == math.inf
+    assert lorentz_norm(rearrange(f), idx) == math.inf
+    # a root that fits is the Python-float power of the closed-form sum
+    total = 1e20 ** 0.1 * 10.0 + 1.0 * 10.0 * (2.0**0.1 - 1.0)
+    assert lorentz_norm(sampled([1e20, 1.0]), idx) == pytest.approx(total**10, rel=1e-12)
+
+
 def test_invalid_indices_rejected():
     with pytest.raises(ValueError):
         LorentzIndex(0.0, 2.0)
