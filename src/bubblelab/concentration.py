@@ -16,18 +16,18 @@ Two energy densities appear side by side:
 * the unweighted density  |grad u|^2 + |u|^(2n/(n-2))  entering the
   quantization bookkeeping (``bubbling_energy``, necks, Theta, Lambda_0).
 
-The ball-energy detection scan first rejects, without any quadrature,
+The ball-energy detector reads only the smallest radius of ``r_grid``: its
+density is nonnegative, so the energy of B(x, r) grows with r.  E(x, r)
+grows with r only for exact solutions, so the monotonicity detector reads
+every radius.  The ball-energy scan first rejects, without any quadrature,
 every probe whose closed-form energy bound (``ScalarField.ball_sup``:
-``(sup|grad u|^2 + sup|u|^p) |B_r|``) falls below ``eps0 / 2`` at some
-(radius, k) step.  Such a probe's value at that step is below ``eps0``:
-rule weights are positive and sum to ``|B_r|`` within 1e-10, and the
-factor 2 covers all rounding.  So it is a miss, and since only hits keep
-scores, hits, scores and cluster sizes are exactly those of the full scan.
-Off the concentration set this rejects almost every lattice probe.  The
-probes left, and every probe of the monotonicity detector (E(x, r) is not
-bounded by the ball energy), run the per-probe loop, leaving the scan at
-the first value below the threshold: one piece batch over the radii per
-field for the ball energy, one ``energy_E`` per step otherwise.
+``(sup|grad u|^2 + sup|u|^p) |B_r|``) falls below ``eps0 / 2`` at some k.
+Such a probe's value there is below ``eps0`` (rule weights are positive
+and sum to ``|B_r|`` within 1e-10; the factor 2 covers rounding), so it is
+a miss, and only hits keep scores.  Off the concentration set this rejects
+almost every lattice probe.  The probes left, and every probe of the
+monotonicity detector, run the per-probe loop, one value per (radius, k)
+step, leaving it at the first value below the threshold.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .fields import (
     _finest_scale,
     _layout,
     _pts,
+    _shell_energies,
     ball_rule_for,
     shell_pieces_for,
 )
@@ -104,7 +105,7 @@ class BudgetError(ValueError):
 class BubbleConstant:
     """Lambda_0 = ||grad U||_2^2 + ||U||_{2n/(n-2)}^{2n/(n-2)} over R^n.
 
-    Computed by paneled radial Gauss quadrature on [0, r_pivot] plus the
+    Computed by paneled radial Gauss quadrature on [0, 16] plus the
     substituted exact tail integral; never hard-coded.  ``error_bound`` is
     the observed change under doubling the radial order.
     """
@@ -129,8 +130,9 @@ def _bubble_density_1d(n: int) -> Callable[[np.ndarray], np.ndarray]:
     return dens
 
 
-def _radial_integral(dens, n: int, order: int, r_pivot: float = 16.0) -> float:
+def _radial_integral(dens, n: int, order: int) -> float:
     """surf(S^{n-1}) * int_0^inf dens(r) r^(n-1) dr with an exact tail map."""
+    r_pivot = 16.0
     x, w = gauss_legendre(order)
     edges = [0.0]
     h = 1.0 / 64
@@ -149,7 +151,9 @@ def _radial_integral(dens, n: int, order: int, r_pivot: float = 16.0) -> float:
     return unit_sphere_area(n) * total
 
 
+@cache
 def bubble_energy_constant(n: int, radial_order: int = 64) -> BubbleConstant:
+    """Lambda_0 in dimension ``n``; cached, as ``BubbleConstant`` is frozen."""
     if n < 3:
         raise ValueError("need n >= 3")
     dens = _bubble_density_1d(n)
@@ -195,7 +199,6 @@ class ConcentrationSequence:
         entries: Sequence[SequenceEntry],
         budget: float,
         description: str = "",
-        k_check: int = 8,
     ):
         if n < 3:
             raise ValueError("need n >= 3")
@@ -205,9 +208,10 @@ class ConcentrationSequence:
         self.entries = list(entries)
         self.budget = float(budget)
         self.description = description
-        self._validate_schedules(k_check)
+        self._validate_schedules()
 
-    def _validate_schedules(self, k_check: int) -> None:
+    def _validate_schedules(self) -> None:
+        k_check = 8
         for e in self.entries:
             d = np.array([e.schedule(k) for k in range(k_check + 1)])
             if np.any(d <= 0):
@@ -296,22 +300,9 @@ def _weighted_density(u: ScalarField):
     return dens
 
 
-def _unweighted_density(u: ScalarField):
-    terms = _energy_terms(u)
-    return lambda pts: np.add(*terms(pts))
-
-
 def energy_in(u: ScalarField, rule: QuadratureRule, threads: int | None = None) -> float:
     """Weighted energy  int e(u)  over the rule's region; nonnegative."""
     return integrate(rule, _weighted_density(u), threads=threads)
-
-
-def _shell_energies(u: ScalarField, x, regions, order: int) -> list[float]:
-    """``bubbling_energy`` over each (inner, outer) region about ``x``,
-    integrated as one piece batch."""
-    dens = _unweighted_density(u)
-    pieces = shell_pieces_for(u, x, regions, order)
-    return integrate_pieces(pieces, lambda pts: (dens(pts),))[:, 0].tolist()
 
 
 def bubbling_energy(
@@ -348,13 +339,13 @@ def _ball_energy_bound(u: ScalarField, xs: np.ndarray, r: float) -> Optional[np.
     return (sup_g**2 + sup_u ** (2.0 * n / (n - 2))) * (unit_ball_volume(n) * r**n)
 
 
-def _detection_quantity(detector: str, u: ScalarField, x, radii, order: int) -> list[float]:
-    """The detector's value about ``x`` at each of ``radii``: E(x, r) per
-    radius, or the ball energies as one piece batch."""
+def _detection_quantity(detector: str, u: ScalarField, x, r: float, order: int) -> float:
+    """The detector's value about ``x`` at radius ``r``: E(x, r) or the
+    ball energy."""
     if detector == "monotonicity":
-        return [energy_E(u, x, r, "B", order) for r in radii]
+        return energy_E(u, x, r, "B", order)
     if detector == "ball-energy":
-        return _shell_energies(u, x, [(0.0, r) for r in radii], order)
+        return bubbling_energy(u, x, r, order)
     raise ValueError(f"unknown detector {detector!r}")
 
 
@@ -362,23 +353,15 @@ def _scan_probe(
     detector: str, radii: Sequence[float], us: Sequence[ScalarField], x, eps0: float,
     order: int,
 ) -> tuple[bool, float]:
-    """One probe through the (radius, field) steps, radius-major, until a
-    value falls below ``eps0``; returns (passed, minimum value seen).
-
-    A ball-energy probe takes every radius of a field in one piece batch
-    when it first reaches that field; each piece equals its one-ball rule,
-    so the values are those of one rule per step.  E(x, r) is taken one
-    step at a time."""
-    batches: dict[int, list[float]] = {}
+    """One probe through the (radius, field) steps, radius-major, one
+    ``_detection_quantity`` per step, until a value falls below ``eps0``;
+    returns (passed, minimum value seen).  ``_detect_detailed`` passes the
+    ball-energy detector only its smallest radius, since ball energies grow
+    with r, and the monotonicity detector every radius."""
     score = np.inf
-    for i, r in enumerate(radii):
-        for j, u in enumerate(us):
-            if detector == "ball-energy":
-                if j not in batches:
-                    batches[j] = _detection_quantity(detector, u, x, radii, order)
-                q = batches[j][i]
-            else:
-                q = _detection_quantity(detector, u, x, [r], order)[0]
+    for r in radii:
+        for u in us:
+            q = _detection_quantity(detector, u, x, r, order)
             score = min(score, q)
             if q < eps0:
                 return False, score
@@ -398,25 +381,28 @@ def _detect_detailed(
     k_max: int,
     r_grid: Sequence[float],
     eps0: float,
-    detector: str = "monotonicity",
-    lattice_extent: float = 1.0,
-    lattice_spacing: float = 0.5,
-    order: int = 16,
+    detector: str,
+    lattice_extent: float,
+    lattice_spacing: float,
+    order: int,
 ):
     """Scan declared centers + lattice, each point once; liminf surrogate =
     min over the top half of the k range.  Returns (points, cluster sizes,
     scores).
 
+    The ball-energy detector reads only the smallest radius of ``r_grid``:
+    the ball energy grows with r, so that radius decides every hit and
+    holds the minimum value.  Its quadrature values keep that order while
+    the rules resolve the field, which an off-center bubble can break.
+    E(x, r) grows only for exact solutions: the monotonicity detector reads
+    every radius.
+
     With the ball-energy detector, a probe whose closed-form energy bound
-    (``_ball_energy_bound``) is below ``eps0 / 2`` at any (radius, k) step
-    is dropped before any rule or quadrature: its exact value there
-    is below ``eps0`` (the rule weights sum to ``|B_r|`` within 1e-10, and
-    the factor 2 covers rounding), so it cannot be a hit, and only hits
-    carry scores.  Each step bounds only the probes that passed every
-    earlier step: a row's bound depends on that row alone, so the probes
-    left, and their order, are those of one mask over every step.  A NaN
-    or infinite bound drops nothing.  Every probe left, and every probe of
-    the monotonicity detector, is scanned by ``_scan_probe``."""
+    (``_ball_energy_bound``) is below ``eps0 / 2`` at any k is dropped
+    before any quadrature (see the module docstring); each k bounds only
+    the probes left, and a NaN or infinite bound drops nothing.  Every
+    probe left, and every probe of the monotonicity detector, is scanned
+    by ``_scan_probe``."""
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     n = seq.dimension
@@ -425,8 +411,8 @@ def _detect_detailed(
     candidates = _dedup_points(np.vstack(
         [e.center for e in seq.entries] + [_lattice(n, lattice_extent, lattice_spacing)]))
     radii = sorted(r_grid)  # smallest radius fails fastest off-points
-
     if detector == "ball-energy":
+        radii = radii[:1]  # the ball energy grows with r
         for r in radii:
             for u in us:
                 bound = _ball_energy_bound(u, candidates, r)
@@ -472,7 +458,9 @@ def detect_sigma(
     order: int = 16,
 ) -> list[np.ndarray]:
     """Points where the chosen local energy stays >= eps0 for every radius
-    in ``r_grid`` along the tail of the sequence."""
+    in ``r_grid`` along the tail of the sequence: the ball-energy detector
+    reads only the smallest, as ball energies grow with r, and the
+    monotonicity detector every one (see ``_detect_detailed``)."""
     points, _, _ = _detect_detailed(
         seq, k_max, r_grid, eps0, detector, lattice_extent, lattice_spacing, order
     )
@@ -650,7 +638,9 @@ class QuantizationConfig:
     ball-energy detector is the default because its single-bubble limit is
     the full Lambda_0 in every dimension, leaving a wide stable threshold
     band; the monotonicity detector (whose single-bubble limit decays like
-    1/(2n)) remains available.
+    1/(2n)) remains available.  Ball energies grow with r, so the ball-energy
+    detector reads only the smallest radius of ``r_grid``; E(x, r) grows
+    only for exact solutions, so the monotonicity detector reads them all.
     """
 
     k_max: int = 8

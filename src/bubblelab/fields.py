@@ -701,6 +701,14 @@ def _energy_terms(u: ScalarField):
     return terms
 
 
+def _shell_energies(u: ScalarField, x, regions, order: int) -> list[float]:
+    """Unweighted energy int (|grad u|^2 + |u|^(2n/(n-2))) over each
+    (inner, outer) region about ``x``, integrated as one piece batch."""
+    terms = _energy_terms(u)
+    pieces = shell_pieces_for(u, x, regions, order)
+    return integrate_pieces(pieces, lambda pts: (np.add(*terms(pts)),))[:, 0].tolist()
+
+
 def weak_residual(
     u: ScalarField,
     phi: ScalarTestFunction,
@@ -850,7 +858,6 @@ def bump_adapted_rule(
     u: ScalarField,
     phi: ScalarTestFunction | VectorTestFunction,
     order: int = 16,
-    margin: float = 1.0 + 1e-9,
 ) -> QuadratureRule:
     """Ball rule adapted to a compactly supported test function.
 
@@ -866,7 +873,7 @@ def bump_adapted_rule(
     single_bump = isinstance(phi, ScalarTestFunction) and len(phi.atoms) == 1
     symmetry, axis = _layout(u, center) if single_bump else ("full", None)
     return build_shell_pieces(
-        u.dimension, center, [(0.0, radius * margin)], order, symmetry, axis,
+        u.dimension, center, [(0.0, radius * (1.0 + 1e-9))], order, symmetry, axis,
         polar_order=max(4 * order, 64), radial_panels=[edge_panels],
     ).rule(0)
 

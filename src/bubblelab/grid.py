@@ -452,14 +452,14 @@ def _gauss_intervals(
 
 
 def geometric_panels(
-    inner: float, outer: float, finest: float | None, max_panels: int = 80
+    inner: float, outer: float, finest: float | None
 ) -> list[float] | None:
     """Panel break radii refining geometrically toward ``inner``.
 
     ``finest`` is the smallest feature scale the integrand carries near the
     region's center; panels are doubled from that scale outward so a fixed
-    Gauss order per panel resolves every octave.  Returns None when a single
-    panel suffices.
+    Gauss order per panel resolves every octave, up to 80 breaks.  Returns
+    None when a single panel suffices.
     """
     if finest is None or not np.isfinite(finest) or finest <= 0:
         return None
@@ -467,7 +467,7 @@ def geometric_panels(
         return None
     edges = []
     h = finest / 4
-    while inner + h < outer and len(edges) < max_panels:
+    while inner + h < outer and len(edges) < 80:
         edges.append(inner + h)
         h *= 2.0
     return edges

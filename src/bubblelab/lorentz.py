@@ -313,24 +313,23 @@ def sample_radial(
     inner: float,
     outer: float,
     count: int,
-    log_spacing: bool = True,
 ) -> SampledFunction:
     """Sample a radial profile on spherical shells of R^n.
 
-    Cell i is the shell between consecutive radii; its measure is the exact
-    shell volume and its value is the profile at the geometric midpoint.
+    Cell i is the shell between consecutive radii, log-spaced unless inner
+    is 0; its measure is the exact shell volume and its value is the profile
+    at the geometric midpoint (the arithmetic one when inner is 0).
     """
     if not (0 <= inner < outer) or count < 1:
         raise ValueError("need 0 <= inner < outer and count >= 1")
-    if log_spacing and inner > 0:
+    if inner > 0:
         edges = np.geomspace(inner, outer, count + 1)
+        mids = np.sqrt(edges[1:] * edges[:-1])
     else:
         edges = np.linspace(inner, outer, count + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])
     vol = unit_ball_volume(n)
     measures = vol * (edges[1:] ** n - edges[:-1] ** n)
-    mids = np.sqrt(edges[1:] * edges[:-1]) if inner > 0 else 0.5 * (
-        edges[1:] + edges[:-1]
-    )
     values = np.asarray(u_of_r(mids), dtype=float)
     return SampledFunction(values, measures)
 
@@ -359,7 +358,6 @@ def tail_decay_check(
     u: ScalarField,
     inner: float,
     outer: float,
-    radial_count: int = 4096,
     center=None,
 ) -> TailDecayReport:
     """Measure sup |x|^(n/2)|grad u| and the weak-L2 norm of |grad u| on the
@@ -368,10 +366,10 @@ def tail_decay_check(
         raise ValueError("need 0 < inner < outer")
     n = u.dimension
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    # a field radial about the center is sampled on one finely paneled ray;
+    # a field radial about the center is sampled on one ray in 255 panels;
     # any other takes the layout ``annulus_rule_for`` picks for it
     if _layout(u, c)[0] == "radial":
-        panels = list(np.geomspace(inner, outer, max(radial_count // 16, 2))[1:-1])
+        panels = list(np.geomspace(inner, outer, 256)[1:-1])
         rule = build_shell_pieces(n, c, [(inner, outer)], 16, "radial",
                                   radial_panels=[panels]).rule(0)
     else:

@@ -35,6 +35,7 @@ from .fields import (
     ScalarField,
     _energy_terms,
     _pts,
+    _shell_energies,
     ball_rule_for,
     shell_pieces_for,
     sphere_pieces_for,
@@ -213,8 +214,7 @@ def energy_bound_check(
     """
     if not (0 < r < r0 / 2):
         raise ValueError("need 0 < r < r0/2")
-    terms = _energy_terms(u)
-    lhs = integrate(ball_rule_for(u, x, r, order), lambda pts: np.add(*terms(pts)))
+    lhs = _shell_energies(u, x, [(0.0, r)], order)[0]
     e = energy_E(u, x, r, "B", order)
     if abs(e) <= atol:
         if lhs <= atol:
@@ -251,7 +251,6 @@ def eps_regularity_check(
     r: float,
     epsilon: float,
     order: int = 32,
-    sample_order: int = 12,
 ) -> RegularityReport:
     """Check the hypothesis int_{B(x0,r0)}(|grad u|^2 + |u|^p) <= epsilon and,
     when it holds, measure sup |u| over a dense sample of B(x0, r/2)."""
@@ -259,17 +258,15 @@ def eps_regularity_check(
         raise ValueError("need 0 < r < r0")
     n = u.dimension
     x0 = _pts(x0, n)[0][0]
-    terms = _energy_terms(u)
-    energy = integrate(ball_rule_for(u, x0, r0, order), lambda pts: np.add(*terms(pts)))
+    energy = _shell_energies(u, x0, [(0.0, r0)], order)[0]
     if energy > epsilon:
         return RegularityReport(
             center=x0, r0=r0, r=r, epsilon=epsilon, energy=energy,
             applicable=False, sup_u=float("nan"), c_meas=float("nan"),
         )
-    # dense sample: the center and the quadrature nodes of a rule on the
+    # dense sample: the center and the nodes of an order-12 rule on the
     # half ball, streamed in blocks
-    sample = shell_pieces_for(u, x0, [(0.0, r / 2)], sample_order,
-                              angular_order=sample_order)
+    sample = shell_pieces_for(u, x0, [(0.0, r / 2)], 12, angular_order=12)
     size = int(sample.sizes[0])
     peaks = [np.abs(u.evaluate(x0[None, :]))[0]]
     for c in range(0, size, _BLOCK_NODES):

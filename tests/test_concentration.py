@@ -92,6 +92,17 @@ def test_bubble_constant_stable_under_doubling():
     assert b.value == pytest.approx(a.value, rel=1e-6)
 
 
+def test_bubble_constant_is_computed_once_per_order():
+    # frozen, so one object serves every caller of the same (n, order)
+    assert bubble_energy_constant(4, 32) is bubble_energy_constant(4, 32)
+    assert bubble_energy_constant(4, 32) is not bubble_energy_constant(4, 64)
+    # and equals a fresh computation
+    assert bubble_energy_constant.__wrapped__(4, 32) == bubble_energy_constant(4, 32)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="n >= 3"):
+            bubble_energy_constant(2, 32)
+
+
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -641,9 +652,9 @@ def test_survivor_prefilter_empties_mid_loop(monkeypatch):
     got, kept = assert_prefilter_matches_the_mask(
         monkeypatch, seq, 6, [0.05, 0.15, 0.45], 1e-9)
     assert got == ([], [], []) and len(kept) == 0
-    # four fields (k = 3..6) per radius: the fourth step of the first radius
-    # empties the set, and the eight steps after it bound no probe
-    assert len(bounded) == 12 and bounded[4:] == [0] * 8 and bounded[3] == 125
+    # four fields (k = 3..6) at the smallest radius only: the fourth step
+    # empties the set
+    assert bounded == [125] * 4
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -663,13 +674,74 @@ def test_prefilter_bounds_only_the_surviving_rows(n, monkeypatch):
     eps0 = lambda0_oracle(n) / 20
     _detect_detailed(seq, 8, [0.05, 0.15, 0.45], eps0, "ball-energy", 1.0, 0.5, 12)
     candidates = mask_prefilter(seq, 8, [0.05, 0.15, 0.45], eps0, 1.0, 0.5)[0]
-    assert len(calls) == 3 * 5  # (radius, k) steps, k = 4..8
+    assert len(calls) == 5  # one step per k = 4..8, at the smallest radius
     assert len(calls[0][0]) == 5**n
     for (xs, bound), (nxt, _) in zip(calls[:-1], calls[1:]):
         assert nxt.tobytes() == xs[~(bound < eps0 / 2)].tobytes()
     assert calls[-1][0][~(calls[-1][1] < eps0 / 2)].tobytes() == candidates.tobytes()
     # after the first step only the shared center is left
     assert [len(xs) for xs, _ in calls[1:]] == [1] * (len(calls) - 1)
+
+
+def recorded_detection_steps(monkeypatch) -> list:
+    """(probe, radius, field) of every ``_detection_quantity`` call
+    ``concentration`` makes from now on."""
+    from bubblelab import concentration
+
+    steps = []
+    original = concentration._detection_quantity
+
+    def recording(detector, u, x, r, order):
+        steps.append((np.array(x).tobytes(), r, u))
+        return original(detector, u, x, r, order)
+
+    monkeypatch.setattr(concentration, "_detection_quantity", recording)
+    return steps
+
+
+@pytest.mark.parametrize("r_grid", [(0.05, 0.15, 0.45), (0.45, 0.05, 0.15)])
+def test_ball_energy_scan_reads_only_the_smallest_radius(r_grid, monkeypatch):
+    steps = recorded_detection_steps(monkeypatch)
+    seq = tower(3, 2)
+    for eps0 in (lambda0_oracle(3) / 20, 1e-9):
+        steps.clear()
+        _, sizes, _ = _detect_detailed(seq, 6, r_grid, eps0, "ball-energy", 1.0, 0.5, 12)
+        assert steps and [r for _, r, _ in steps] == [min(r_grid)] * len(steps)
+        # one step per (probe, k) pair the scan reaches, none repeated
+        assert len({(x, id(u)) for x, _, u in steps}) == len(steps)
+    assert sum(sizes) == 5**3  # at eps0 = 1e-9 every probe is a hit
+
+
+def test_monotonicity_scan_reads_every_radius_radius_major(monkeypatch):
+    steps = recorded_detection_steps(monkeypatch)
+    seq = tower(3, 1)
+    r_grid = (0.15, 0.05)
+    _detect_detailed(seq, 4, r_grid, 1e-9, "monotonicity", 0.5, 0.5, 12)
+    probes = {x for x, _, _ in steps}
+    assert len(probes) == 3**3
+    us = [u for _, _, u in steps[:3]]  # k = 2, 3, 4
+    for probe in probes:
+        taken = [(r, u) for x, r, u in steps if x == probe]
+        assert taken == [(r, u) for r in (0.05, 0.15) for u in us]
+
+
+@pytest.mark.parametrize("seq, k_max", [
+    pytest.param(tower(3, 3), 10, id="criterion-7-tower"),
+    pytest.param(make_sequence([([0.25, 0, 0], 4.0, 1.0), ([-0.25, 0, 0], 16.0, 1.0)],
+                               budget=1e4, n=3), 6, id="two-centers"),
+])
+def test_quadrature_ball_energy_grows_with_the_radius(seq, k_max):
+    # the one-radius ball-energy scan relies on this order of the values it
+    # reads: at every probe and every scanned k, at the detection order
+    cfg = QuantizationConfig(k_max=k_max)
+    probes = _dedup_points(np.vstack([e.center for e in seq.entries] + [
+        _lattice(3, cfg.lattice_extent, cfg.lattice_spacing)]))
+    assert sorted(cfg.r_grid) == [0.05, 0.15, 0.45]
+    for k in range(math.ceil(k_max / 2), k_max + 1):
+        u = seq.field(k)
+        for x in probes:
+            e = [bubbling_energy(u, x, r, cfg.detection_order) for r in sorted(cfg.r_grid)]
+            assert e[0] <= e[1] <= e[2], (k, x.tolist(), e)
 
 
 class ShiftedBubble(Bubble):
@@ -1193,17 +1265,18 @@ def test_quantization_report_computes_each_ball_energy_once(monkeypatch):
 
 
 def recorded_piece_batches(monkeypatch) -> list:
-    """The regions of every piece batch ``concentration`` builds from now on."""
-    from bubblelab import concentration
+    """The regions of every piece batch ``fields._shell_energies`` builds
+    from now on."""
+    from bubblelab import fields
 
     batches = []
-    original = concentration.shell_pieces_for
+    original = fields.shell_pieces_for
 
     def recording(u, x, regions, *args, **kwargs):
         batches.append(regions)
         return original(u, x, regions, *args, **kwargs)
 
-    monkeypatch.setattr(concentration, "shell_pieces_for", recording)
+    monkeypatch.setattr(fields, "shell_pieces_for", recording)
     return batches
 
 
