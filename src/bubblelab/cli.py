@@ -374,9 +374,14 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output directory")
     sp.add_argument("--seed", type=int, help="RNG seed")
     sp.add_argument("--threads", type=int, help="quadrature evaluation threads")
-    sp.add_argument("--quad-order", dest="quad_order", type=int)
     sp.add_argument("--json", action="store_true", help="machine-readable stdout")
     sp.add_argument("--quiet", action="store_true", help="suppress stdout")
+
+
+def _add_quad_order(sp: argparse.ArgumentParser) -> None:
+    # only the subcommands that read cfg.quad_order take the flag
+    sp.add_argument("--quad-order", dest="quad_order", type=int,
+                    help="quadrature order of the energy integrals")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,6 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("residual", help="pointwise and Pohozaev residuals")
     _add_common(sp)
+    _add_quad_order(sp)
     sp.add_argument("--delta", type=float, default=1.0, help="bubble scale")
     sp.add_argument("--center", type=float, nargs="+", help="bubble center")
     sp.add_argument("--constant", type=float, help="use a constant field instead")
@@ -400,6 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("monotonicity", help="local energy profile checks")
     _add_common(sp)
+    _add_quad_order(sp)
     sp.add_argument("--delta", type=float, default=1.0)
     sp.add_argument("--center", type=float, nargs="+")
     sp.add_argument("--constant", type=float)
@@ -426,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("neck", help="annulus energy between scales")
     _add_common(sp)
+    _add_quad_order(sp)
     sp.add_argument("--base", type=float, default=10.0, help="scale schedule base")
     sp.add_argument("--k", type=int, nargs="+", default=[3])
     sp.add_argument("--R", type=float, nargs="+", default=[10.0, 30.0, 100.0])

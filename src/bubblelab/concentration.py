@@ -16,24 +16,24 @@ Two energy densities appear side by side:
 * the unweighted density  |grad u|^2 + |u|^(2n/(n-2))  entering the
   quantization bookkeeping (``bubbling_energy``, necks, Theta, Lambda_0).
 
-The ball-energy detector reads only the smallest radius of ``r_grid``: its
-density is nonnegative, so the energy of B(x, r) grows with r.  E(x, r)
-grows with r only for exact solutions, so the monotonicity detector reads
-every radius.  The ball-energy scan first rejects, without any quadrature,
-every probe whose closed-form energy bound (``ScalarField.ball_sup``:
-``(sup|grad u|^2 + sup|u|^p) |B_r|``) falls below ``eps0 / 2`` at some k.
-Such a probe's value there is below ``eps0`` (rule weights are positive
-and sum to ``|B_r|`` within 1e-10; the factor 2 covers rounding), so it is
-a miss, and only hits keep scores.  Off the concentration set this rejects
-almost every lattice probe.  The probes left, and every probe of the
-monotonicity detector, run the per-probe loop, one value per (radius, k)
-step, leaving it at the first value below the threshold.
+Detection reads the unweighted ball energy, which is scale invariant in
+the conformal dimension, at the smallest radius of ``r_grid`` only: its
+density is nonnegative, so the energy of B(x, r) grows with r.  The scan
+first rejects, without any quadrature, every probe whose closed-form
+energy bound (``ScalarField.ball_sup``: ``(sup|grad u|^2 + sup|u|^p)
+|B_r|``) falls below ``eps0 / 2`` at some k.  Such a probe's value there
+is below ``eps0`` (rule weights are positive and sum to ``|B_r|`` within
+1e-10; the factor 2 covers rounding), so it is a miss, and only hits keep
+scores.  Off the concentration set this rejects almost every lattice
+probe.  Each probe left takes one ball energy per k, up to the first
+below the threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+import numbers
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional, Sequence
 
@@ -58,12 +58,10 @@ from .fields import (
     _energy_terms,
     _finest_scale,
     _layout,
-    _pts,
     _shell_energies,
     ball_rule_for,
     shell_pieces_for,
 )
-from .monotonicity import energy_E
 
 __all__ = [
     "BubbleConstant",
@@ -317,12 +315,23 @@ def bubbling_energy(
 # ---------------------------------------------------------------------------
 
 
-def _lattice(n: int, extent: float, spacing: float) -> np.ndarray:
-    ticks = np.arange(-extent, extent + spacing / 2, spacing)
+# The detection layout: the probe lattice spans [-_LATTICE_EXTENT,
+# _LATTICE_EXTENT]^n at _LATTICE_SPACING (5^n probes), the pipeline scans
+# the radii _R_GRID, and every detection ball energy is taken at order
+# _DETECTION_ORDER.
+_R_GRID = (0.05, 0.15, 0.45)
+_LATTICE_EXTENT = 1.0
+_LATTICE_SPACING = 0.5
+_DETECTION_ORDER = 12
+
+
+def _lattice(n: int) -> np.ndarray:
+    ticks = np.arange(-_LATTICE_EXTENT, _LATTICE_EXTENT + _LATTICE_SPACING / 2,
+                      _LATTICE_SPACING)
     if len(ticks) ** n > 100_000:
         raise ValueError(
-            f"detection lattice would hold {len(ticks)}^{n} probes; "
-            "coarsen lattice_spacing or shrink lattice_extent"
+            f"the detection lattice supports n <= 7 (5^n probes, at most 100,000); "
+            f"got n = {n}"
         )
     grids = np.meshgrid(*([ticks] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -339,33 +348,10 @@ def _ball_energy_bound(u: ScalarField, xs: np.ndarray, r: float) -> Optional[np.
     return (sup_g**2 + sup_u ** (2.0 * n / (n - 2))) * (unit_ball_volume(n) * r**n)
 
 
-def _detection_quantity(detector: str, u: ScalarField, x, r: float, order: int) -> float:
-    """The detector's value about ``x`` at radius ``r``: E(x, r) or the
-    ball energy."""
-    if detector == "monotonicity":
-        return energy_E(u, x, r, "B", order)
-    if detector == "ball-energy":
-        return bubbling_energy(u, x, r, order)
-    raise ValueError(f"unknown detector {detector!r}")
-
-
-def _scan_probe(
-    detector: str, radii: Sequence[float], us: Sequence[ScalarField], x, eps0: float,
-    order: int,
-) -> tuple[bool, float]:
-    """One probe through the (radius, field) steps, radius-major, one
-    ``_detection_quantity`` per step, until a value falls below ``eps0``;
-    returns (passed, minimum value seen).  ``_detect_detailed`` passes the
-    ball-energy detector only its smallest radius, since ball energies grow
-    with r, and the monotonicity detector every radius."""
-    score = np.inf
-    for r in radii:
-        for u in us:
-            q = _detection_quantity(detector, u, x, r, order)
-            score = min(score, q)
-            if q < eps0:
-                return False, score
-    return True, score
+def _detection_quantity(u: ScalarField, r: float, x, order: int) -> float:
+    """The ball energy of ``u`` on B(x, r).  The probe ``x`` is the third
+    argument because perfbench's tracer identifies probes by it."""
+    return bubbling_energy(u, x, r, order)
 
 
 def _dedup_points(points: np.ndarray) -> np.ndarray:
@@ -376,53 +362,47 @@ def _dedup_points(points: np.ndarray) -> np.ndarray:
     return points[np.sort(first)]
 
 
-def _detect_detailed(
-    seq: ConcentrationSequence,
-    k_max: int,
-    r_grid: Sequence[float],
-    eps0: float,
-    detector: str,
-    lattice_extent: float,
-    lattice_spacing: float,
-    order: int,
-):
+def _check_k_max(k_max) -> None:
+    if not isinstance(k_max, numbers.Integral) or k_max < 1:
+        raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+
+
+def _detect_detailed(seq: ConcentrationSequence, k_max: int, r_grid: Sequence[float],
+                     eps0: float):
     """Scan declared centers + lattice, each point once; liminf surrogate =
     min over the top half of the k range.  Returns (points, cluster sizes,
     scores).
 
-    The ball-energy detector reads only the smallest radius of ``r_grid``:
-    the ball energy grows with r, so that radius decides every hit and
-    holds the minimum value.  Its quadrature values keep that order while
-    the rules resolve the field, which an off-center bubble can break.
-    E(x, r) grows only for exact solutions: the monotonicity detector reads
-    every radius.
+    Only the smallest radius of ``r_grid`` is read: the ball energy grows
+    with r, so that radius decides every hit and holds the minimum value.
+    Its quadrature values keep that order while the rules resolve the
+    field, which an off-center bubble can break.
 
-    With the ball-energy detector, a probe whose closed-form energy bound
-    (``_ball_energy_bound``) is below ``eps0 / 2`` at any k is dropped
-    before any quadrature (see the module docstring); each k bounds only
-    the probes left, and a NaN or infinite bound drops nothing.  Every
-    probe left, and every probe of the monotonicity detector, is scanned
-    by ``_scan_probe``."""
+    A probe whose closed-form energy bound (``_ball_energy_bound``) is
+    below ``eps0 / 2`` at any k is dropped before any quadrature (see the
+    module docstring); each k bounds only the probes left, and a NaN or
+    infinite bound drops nothing."""
+    _check_k_max(k_max)
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     n = seq.dimension
-    k0 = max(0, math.ceil(k_max / 2))
-    us = [seq.field(k) for k in range(k0, k_max + 1)]
+    us = [seq.field(k) for k in range(math.ceil(k_max / 2), k_max + 1)]
     candidates = _dedup_points(np.vstack(
-        [e.center for e in seq.entries] + [_lattice(n, lattice_extent, lattice_spacing)]))
-    radii = sorted(r_grid)  # smallest radius fails fastest off-points
-    if detector == "ball-energy":
-        radii = radii[:1]  # the ball energy grows with r
-        for r in radii:
-            for u in us:
-                bound = _ball_energy_bound(u, candidates, r)
-                if bound is not None:
-                    candidates = candidates[~(bound < eps0 / 2)]
+        [e.center for e in seq.entries] + [_lattice(n)]))
+    r = min(r_grid)  # the ball energy grows with r
+    for u in us:
+        bound = _ball_energy_bound(u, candidates, r)
+        if bound is not None:
+            candidates = candidates[~(bound < eps0 / 2)]
 
     hits, scores = [], []
     for x in candidates:
-        ok, score = _scan_probe(detector, radii, us, x, eps0, order)
-        if ok:
+        score = math.inf
+        for u in us:
+            score = min(score, _detection_quantity(u, r, x, _DETECTION_ORDER))
+            if score < eps0:
+                break
+        else:
             hits.append(x)
             scores.append(score)
 
@@ -438,7 +418,7 @@ def _detect_detailed(
         members = [i]
         used[i] = True
         for j in range(len(hits)):
-            if not used[j] and np.linalg.norm(hits[i] - hits[j]) <= 1.5 * lattice_spacing:
+            if not used[j] and np.linalg.norm(hits[i] - hits[j]) <= 1.5 * _LATTICE_SPACING:
                 used[j] = True
                 members.append(j)
         merged.append(hits[i])
@@ -448,23 +428,14 @@ def _detect_detailed(
 
 
 def detect_sigma(
-    seq: ConcentrationSequence,
-    k_max: int,
-    r_grid: Sequence[float],
-    eps0: float,
-    detector: str = "monotonicity",
-    lattice_extent: float = 1.0,
-    lattice_spacing: float = 0.5,
-    order: int = 16,
+    seq: ConcentrationSequence, k_max: int, r_grid: Sequence[float], eps0: float
 ) -> list[np.ndarray]:
-    """Points where the chosen local energy stays >= eps0 for every radius
-    in ``r_grid`` along the tail of the sequence: the ball-energy detector
-    reads only the smallest, as ball energies grow with r, and the
-    monotonicity detector every one (see ``_detect_detailed``)."""
-    points, _, _ = _detect_detailed(
-        seq, k_max, r_grid, eps0, detector, lattice_extent, lattice_spacing, order
-    )
-    return points
+    """Points where the ball energy stays >= eps0 for every radius in
+    ``r_grid`` along the tail of the sequence, on the pipeline's lattice
+    and at its detection order: the points ``quantization_report`` starts
+    from.  Only the smallest radius is read, as ball energies grow with r
+    (see ``_detect_detailed``)."""
+    return _detect_detailed(seq, k_max, r_grid, eps0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -629,34 +600,34 @@ def scaled_measure(
 # ---------------------------------------------------------------------------
 
 
+# The pipeline's fixed settings: the quadrature order of Theta, extraction
+# and necks, at most _MAX_BUBBLES extractions per point, the profile fit's
+# tolerance, and the neck annuli (R delta_k, _NECK_OUTER) for each R of
+# _NECK_R.
+_REPORT_ORDER = 24
+_MAX_BUBBLES = 8
+_FIT_TOL = 1e-8
+_NECK_R = (10.0, 30.0, 100.0)
+_NECK_OUTER = 0.5
+
+
 @dataclass
 class QuantizationConfig:
-    """Pipeline thresholds and probe layout; None fields auto-resolve.
+    """Pipeline thresholds; None fields auto-resolve.
 
     eps0 defaults to Lambda_0/20 (detection + residual stop) and eps_n to
-    Lambda_0/10 (the half-threshold bubble-extraction surrogate).  The
-    ball-energy detector is the default because its single-bubble limit is
-    the full Lambda_0 in every dimension, leaving a wide stable threshold
-    band; the monotonicity detector (whose single-bubble limit decays like
-    1/(2n)) remains available.  Ball energies grow with r, so the ball-energy
-    detector reads only the smallest radius of ``r_grid``; E(x, r) grows
-    only for exact solutions, so the monotonicity detector reads them all.
+    Lambda_0/10 (the half-threshold bubble-extraction surrogate).  Points
+    are detected by ball energies, whose single-bubble limit is the full
+    Lambda_0 in every dimension, leaving a wide stable threshold band.
+    Everything else is fixed: the detection constants ``_R_GRID`` to
+    ``_DETECTION_ORDER`` and the extraction and neck constants
+    ``_REPORT_ORDER`` to ``_NECK_OUTER``.
     """
 
     k_max: int = 8
     eps0: float | None = None
     eps_n: float | None = None
-    r_grid: tuple = (0.05, 0.15, 0.45)
-    detector: str = "ball-energy"
     r_small: float = 0.05
-    lattice_extent: float = 1.0
-    lattice_spacing: float = 0.5
-    detection_order: int = 12
-    order: int = 24
-    max_bubbles: int = 8
-    fit_tol: float = 1e-8
-    neck_R: tuple = (10.0, 30.0, 100.0)
-    neck_outer: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -853,13 +824,14 @@ def quantization_report(
     """Full pipeline: detect, extract bubbles until the residual energy
     drops below threshold, tabulate necks and integer ratios."""
     cfg = config or QuantizationConfig()
+    _check_k_max(cfg.k_max)
     n = seq.dimension
     lam0 = bubble_energy_constant(n)
     eps0 = cfg.eps0 if cfg.eps0 is not None else lam0.value / 20.0
     eps_n = cfg.eps_n if cfg.eps_n is not None else lam0.value / 10.0
 
     budget_vals = seq.verify_budget(
-        sorted({0, cfg.k_max // 2, cfg.k_max}), order=cfg.detection_order
+        sorted({0, cfg.k_max // 2, cfg.k_max}), order=_DETECTION_ORDER
     )
     worst = max(budget_vals.values())
     if worst > seq.budget:
@@ -867,16 +839,13 @@ def quantization_report(
             f"sequence norm {worst:.6g} exceeds declared budget {seq.budget:.6g}"
         )
 
-    points, cluster_sizes, _ = _detect_detailed(
-        seq, cfg.k_max, cfg.r_grid, eps0, cfg.detector,
-        cfg.lattice_extent, cfg.lattice_spacing, cfg.detection_order,
-    )
+    points, cluster_sizes, _ = _detect_detailed(seq, cfg.k_max, _R_GRID, eps0)
 
     u_k = seq.field(cfg.k_max)
     reports = []
     for x, csize in zip(points, cluster_sizes):
         flags = [] if csize == 1 else [f"unresolved-cluster:{csize}"]
-        theta = theta_estimate(seq, x, cfg.r_small, cfg.k_max, cfg.order)
+        theta = theta_estimate(seq, x, cfg.r_small, cfg.k_max, _REPORT_ORDER)
         if not theta.stable:
             flags.append("theta-unstable")
 
@@ -886,23 +855,23 @@ def quantization_report(
         half_radius_unit = _standard_halfball_radius(n, eps_n / 2.0)
         # theta's r_small sample is the ball energy of u_k there
         resid_energy = theta.samples[cfg.r_small]
-        for _ in range(cfg.max_bubbles):
+        for _ in range(_MAX_BUBBLES):
             w = parts[0] if len(parts) == 1 else Superposition(parts, weights)
             if resid_energy < eps0:
                 break
-            rho = _half_threshold_radius(w, x, eps_n / 2.0, cfg.r_small, cfg.order,
+            rho = _half_threshold_radius(w, x, eps_n / 2.0, cfg.r_small, _REPORT_ORDER,
                                          resid_energy)
             if rho is None:
                 flags.append("half-threshold-not-reached")
                 break
             # the half-threshold radius of a concentrated bubble sits at a
             # known multiple of its scale; invert that for the initial guess
-            bubble, info = _fit_bubble(w, x, rho / half_radius_unit, cfg.fit_tol)
+            bubble, info = _fit_bubble(w, x, rho / half_radius_unit, _FIT_TOL)
             if not info["converged"]:
                 flags.append("fit-not-converged")
                 break
             trial = Superposition(parts + [bubble], weights + [-1.0])
-            new_energy = bubbling_energy(trial, x, cfg.r_small, cfg.order)
+            new_energy = bubbling_energy(trial, x, cfg.r_small, _REPORT_ORDER)
             if new_energy > resid_energy - 0.25 * eps_n:
                 flags.append("fit-removed-no-energy")
                 break
@@ -919,7 +888,7 @@ def quantization_report(
         # cross terms are measured, not assumed small: superposition energy
         # minus the sum of the parts' energies over the Theta ball
         part_sum = sum(
-            bubbling_energy(Superposition([b], [wt]), x, cfg.r_small, cfg.order)
+            bubbling_energy(Superposition([b], [wt]), x, cfg.r_small, _REPORT_ORDER)
             for b, wt in zip(u_k.parts, u_k.weights)
         )
         cross = theta.samples[cfg.r_small] - part_sum
@@ -928,10 +897,10 @@ def quantization_report(
             np.argmin([np.linalg.norm(e.center - x) for e in seq.entries])
         )
         # one batch per k; a degenerate (R, k) annulus reads NaN
-        necks: dict = {R: {} for R in cfg.neck_R}
+        necks: dict = {R: {} for R in _NECK_R}
         for k in sorted({max(0, cfg.k_max - 2), cfg.k_max - 1, cfg.k_max}):
-            reps = neck_energies(seq, k, cfg.neck_R, cfg.neck_outer, entry_idx, cfg.order)
-            for R, rep in zip(cfg.neck_R, reps):
+            reps = neck_energies(seq, k, _NECK_R, _NECK_OUTER, entry_idx, _REPORT_ORDER)
+            for R, rep in zip(_NECK_R, reps):
                 necks[R][k] = rep.total
 
         theta_val = theta.value if theta.stable else float("nan")
@@ -963,9 +932,9 @@ def quantization_report(
         thresholds={
             "eps0": eps0,
             "eps_n": eps_n,
-            "r_grid": list(cfg.r_grid),
+            "r_grid": list(_R_GRID),
             "r_small": cfg.r_small,
-            "detector": cfg.detector,
+            "detector": "ball-energy",
             "k_max": cfg.k_max,
         },
         budget={str(k): v for k, v in budget_vals.items()},

@@ -188,6 +188,45 @@ def test_quantize_spec_rejects_missing_n_and_unknown_keys(tmp_path, capsys, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k_max", [-1, 0])
+def test_quantize_k_max_below_one_is_usage_error(tmp_path, capsys, k_max):
+    code = run(["quantize", "--n", 3, "--bases", 4, "--k-max", k_max,
+                "--out", tmp_path / "q"])
+    assert code == 2
+    assert "k_max must be an integer >= 1" in capsys.readouterr().err
+    spec = tmp_path / "seq.ini"
+    spec.write_text(f"[sequence]\nn = 3\nk_max = {k_max}\n\n" + SPEC_BUBBLE)
+    assert run(["quantize", "--spec", spec, "--out", tmp_path / "qs"]) == 2
+    assert "k_max must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_quantize_beyond_the_detection_lattice_is_usage_error(tmp_path, capsys):
+    code = run(["quantize", "--n", 8, "--out", tmp_path / "q"])
+    assert code == 2
+    assert ("the detection lattice supports n <= 7 (5^n probes, at most 100,000)"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["quantize", "lorentz", "bubble-constant"])
+def test_quad_order_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--quad-order", 8, "--out", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-order" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["residual", "--pohozaev", 1], ["monotonicity", "--count", 4], ["neck"],
+])
+def test_quad_order_is_taken_where_it_is_read(tmp_path, command):
+    out = tmp_path / "o"
+    assert run([*command, "--n", 3, "--quad-order", 16, "--out", out, "--quiet"]) == 0
+    cp = configparser.ConfigParser()
+    cp.read(out / "effective_config.ini")
+    assert cp["run"]["quad_order"] == "16"
+
+
 def test_config_with_a_key_set_twice_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nn = 3\nn = 4\n")

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -27,7 +29,8 @@ from bubblelab.fields import (
     ball_rule_for,
     shell_pieces_for,
 )
-from bubblelab.monotonicity import energy_E, profile
+from bubblelab import concentration
+from bubblelab.monotonicity import profile
 from bubblelab.concentration import (
     BudgetError,
     ConcentrationSequence,
@@ -38,7 +41,6 @@ from bubblelab.concentration import (
     _half_threshold_radius,
     _lattice,
     _profile_model,
-    _scan_probe,
     _standard_halfball_radius,
     QuantizationConfig,
     bubble_energy_constant,
@@ -228,28 +230,15 @@ def test_detect_zero_field_empty():
     assert pts == []
 
 
-def test_detect_single_bubble_monotonicity_detector():
-    lam0 = lambda0_oracle(3)
-    pts = detect_sigma(
-        single_bubble_seq(), 8, [0.05, 0.15, 0.45], lam0 / 10, detector="monotonicity"
-    )
-    assert len(pts) == 1
-    assert np.linalg.norm(pts[0]) <= 2 * 0.45
-
-
 def test_detect_two_points_and_nothing_else():
     seq = make_sequence(
         [([0.5, 0, 0], 4.0, 1.0), ([-0.5, 0, 0], 4.0, 1.0)], budget=1e4, n=3
     )
     lam0 = lambda0_oracle(3)
-    for detector in ("monotonicity", "ball-energy"):
-        pts = sorted(
-            detect_sigma(seq, 8, [0.05, 0.15, 0.45], lam0 / 10, detector=detector),
-            key=lambda p: p[0],
-        )
-        assert len(pts) == 2
-        assert np.allclose(pts[0], [-0.5, 0, 0], atol=1e-12)
-        assert np.allclose(pts[1], [0.5, 0, 0], atol=1e-12)
+    pts = sorted(detect_sigma(seq, 8, [0.05, 0.15, 0.45], lam0 / 10), key=lambda p: p[0])
+    assert len(pts) == 2
+    assert np.allclose(pts[0], [-0.5, 0, 0], atol=1e-12)
+    assert np.allclose(pts[1], [0.5, 0, 0], atol=1e-12)
 
 
 def test_detect_stability_across_threshold_range():
@@ -264,38 +253,43 @@ def test_detect_stability_across_threshold_range():
     for seq in seqs:
         sets = []
         for eps0 in (lam0 / 5, lam0 / 10, lam0 / 20):
-            pts = detect_sigma(
-                seq, 8, [0.05, 0.15, 0.45], eps0, detector="ball-energy"
-            )
+            pts = detect_sigma(seq, 8, [0.05, 0.15, 0.45], eps0)
             sets.append(tuple(sorted(tuple(np.round(p, 8)) for p in pts)))
         assert sets[0] == sets[1] == sets[2]
 
 
-def per_probe_scan(seq, k_max, r_grid, eps0, detector, extent, spacing, order):
+def lattice(n, extent, spacing=0.5):
+    """Reference probe lattice: every point with coordinates in the ticks
+    -extent, -extent + spacing, ..., extent, the first coordinate slowest."""
+    ticks = np.arange(-extent, extent + spacing / 2, spacing)
+    return np.array(list(itertools.product(ticks, repeat=n)))
+
+
+def scan_probe(us, x, r_grid, eps0, order):
+    """Reference probe scan: (hit, minimum value seen) over every (radius,
+    field) step, radius-major, up to the first ball energy below eps0."""
+    score = np.inf
+    for r in sorted(r_grid):
+        for u in us:
+            q = bubbling_energy(u, x, r, order)
+            score = min(score, q)
+            if q < eps0:
+                return False, score
+    return True, score
+
+
+def per_probe_scan(seq, k_max, r_grid, eps0, extent, spacing, order):
     """Reference detection scan: one rule per (probe, radius, k) step."""
     n = seq.dimension
-    ks = list(range(max(0, math.ceil(k_max / 2)), k_max + 1))
-    fields = {k: seq.field(k) for k in ks}
+    us = [seq.field(k) for k in range(math.ceil(k_max / 2), k_max + 1)]
     candidates, seen = [], set()
-    for p in [e.center for e in seq.entries] + list(_lattice(n, extent, spacing)):
+    for p in [e.center for e in seq.entries] + list(lattice(n, extent, spacing)):
         if tuple(np.round(p, 10)) not in seen:
             seen.add(tuple(np.round(p, 10)))
             candidates.append(p)
     hits, scores = [], []
     for x in candidates:
-        score, ok = np.inf, True
-        for r in sorted(r_grid):
-            for k in ks:
-                if detector == "monotonicity":
-                    q = energy_E(fields[k], x, r, "B", order)
-                else:
-                    q = bubbling_energy(fields[k], x, r, order)
-                score = min(score, q)
-                if q < eps0:
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok, score = scan_probe(us, x, r_grid, eps0, order)
         if ok:
             hits.append(np.asarray(x, dtype=float))
             scores.append(score)
@@ -322,12 +316,15 @@ def merge_hits(hits, scores, spacing):
     return merged, sizes, best
 
 
-def assert_same_scan(seq, k_max, r_grid, eps0, detector="ball-energy",
-                     extent=0.5, spacing=0.5, order=12):
+def assert_same_scan(seq, k_max, r_grid, eps0, extent=0.5, order=12):
     """The scan, whose closed-form prefilter takes every probe in one batch,
-    against ``per_probe_scan``, which has no prefilter."""
-    args = (seq, k_max, r_grid, eps0, detector, extent, spacing, order)
-    got, want = _detect_detailed(*args), per_probe_scan(*args)
+    against ``per_probe_scan``, which has no prefilter, on the lattice of
+    the given extent and at the given order (3^n probes by default)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concentration, "_LATTICE_EXTENT", extent)
+        mp.setattr(concentration, "_DETECTION_ORDER", order)
+        got = _detect_detailed(seq, k_max, r_grid, eps0)
+    want = per_probe_scan(seq, k_max, r_grid, eps0, extent, 0.5, order)
     assert [p.tolist() for p in got[0]] == [p.tolist() for p in want[0]]
     assert got[1] == want[1]
     assert got[2] == want[2]
@@ -377,13 +374,6 @@ def test_batched_scan_matches_per_probe_with_one_probe_blocks():
     seq = make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4, n=3)
     for eps0 in (1e-3, 1e-13):
         assert_same_scan(seq, 2, [0.1, 0.3], eps0, order=65)
-
-
-def test_batched_scan_leaves_monotonicity_detector_alone():
-    seq = make_sequence([(np.zeros(3), 4.0, 1.0), (np.zeros(3), 16.0, 1.0)],
-                        budget=1e4, n=3)
-    for eps0 in (lambda0_oracle(3) / 40, 1e-9):
-        assert_same_scan(seq, 4, [0.05, 0.15], eps0, detector="monotonicity")
 
 
 SHARP = np.array([0.5, 0.0, 0.0])
@@ -436,14 +426,14 @@ def per_point_dedup(points):
 def test_vectorized_dedup_matches_per_point_loop():
     # entries on a lattice point, -0.0 against 0.0, rounding to one key,
     # and an off-lattice entry: same rows, signs of zero and order
-    lattice = _lattice(3, 1.0, 0.5)
+    probes = _lattice(3)
     entries = [np.array([0.5, 0.0, 0.0]), np.array([-0.0, 0.0, -0.0]),
                np.array([0.3, 0.1, -0.2]), np.array([0.3, 0.1, -0.2 + 1e-12]),
                np.array([1e-12, -1e-13, 0.0])]
-    points = np.vstack(entries + [lattice])
+    points = np.vstack(entries + [probes])
     got, want = _dedup_points(points), per_point_dedup(points)
     assert got.tobytes() == np.array(want).tobytes()
-    assert len(got) == len(lattice) + 1  # only the off-lattice entry is new
+    assert len(got) == len(probes) + 1  # only the off-lattice entry is new
     assert np.signbit(got[1]).tolist() == [True, False, True]
 
 
@@ -487,9 +477,10 @@ def test_sweeps_report_nonfinite_field():
 def test_batched_scan_reports_nonfinite_field():
     seq = NaNSequence(3, make_sequence([(np.zeros(3), 4.0, 1.0)], budget=1e4).entries,
                       budget=1e4)
-    for scan in (_detect_detailed, per_probe_scan):
+    for scan in (lambda: _detect_detailed(seq, 4, [0.05, 0.15, 0.45], 1e-9),
+                 lambda: per_probe_scan(seq, 4, [0.05, 0.15, 0.45], 1e-9, 1.0, 0.5, 12)):
         with pytest.raises(NonFiniteFieldError) as err:
-            scan(seq, 4, [0.05, 0.15, 0.45], 1e-9, "ball-energy", 1.0, 0.5, 12)
+            scan()
         assert err.value.node[0] > 0.7
         assert np.isnan(err.value.value)
 
@@ -510,16 +501,16 @@ def test_nonfinite_energy_bound_drops_no_probe(bound):
     # with a finite bound eps0 = 1e3 would drop every lattice probe; kept,
     # the probes at x_1 = 1 reach the NaN nodes beyond x_1 = 0.7
     with pytest.raises(NonFiniteFieldError):
-        _detect_detailed(seq, 4, [0.05, 0.15, 0.45], 1e3, "ball-energy", 1.0, 0.5, 12)
+        _detect_detailed(seq, 4, [0.05, 0.15, 0.45], 1e3)
 
 
-def mask_prefilter(seq, k_max, r_grid, eps0, extent, spacing):
+def mask_prefilter(seq, k_max, r_grid, eps0):
     """Reference prefilter: one keep mask over every candidate, AND-ed over
     every (radius, k) step, each step bounding every candidate."""
     n = seq.dimension
-    us = [seq.field(k) for k in range(max(0, math.ceil(k_max / 2)), k_max + 1)]
+    us = [seq.field(k) for k in range(math.ceil(k_max / 2), k_max + 1)]
     candidates = _dedup_points(np.vstack(
-        [e.center for e in seq.entries] + [_lattice(n, extent, spacing)]))
+        [e.center for e in seq.entries] + [lattice(n, 1.0)]))
     keep = np.ones(len(candidates), dtype=bool)
     for r in sorted(r_grid):
         for u in us:
@@ -529,37 +520,22 @@ def mask_prefilter(seq, k_max, r_grid, eps0, extent, spacing):
     return candidates[keep], us
 
 
-def recorded_scan_probes(monkeypatch) -> list:
-    """The probe of every ``_scan_probe`` call ``concentration`` makes from
-    now on."""
-    from bubblelab import concentration
-
-    probes = []
-
-    def recording(detector, radii, us, x, eps0, order):
-        probes.append(np.array(x))
-        return _scan_probe(detector, radii, us, x, eps0, order)
-
-    monkeypatch.setattr(concentration, "_scan_probe", recording)
-    return probes
-
-
-def assert_prefilter_matches_the_mask(monkeypatch, seq, k_max, r_grid, eps0,
-                                      extent=1.0, spacing=0.5, order=12):
-    """The scan against ``mask_prefilter`` followed by the same per-probe
+def assert_prefilter_matches_the_mask(monkeypatch, seq, k_max, r_grid, eps0):
+    """The scan against ``mask_prefilter`` followed by the reference probe
     scan and merge: same probes scanned in the same order, same points,
     cluster sizes and scores, bit for bit."""
-    probes = recorded_scan_probes(monkeypatch)
-    got = _detect_detailed(seq, k_max, r_grid, eps0, "ball-energy", extent, spacing, order)
-    kept, us = mask_prefilter(seq, k_max, r_grid, eps0, extent, spacing)
-    assert np.array(probes).reshape(-1, seq.dimension).tobytes() == kept.tobytes()
+    steps = recorded_detection_steps(monkeypatch)
+    got = _detect_detailed(seq, k_max, r_grid, eps0)
+    kept, us = mask_prefilter(seq, k_max, r_grid, eps0)
+    scanned = dict.fromkeys(x for x, _, _ in steps)  # each probe once, in order
+    assert b"".join(scanned) == kept.tobytes()
     hits, scores = [], []
     for x in kept:
-        ok, score = _scan_probe("ball-energy", sorted(r_grid), us, x, eps0, order)
+        ok, score = scan_probe(us, x, r_grid, eps0, 12)
         if ok:
             hits.append(x)
             scores.append(score)
-    want = merge_hits(hits, scores, spacing)
+    want = merge_hits(hits, scores, 0.5)
     assert [p.tobytes() for p in got[0]] == [p.tobytes() for p in want[0]]
     assert got[1] == want[1]
     assert got[2] == want[2]
@@ -581,11 +557,9 @@ def test_survivor_prefilter_matches_the_all_candidates_mask(n, N, monkeypatch):
     # the criterion-7 cells at the pipeline's threshold, one that stops
     # probes at different steps and one that keeps lattice hits (n = 3)
     seq = tower(n, N)
-    cfg = QuantizationConfig(k_max=CRITERION_7_K_MAX[n])
     for eps0 in (lambda0_oracle(n) / 20, 1e-3, 1e-9):
         got, kept = assert_prefilter_matches_the_mask(
-            monkeypatch, seq, cfg.k_max, cfg.r_grid, eps0, cfg.lattice_extent,
-            cfg.lattice_spacing, cfg.detection_order)
+            monkeypatch, seq, CRITERION_7_K_MAX[n], concentration._R_GRID, eps0)
         assert len(got[0]) >= 1 and len(kept) >= 1
 
 
@@ -638,8 +612,6 @@ class EmptiedAtLastK(ConcentrationSequence):
 
 
 def test_survivor_prefilter_empties_mid_loop(monkeypatch):
-    from bubblelab import concentration
-
     seq = EmptiedAtLastK(3, tower(3, 2).entries, budget=1e4)
     bounded = []
     original = concentration._ball_energy_bound
@@ -659,8 +631,6 @@ def test_survivor_prefilter_empties_mid_loop(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_prefilter_bounds_only_the_surviving_rows(n, monkeypatch):
-    from bubblelab import concentration
-
     calls = []
     original = concentration._ball_energy_bound
 
@@ -672,8 +642,8 @@ def test_prefilter_bounds_only_the_surviving_rows(n, monkeypatch):
     monkeypatch.setattr(concentration, "_ball_energy_bound", recording)
     seq = tower(n, 3)
     eps0 = lambda0_oracle(n) / 20
-    _detect_detailed(seq, 8, [0.05, 0.15, 0.45], eps0, "ball-energy", 1.0, 0.5, 12)
-    candidates = mask_prefilter(seq, 8, [0.05, 0.15, 0.45], eps0, 1.0, 0.5)[0]
+    _detect_detailed(seq, 8, [0.05, 0.15, 0.45], eps0)
+    candidates = mask_prefilter(seq, 8, [0.05, 0.15, 0.45], eps0)[0]
     assert len(calls) == 5  # one step per k = 4..8, at the smallest radius
     assert len(calls[0][0]) == 5**n
     for (xs, bound), (nxt, _) in zip(calls[:-1], calls[1:]):
@@ -684,16 +654,17 @@ def test_prefilter_bounds_only_the_surviving_rows(n, monkeypatch):
 
 
 def recorded_detection_steps(monkeypatch) -> list:
-    """(probe, radius, field) of every ``_detection_quantity`` call
-    ``concentration`` makes from now on."""
-    from bubblelab import concentration
-
+    """(probe bytes, radius, field) of every ``_detection_quantity`` call
+    ``concentration`` makes from now on.  The calls must be positional,
+    the probe third: perfbench's tracer identifies probes by that
+    argument."""
     steps = []
     original = concentration._detection_quantity
 
-    def recording(detector, u, x, r, order):
+    def recording(*args):
+        u, r, x, order = args
         steps.append((np.array(x).tobytes(), r, u))
-        return original(detector, u, x, r, order)
+        return original(*args)
 
     monkeypatch.setattr(concentration, "_detection_quantity", recording)
     return steps
@@ -705,24 +676,11 @@ def test_ball_energy_scan_reads_only_the_smallest_radius(r_grid, monkeypatch):
     seq = tower(3, 2)
     for eps0 in (lambda0_oracle(3) / 20, 1e-9):
         steps.clear()
-        _, sizes, _ = _detect_detailed(seq, 6, r_grid, eps0, "ball-energy", 1.0, 0.5, 12)
+        _, sizes, _ = _detect_detailed(seq, 6, r_grid, eps0)
         assert steps and [r for _, r, _ in steps] == [min(r_grid)] * len(steps)
         # one step per (probe, k) pair the scan reaches, none repeated
         assert len({(x, id(u)) for x, _, u in steps}) == len(steps)
     assert sum(sizes) == 5**3  # at eps0 = 1e-9 every probe is a hit
-
-
-def test_monotonicity_scan_reads_every_radius_radius_major(monkeypatch):
-    steps = recorded_detection_steps(monkeypatch)
-    seq = tower(3, 1)
-    r_grid = (0.15, 0.05)
-    _detect_detailed(seq, 4, r_grid, 1e-9, "monotonicity", 0.5, 0.5, 12)
-    probes = {x for x, _, _ in steps}
-    assert len(probes) == 3**3
-    us = [u for _, _, u in steps[:3]]  # k = 2, 3, 4
-    for probe in probes:
-        taken = [(r, u) for x, r, u in steps if x == probe]
-        assert taken == [(r, u) for r in (0.05, 0.15) for u in us]
 
 
 @pytest.mark.parametrize("seq, k_max", [
@@ -731,16 +689,16 @@ def test_monotonicity_scan_reads_every_radius_radius_major(monkeypatch):
                                budget=1e4, n=3), 6, id="two-centers"),
 ])
 def test_quadrature_ball_energy_grows_with_the_radius(seq, k_max):
-    # the one-radius ball-energy scan relies on this order of the values it
-    # reads: at every probe and every scanned k, at the detection order
-    cfg = QuantizationConfig(k_max=k_max)
-    probes = _dedup_points(np.vstack([e.center for e in seq.entries] + [
-        _lattice(3, cfg.lattice_extent, cfg.lattice_spacing)]))
-    assert sorted(cfg.r_grid) == [0.05, 0.15, 0.45]
+    # the one-radius scan relies on this order of the values it reads: at
+    # every probe and every scanned k, at the detection order
+    r_grid = concentration._R_GRID
+    probes = _dedup_points(np.vstack([e.center for e in seq.entries] + [_lattice(3)]))
+    assert sorted(r_grid) == [0.05, 0.15, 0.45]
     for k in range(math.ceil(k_max / 2), k_max + 1):
         u = seq.field(k)
         for x in probes:
-            e = [bubbling_energy(u, x, r, cfg.detection_order) for r in sorted(cfg.r_grid)]
+            e = [bubbling_energy(u, x, r, concentration._DETECTION_ORDER)
+                 for r in sorted(r_grid)]
             assert e[0] <= e[1] <= e[2], (k, x.tolist(), e)
 
 
@@ -912,6 +870,29 @@ def test_ball_sup_dominates_the_field_and_its_energy(case, seed):
 def test_detect_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         detect_sigma(single_bubble_seq(), 4, [0.1], 0.0)
+
+
+@pytest.mark.parametrize("k_max", [-1, 0, 2.5])
+def test_k_max_must_be_an_integer_of_at_least_one(k_max):
+    # with no field to scan every probe would count as a hit, and the
+    # report needs a neck at k_max - 1
+    message = "k_max must be an integer >= 1"
+    with pytest.raises(ValueError, match=message):
+        detect_sigma(single_bubble_seq(), k_max, [0.05], 1.0)
+    with pytest.raises(ValueError, match=message):
+        quantization_report(single_bubble_seq(), QuantizationConfig(k_max=k_max))
+
+
+def test_report_at_the_smallest_k_max_has_necks_at_k_0_and_1():
+    rep = quantization_report(single_bubble_seq(), QuantizationConfig(k_max=1))
+    assert all(sorted(per_k) == [0, 1] for p in rep.points for per_k in p.necks.values())
+
+
+def test_detection_lattice_supports_n_up_to_7():
+    assert _lattice(7).shape == (5**7, 7)
+    with pytest.raises(ValueError, match=r"the detection lattice supports n <= 7 "
+                       r"\(5\^n probes, at most 100,000\); got n = 8"):
+        _lattice(8)
 
 
 # ---------------------------------------------------------------------------
@@ -1112,8 +1093,6 @@ def test_neck_batch_of_no_annulus_and_of_no_R():
 
 
 def test_report_takes_one_neck_batch_per_k(monkeypatch):
-    from bubblelab import concentration
-
     batches = []
     original = concentration._shell_energies
 
@@ -1122,22 +1101,23 @@ def test_report_takes_one_neck_batch_per_k(monkeypatch):
         return original(u, x, regions, order)
 
     monkeypatch.setattr(concentration, "_shell_energies", recording)
+    neck_R, outer = (10.0, 100.0, 3000.0), concentration._NECK_OUTER
+    monkeypatch.setattr(concentration, "_NECK_R", neck_R)
     seq = tower(3, 2)
-    cfg = QuantizationConfig(k_max=8, neck_R=(10.0, 100.0, 3000.0))
-    rep = quantization_report(seq, cfg)
+    rep = quantization_report(seq, QuantizationConfig(k_max=8))
     monkeypatch.undo()
     assert len(rep.points) == 1
-    # a neck batch is the one whose shells reach neck_outer; three k, each
-    # with every R that has an annulus (R = 3000 has none at k = 6)
-    necks = [b for b in batches if any(hi == cfg.neck_outer for _, hi in b)]
+    # a neck batch is the one whose shells reach the outer radius; three k,
+    # each with every R that has an annulus (R = 3000 has none at k = 6)
+    necks = [b for b in batches if any(hi == outer for _, hi in b)]
     assert len(necks) == 3
-    assert [sum(hi == cfg.neck_outer for _, hi in b) for b in necks] == [2, 3, 3]
+    assert [sum(hi == outer for _, hi in b) for b in necks] == [2, 3, 3]
     got = rep.points[0].necks
-    assert list(got) == list(cfg.neck_R)
-    for R in cfg.neck_R:
+    assert list(got) == list(neck_R)
+    for R in neck_R:
         assert list(got[R]) == [6, 7, 8]
         for k in (6, 7, 8):
-            if R * seq.entries[0].schedule(k) >= cfg.neck_outer:
+            if R * seq.entries[0].schedule(k) >= outer:
                 assert math.isnan(got[R][k])
             else:
                 assert got[R][k] == neck_energy(seq, k, R=R).total
@@ -1244,8 +1224,6 @@ def test_quantization_report_computes_each_ball_energy_once(monkeypatch):
     # every ball and annulus energy of the pipeline goes through
     # _shell_energies; none is computed twice for one field, point, region
     # and order
-    from bubblelab import concentration
-
     counts = {}
     original = concentration._shell_energies
 
@@ -1399,6 +1377,29 @@ def test_report_json_schema():
         assert key in doc
     assert doc["n_hat"] == [1]
     assert len(doc["necks"][0]) == 9  # 3 R values x 3 k values
+
+
+def test_report_thresholds_name_the_detection_radii_and_detector():
+    rep = quantization_report(single_bubble_seq(), QuantizationConfig(k_max=8))
+    lam0 = bubble_energy_constant(3).value
+    assert report_to_json(rep)["tolerances"] == {
+        "eps0": lam0 / 20.0, "eps_n": lam0 / 10.0, "r_grid": [0.05, 0.15, 0.45],
+        "r_small": 0.05, "detector": "ball-energy", "k_max": 8,
+    }
+
+
+def test_quantization_config_holds_only_the_thresholds_callers_set():
+    names = [f.name for f in dataclasses.fields(QuantizationConfig)]
+    assert names == ["k_max", "eps0", "eps_n", "r_small"]
+
+
+def test_detect_sigma_returns_the_points_the_report_starts_from():
+    seq = make_sequence([([0.5, 0, 0], 4.0, 1.0), ([-0.5, 0, 0], 16.0, 1.0)],
+                        budget=1e4, n=3)
+    rep = quantization_report(seq, QuantizationConfig(k_max=6))
+    pts = detect_sigma(seq, 6, [0.05, 0.15, 0.45], bubble_energy_constant(3).value / 20)
+    assert len(pts) == 2
+    assert [p.tobytes() for p in pts] == [p.point.tobytes() for p in rep.points]
 
 
 def test_sequence_spec_roundtrip(tmp_path):
