@@ -50,6 +50,7 @@ from .concentration import (
     BudgetError,
     QuantizationConfig,
     bubble_energy_constant,
+    check_report_input,
     make_sequence,
     neck_energies,
     quantization_report,
@@ -290,8 +291,9 @@ def cmd_quantize(args, cfg: RunConfig) -> tuple[dict, str]:
         seq = make_sequence(
             [(np.zeros(n), b, 1.0) for b in bases], budget=args.budget, n=n
         )
-    out = _prepare_out(cfg, "quantize", {"spec": args.spec or "inline"})
     qcfg = QuantizationConfig(k_max=extras.get("k_max", args.k_max))
+    check_report_input(n, qcfg.k_max)  # before anything is written
+    out = _prepare_out(cfg, "quantize", {"spec": args.spec or "inline"})
     if cfg.eps0 > 0:
         qcfg.eps0 = cfg.eps0
     for key in ("eps0", "eps_n", "r_small"):

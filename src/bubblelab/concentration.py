@@ -85,6 +85,7 @@ __all__ = [
     "theta_estimate",
     "scaled_measure",
     "quantization_report",
+    "check_report_input",
     "report_to_json",
     "read_sequence_spec",
 ]
@@ -325,7 +326,9 @@ _LATTICE_SPACING = 0.5
 _DETECTION_ORDER = 12
 
 
-def _lattice(n: int) -> np.ndarray:
+def _lattice_ticks(n: int) -> np.ndarray:
+    """The lattice's ticks on each axis; refuses a dimension whose lattice
+    would hold more than 100,000 probes."""
     ticks = np.arange(-_LATTICE_EXTENT, _LATTICE_EXTENT + _LATTICE_SPACING / 2,
                       _LATTICE_SPACING)
     if len(ticks) ** n > 100_000:
@@ -333,6 +336,11 @@ def _lattice(n: int) -> np.ndarray:
             f"the detection lattice supports n <= 7 (5^n probes, at most 100,000); "
             f"got n = {n}"
         )
+    return ticks
+
+
+def _lattice(n: int) -> np.ndarray:
+    ticks = _lattice_ticks(n)
     grids = np.meshgrid(*([ticks] * n), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -365,6 +373,14 @@ def _dedup_points(points: np.ndarray) -> np.ndarray:
 def _check_k_max(k_max) -> None:
     if not isinstance(k_max, numbers.Integral) or k_max < 1:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+
+
+def check_report_input(n: int, k_max) -> None:
+    """Reject what ``quantization_report`` cannot run, before any work: a
+    ``k_max`` below 1, or a dimension whose detection lattice would hold
+    more than 100,000 probes."""
+    _check_k_max(k_max)
+    _lattice_ticks(n)
 
 
 def _detect_detailed(seq: ConcentrationSequence, k_max: int, r_grid: Sequence[float],
@@ -824,8 +840,8 @@ def quantization_report(
     """Full pipeline: detect, extract bubbles until the residual energy
     drops below threshold, tabulate necks and integer ratios."""
     cfg = config or QuantizationConfig()
-    _check_k_max(cfg.k_max)
     n = seq.dimension
+    check_report_input(n, cfg.k_max)
     lam0 = bubble_energy_constant(n)
     eps0 = cfg.eps0 if cfg.eps0 is not None else lam0.value / 20.0
     eps_n = cfg.eps_n if cfg.eps_n is not None else lam0.value / 10.0

@@ -1,9 +1,17 @@
 """Quadrature rules on balls, spheres and annuli in R^n, n >= 3.
 
-Rules are product constructions: a Gauss-Legendre radial factor carrying
-the r^(n-1) Jacobian times an angular factor built recursively from
-Gauss-Gegenbauer nodes in the polar cosines (plain midpoint points on the
-final circle, which integrates trigonometric polynomials exactly).
+Rules are products of a Gauss-Legendre radial factor carrying the
+r^(n-1) Jacobian and an angular factor.  Full ball and annulus layouts at
+n >= 5 and angular orders up to 8 take a fully symmetric angular rule of
+total degree 2 * angular_order - 1 (``symmetric_sphere_directions``): the
+orbits of a few small integer points under coordinate permutations and
+sign changes, with weights from the moment equations, 6,352 directions at
+n = 6 and degree 15.  Every other angular factor is the product rule of the
+same degree, built recursively from Gauss-Gegenbauer nodes in the polar
+cosines (plain midpoint points on the final circle, which integrates
+trigonometric polynomials exactly): full layouts at n = 3, 4 or above
+angular order 8, and full sphere pieces.  ``_full_directions`` makes that
+choice.
 
 Besides the full product rules, two reduced node layouts are provided for
 integrands with rotational symmetry:
@@ -17,10 +25,11 @@ integrands with rotational symmetry:
 Both carry the full region measure in their weights, so they satisfy the
 same weight-sum invariants as the full rules.
 
-Gauss-Legendre and Gauss-Gegenbauer nodes and weights come from one
-process-wide cache (``gauss_legendre``, ``gauss_gegenbauer``) keyed by
-``order`` and ``(order, alpha)``; scipy is asked only on a miss and the
-cached arrays are read-only.
+Gauss-Legendre and Gauss-Gegenbauer nodes and weights and the symmetric
+sphere rules come from one process-wide cache each (``gauss_legendre``,
+``gauss_gegenbauer``, ``symmetric_sphere_directions``) keyed by ``order``,
+``(order, alpha)`` and ``(n, degree)``; each is built only on a miss and
+the cached arrays are read-only.
 
 Pieces.  A ``PieceSet`` holds rules on many regions about one center in
 one layout: consecutive or overlapping balls and annuli
@@ -63,7 +72,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, cached_property
-from math import pi, gamma
+from itertools import combinations_with_replacement, product
+from math import factorial, gamma, gcd, pi, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,6 +107,11 @@ _CHUNK = 1 << 16
 _BLOCK_NODES = 8192
 _MEASURE_TOL = 1e-10
 _DEFAULT_THREADS = 1
+# Fully symmetric sphere rules: the largest generator entry, the largest
+# angular order they serve, and the simplex's pivot tolerance.
+_GENERATOR_TOP = 3
+_SYMMETRIC_MAX_ORDER = 8
+_LP_TOL = 1e-9
 
 
 def set_default_threads(threads: int) -> None:
@@ -395,7 +410,11 @@ def gauss_gegenbauer(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_angular_order(n: int, order: int) -> int:
-    """Order-adaptive angular resolution: generous for n=3, lean above."""
+    """Order-adaptive angular resolution: generous for n=3, lean above.
+
+    A full layout's angular factor is exact to total degree
+    ``2 * angular_order - 1``.  At n >= 5 this returns 4..8 (degree 7..15),
+    which the fully symmetric rules serve; n = 3, 4 keep the product rule."""
     if n == 3:
         return max(4, min(order, 32))
     if n == 4:
@@ -430,6 +449,153 @@ def unit_sphere_directions(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     pts[:, -1] = np.repeat(t, sub_pts.shape[0])
     w = (wt[:, None] * sub_w[None, :]).reshape(-1)
     return pts, w
+
+
+def _partitions(k: int, parts: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of ``k`` into at most ``parts`` parts of at most
+    ``largest`` each, parts non-increasing."""
+    if k == 0:
+        return [()]
+    if parts == 0:
+        return []
+    return [(v,) + rest for v in range(min(k, largest), 0, -1)
+            for rest in _partitions(k - v, parts - 1, v)]
+
+
+def _distinct_permutations(values: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Distinct orderings of the multiset ``values``, in decreasing
+    lexicographic order."""
+    if not values:
+        return [()]
+    out = []
+    for v in sorted(set(values), reverse=True):
+        i = values.index(v)
+        out += [(v,) + rest for rest in _distinct_permutations(values[:i] + values[i + 1:])]
+    return out
+
+
+def _orbit(g: tuple[int, ...]) -> np.ndarray:
+    """The points ``g`` takes under coordinate permutations and sign changes,
+    permutation-major, scaled to the unit sphere."""
+    perms = np.array(_distinct_permutations(g), dtype=float)
+    signs = np.array(list(product((1.0, -1.0), repeat=sum(v != 0 for v in g))))
+    pts = np.repeat(perms, len(signs), axis=0)
+    pts[pts != 0] *= np.tile(signs, (len(perms), 1)).reshape(-1)
+    return pts / float(np.sqrt(sum(v * v for v in g)))
+
+
+def _orbit_size(g: tuple[int, ...]) -> int:
+    """Number of points of ``_orbit(g)``."""
+    size = factorial(len(g)) << sum(v != 0 for v in g)
+    return size // prod(factorial(g.count(v)) for v in set(g))
+
+
+def _simplex_pivot(t: np.ndarray, basis: list[int], i: int, j: int) -> None:
+    t[i] /= t[i, j]
+    f = t[:, j].copy()
+    f[i] = 0.0
+    t -= f[:, None] * t[i]
+    basis[i] = j
+
+
+def _simplex_optimize(t: np.ndarray, basis: list[int], k: int) -> None:
+    """Pivot the tableau ``t`` (objective in the last row) to an optimum
+    over its first ``k`` columns, by Bland's rule, which cannot cycle."""
+    while True:
+        enter = np.flatnonzero(t[-1, :k] < -_LP_TOL)
+        if not enter.size:
+            return
+        j = int(enter[0])
+        rows = np.flatnonzero(t[:-1, j] > _LP_TOL)
+        ratios = t[rows, -1] / t[rows, j]
+        tied = rows[ratios <= ratios.min() + _LP_TOL]
+        _simplex_pivot(t, basis, min(tied, key=basis.__getitem__), j)
+
+
+def _lp_support(a: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Columns of a basic optimal solution of min ``cost @ x`` subject to
+    ``a @ x = 1``, ``x >= 0``: the two-phase tableau simplex."""
+    m, k = a.shape
+    t = np.zeros((m + 1, k + m + 1))
+    t[:m, :k], t[:m, k:-1], t[:m, -1] = a, np.eye(m), 1.0
+    t[m, :k], t[m, -1] = -a.sum(axis=0), -m
+    basis = list(range(k, k + m))
+    _simplex_optimize(t, basis, k)  # phase 1: drive the artificial sum to 0
+    if t[m, -1] < -_LP_TOL:
+        raise ValueError("the moment equations have no nonnegative solution")
+    for i, j in enumerate(basis):
+        nonzero = np.flatnonzero(np.abs(t[i, :k]) > _LP_TOL)
+        if j >= k and nonzero.size:
+            _simplex_pivot(t, basis, i, int(nonzero[0]))
+    t[m] = 0.0
+    t[m, :k] = cost
+    for i, j in enumerate(basis):
+        if j < k:
+            t[m] -= cost[j] * t[i]
+    _simplex_optimize(t, basis, k)
+    return np.array(sorted(j for i, j in enumerate(basis) if j < k and t[i, -1] > _LP_TOL))
+
+
+def _sphere_monomial_integral(exponents: Sequence[int]) -> float:
+    """Integral of ``x^exponents`` over the unit sphere S^(n-1), n =
+    ``len(exponents)``: ``2 prod Gamma((a_i + 1) / 2) / Gamma((|a| + n) / 2)``
+    when every exponent is even, else 0."""
+    if any(a % 2 for a in exponents):
+        return 0.0
+    return 2.0 * prod(gamma((a + 1) / 2) for a in exponents) / gamma(
+        (sum(exponents) + len(exponents)) / 2)
+
+
+@cache
+def symmetric_sphere_directions(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fully symmetric rule on S^(n-1), exact for polynomials of degree
+    ``degree``, with positive weights summing to its area; cached and
+    read-only.
+
+    The points are the orbits of integer generators with entries
+    0.._GENERATOR_TOP under coordinate permutations and sign changes,
+    scaled to the sphere, with one weight per orbit.  Odd monomials
+    integrate to 0 by the sign changes.  On the sphere an even polynomial
+    of degree below 2k is one of degree 2k times a power of |x|^2, and the
+    symmetric ones of degree 2k are spanned by the symmetrized monomials
+    x^(2 lambda), lambda a partition of k = degree // 2 into at most n
+    parts: one moment equation each (14 at n = 6, degree 15).  A linear
+    program over the orbits' total weights picks at most one orbit per
+    equation, minimizing the weight-averaged orbit size so that small
+    orbits are preferred; the chosen orbits' weights are then solved from
+    the equations by least squares.
+    """
+    k = degree // 2
+    gens = [g for g in combinations_with_replacement(range(_GENERATOR_TOP, -1, -1), n)
+            if g[0] and gcd(*g) == 1]
+    squares = np.array(gens, dtype=float) ** 2
+    y = squares / squares.sum(axis=1, keepdims=True)
+    rows = []
+    for lam in _partitions(k, n, k):
+        alphas = np.array(_distinct_permutations(lam + (0,) * (n - len(lam))))
+        # mean of x^(2 lambda) over an orbit: of y^alpha over lambda's orderings
+        mean = np.prod(y[:, None, :] ** alphas[None], axis=2).mean(axis=1)
+        rows.append(mean / _sphere_monomial_integral(2 * alphas[0]))
+    a = np.array(rows)
+    sizes = np.array([_orbit_size(g) for g in gens])
+    support = _lp_support(a, sizes / sizes.max())
+    # total weight of each chosen orbit
+    mass = np.linalg.lstsq(a[:, support], np.ones(len(a)), rcond=None)[0]
+    if mass.min() <= 0 or np.abs(a[:, support] @ mass - 1.0).max() > 1e-12:
+        raise ValueError(f"no positive fully symmetric rule of degree {degree} on S^{n - 1}")
+    dirs = np.concatenate([_orbit(gens[j]) for j in support])
+    weights = np.repeat(mass / sizes[support], sizes[support])
+    return _read_only(dirs, weights)
+
+
+def _full_directions(n: int, angular_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angular factor of a full shell layout, exact to total degree
+    ``2 * angular_order - 1``: the fully symmetric rule at n >= 5 and
+    angular orders up to ``_SYMMETRIC_MAX_ORDER``, the product rule
+    otherwise."""
+    if n >= 5 and angular_order <= _SYMMETRIC_MAX_ORDER:
+        return symmetric_sphere_directions(n, 2 * angular_order - 1)
+    return unit_sphere_directions(n, angular_order)
 
 
 def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> np.ndarray:
@@ -507,9 +673,12 @@ def build_shell_pieces(
 
     Each piece has ``order`` Gauss-Legendre nodes per radial panel, its
     panels broken at its entry of ``radial_panels`` (None: one panel).  The
-    layout is one of: "full" product rules with ``angular_order`` (default
-    ``default_angular_order``); "radial" single-ray rules; "zonal"
-    half-plane rules about ``axis`` with ``polar_order`` polar nodes.
+    layout is one of: "full" rules with ``angular_order`` (default
+    ``default_angular_order``), exact on the sphere to total degree
+    ``2 * angular_order - 1`` (the fully symmetric rule at n >= 5 and
+    angular orders up to 8, the product rule otherwise; see
+    ``_full_directions``); "radial" single-ray rules; "zonal" half-plane
+    rules about ``axis`` with ``polar_order`` polar nodes.
     """
     regions = np.asarray(regions, dtype=float).reshape(-1, 2)
     inner, outer = regions[:, 0], regions[:, 1]
@@ -543,7 +712,7 @@ def build_shell_pieces(
         radial_w = ws * s ** (n - 1)
     elif symmetry == "full":
         ang = default_angular_order(n, order) if angular_order is None else angular_order
-        dirs, dir_w = unit_sphere_directions(n, ang)
+        dirs, dir_w = _full_directions(n, ang)
         radial_w = ws * s ** (n - 1)
     else:
         raise ValueError(f"unknown symmetry {symmetry!r}; use full, radial or zonal")
@@ -594,7 +763,7 @@ def build_ball_rule(
     angular_order: int | None = None,
     radial_panels: Sequence[float] | None = None,
 ) -> QuadratureRule:
-    """Radial Gauss-Legendre x product-angle rule on the ball B(center, r)."""
+    """Radial Gauss-Legendre x full angular rule on the ball B(center, r)."""
     return build_shell_pieces(
         n, center, [(0.0, r)], order, angular_order=angular_order,
         radial_panels=[radial_panels],
@@ -610,7 +779,8 @@ def build_annulus_rule(
     angular_order: int | None = None,
     radial_panels: Sequence[float] | None = None,
 ) -> QuadratureRule:
-    """Product rule on the annulus inner <= |x - center| <= outer."""
+    """Radial Gauss-Legendre x full angular rule on the annulus
+    inner <= |x - center| <= outer."""
     return build_shell_pieces(
         n, center, [(inner, outer)], order, angular_order=angular_order,
         radial_panels=[radial_panels],

@@ -10,6 +10,7 @@ import pytest
 
 import bubblelab
 from bubblelab.cli import main
+from bubblelab.concentration import ConcentrationSequence
 
 
 def run(args):
@@ -198,13 +199,25 @@ def test_quantize_k_max_below_one_is_usage_error(tmp_path, capsys, k_max):
     spec.write_text(f"[sequence]\nn = 3\nk_max = {k_max}\n\n" + SPEC_BUBBLE)
     assert run(["quantize", "--spec", spec, "--out", tmp_path / "qs"]) == 2
     assert "k_max must be an integer >= 1" in capsys.readouterr().err
+    # refused before the output directory is made
+    assert not (tmp_path / "q").exists() and not (tmp_path / "qs").exists()
 
 
-def test_quantize_beyond_the_detection_lattice_is_usage_error(tmp_path, capsys):
+def test_quantize_beyond_the_detection_lattice_is_usage_error(tmp_path, capsys, monkeypatch):
+    def no_budget_check(*args, **kwargs):
+        raise AssertionError("the budget check ran before the dimension was refused")
+
+    monkeypatch.setattr(ConcentrationSequence, "verify_budget", no_budget_check)
     code = run(["quantize", "--n", 8, "--out", tmp_path / "q"])
     assert code == 2
     assert ("the detection lattice supports n <= 7 (5^n probes, at most 100,000)"
             in capsys.readouterr().err)
+    spec = tmp_path / "seq.ini"
+    spec.write_text("[sequence]\nn = 8\n\n[bubble:a]\ncenter = " + " ".join(["0"] * 8)
+                    + "\nbase = 4\n")
+    assert run(["quantize", "--spec", spec, "--out", tmp_path / "qs"]) == 2
+    assert "the detection lattice supports n <= 7" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists() and not (tmp_path / "qs").exists()
 
 
 @pytest.mark.parametrize("command", ["quantize", "lorentz", "bubble-constant"])

@@ -12,6 +12,7 @@ from bubblelab.grid import (
     NonFiniteFieldError,
     RadialGrid,
     build_ball_rule,
+    build_shell_pieces,
     integrate,
     node_slack,
     unit_sphere_area,
@@ -29,7 +30,7 @@ from bubblelab.fields import (
     ball_rule_for,
     shell_pieces_for,
 )
-from bubblelab import concentration
+from bubblelab import concentration, grid
 from bubblelab.monotonicity import profile
 from bubblelab.concentration import (
     BudgetError,
@@ -161,15 +162,15 @@ def gradient_tail_bound(n: int, s: float) -> float:
 
 
 def test_full_rule_energy_streams_its_nodes():
-    # the n = 6, order-32 full ball holds 2,097,152 nodes, 100 MB of
-    # coordinates; they are built per block, never as a whole
+    # the n = 6, order-32 full ball in ten radial panels holds 2,032,640
+    # nodes, 98 MB of coordinates; they are built per block, never as a whole
     n = 6
     bubble = aubin_talenti(n)
     u = CustomField(n, bubble.evaluate, bubble.analytic_gradient)
     tracemalloc.start()
     try:
-        rule = ball_rule_for(u, np.zeros(n), 1.0, 32)
-        assert len(rule) == 2_097_152
+        rule = build_ball_rule(n, 0, 1.0, 32, radial_panels=[0.1 * k for k in range(1, 10)])
+        assert len(rule) == 320 * 6352
         energy = energy_in(u, rule, threads=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -178,6 +179,32 @@ def test_full_rule_energy_streams_its_nodes():
     assert "_materialized" not in vars(rule)
     radial = energy_in(bubble, ball_rule_for(bubble, np.zeros(n), 1.0, 32))
     assert energy == pytest.approx(radial, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetric_full_rule_is_about_as_accurate_as_the_old_product_rule(n):
+    # off-center opaque bubbles in B(0, 1), along six fixed random axes: the
+    # RMS error of the symmetric degree-15 directions is at most twice that
+    # of the degree-15 product directions they replace.  The reference is
+    # the zonal layout about each axis with the same radial nodes, valid
+    # for a bubble on the axis, so only the angular error is compared.
+    cases = [(1.0, 0.3), (0.5, 0.3), (0.3, 0.5)]
+    symmetric = build_shell_pieces(n, 0, [(0.0, 1.0)], 16)
+    product = dataclasses.replace(symmetric, **dict(zip(
+        ("dirs", "dir_weights"), grid.unit_sphere_directions(n, 8))))
+    errors = np.empty((2, 6, len(cases)))
+    for i, e in enumerate(np.random.default_rng(0).standard_normal((6, n))):
+        e /= np.linalg.norm(e)
+        bubbles = [aubin_talenti(n, delta, offset * e) for delta, offset in cases]
+        opaque = [CustomField(n, b.evaluate, b.analytic_gradient) for b in bubbles]
+        zonal = build_shell_pieces(n, 0, [(0.0, 1.0)], 16, "zonal", e, polar_order=96)
+        want = [energy_in(b, zonal.rule(0)) for b in bubbles]
+        for j, pieces in enumerate((symmetric, product)):
+            got = grid.integrate_pieces(
+                pieces, lambda p: [concentration._weighted_density(u)(p) for u in opaque], 2)
+            errors[j, i] = np.abs(got[0] / want - 1.0)
+    rms = np.sqrt((errors**2).mean(axis=1))
+    assert (rms[0] <= 2.0 * rms[1]).all()
 
 
 def test_energy_in_bubble_approaches_weighted_constant():
@@ -886,6 +913,16 @@ def test_k_max_must_be_an_integer_of_at_least_one(k_max):
 def test_report_at_the_smallest_k_max_has_necks_at_k_0_and_1():
     rep = quantization_report(single_bubble_seq(), QuantizationConfig(k_max=1))
     assert all(sorted(per_k) == [0, 1] for p in rep.points for per_k in p.necks.values())
+
+
+def test_report_refuses_n_8_before_the_budget_check(monkeypatch):
+    def no_budget_check(*args, **kwargs):
+        raise AssertionError("the budget check ran before the dimension was refused")
+
+    monkeypatch.setattr(ConcentrationSequence, "verify_budget", no_budget_check)
+    seq = make_sequence([(np.zeros(8), 4.0, 1.0)], budget=1e6, n=8)
+    with pytest.raises(ValueError, match=r"the detection lattice supports n <= 7"):
+        quantization_report(seq)
 
 
 def test_detection_lattice_supports_n_up_to_7():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bubblelab import grid
@@ -441,10 +442,12 @@ def test_integrate_pieces_matches_materialized_reference(threads):
 
 def full_rules(n):
     """Full ball, annulus and sphere rules about an off-origin center, each
-    over _BLOCK_NODES and most over _CHUNK (the n = 6 ball has 32 spans)."""
+    over _BLOCK_NODES and most over _CHUNK (the n = 6 ball, in ten radial
+    panels, has 32 spans)."""
     c = np.linspace(-0.2, 0.3, n)
     sphere_order = {3: 200, 4: 48, 5: 16, 6: 10}[n]
-    return [build_ball_rule(n, c, 1.0, order=32),
+    ball_panels = [0.1 * k for k in range(1, 10)] if n == 6 else None
+    return [build_ball_rule(n, c, 1.0, order=32, radial_panels=ball_panels),
             build_annulus_rule(n, c, 0.3, 1.2, order=24, radial_panels=[0.5, 0.8]),
             build_sphere_rule(n, c, 0.7, order=sphere_order)]
 
@@ -458,12 +461,12 @@ def test_integrate_streams_full_rules_bit_identically(n):
         want = materialized_sums(rule, lambda p: two_columns(p)[:1])[0]
         for g in got:
             assert_same_float(g, want)
-    assert len(full_rules(6)[0]) == 32 * grid._CHUNK
+    assert -(-len(full_rules(6)[0]) // grid._CHUNK) == 32
 
 
 def test_rule_length_comes_from_the_factors():
-    rule = build_ball_rule(6, 0, 1.0, order=32)
-    assert len(rule) == 2_097_152
+    rule = build_ball_rule(6, 0, 1.0, order=32, radial_panels=[0.1 * k for k in range(1, 10)])
+    assert len(rule) == 320 * 6352
     assert "_materialized" not in vars(rule)
     assert rule.kind == "ball" and rule.radii == (0.0, 1.0)
     assert build_annulus_rule(3, 0, 0.5, 1.0, order=4).kind == "annulus"
@@ -575,3 +578,78 @@ def test_piece_validation_catches_a_node_off_its_region():
     w[-1] = -w[-1]
     with pytest.raises(ValueError, match="positive"):
         replace(shells, radial_weights=w).validate()
+
+
+# ---------------------------------------------------------------------------
+# fully symmetric sphere rules (the full shell layout at n >= 5)
+# ---------------------------------------------------------------------------
+
+
+def sphere_monomial(exponents):
+    """Integral of x^exponents over S^(n-1), from the Gamma formula."""
+    if any(a % 2 for a in exponents):
+        return 0.0
+    logs = sum(scipy.special.gammaln((a + 1) / 2) for a in exponents)
+    return 2.0 * np.exp(logs - scipy.special.gammaln((sum(exponents) + len(exponents)) / 2))
+
+
+@st.composite
+def monomials(draw):
+    """(n, degree, exponents): a symmetric rule of degree 2 ang - 1 at
+    n = 5..8 and a monomial of total degree at most that."""
+    n = draw(st.integers(5, 8))
+    degree = 2 * draw(st.integers(1, 8)) - 1
+    total = draw(st.integers(0, degree))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return n, degree, np.diff([0] + cuts + [total])
+
+
+@given(monomials())
+@settings(max_examples=300, deadline=None)
+def test_symmetric_rule_integrates_monomials_exactly(case):
+    n, degree, exponents = case
+    dirs, weights = grid.symmetric_sphere_directions(n, degree)
+    got = float(weights @ np.prod(dirs ** exponents, axis=1))
+    want = sphere_monomial(exponents)
+    if want:
+        assert abs(got / want - 1.0) <= 1e-12
+    else:
+        assert abs(got) <= 1e-13 * unit_sphere_area(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_symmetric_rules_have_positive_weights_summing_to_the_area(n):
+    for ang in range(1, 9):
+        dirs, weights = grid.symmetric_sphere_directions(n, 2 * ang - 1)
+        assert weights.min() > 0
+        assert weights.sum() == pytest.approx(unit_sphere_area(n), rel=1e-13)
+        assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-15
+        assert not dirs.flags.writeable and not weights.flags.writeable
+
+
+def test_symmetric_rule_is_invariant_under_permutations_and_sign_changes():
+    dirs, weights = grid.symmetric_sphere_directions(6, 15)
+
+    def table(d):  # the rule's (point, weight) rows in one order; -0.0 read as 0.0
+        rows = np.column_stack([d + 0.0, weights])
+        return rows[np.lexsort(rows.T[::-1])]
+
+    for image in (dirs[:, [1, 0, 2, 3, 4, 5]], dirs[:, ::-1], dirs * [1, -1, 1, 1, -1, 1]):
+        assert np.array_equal(table(image), table(dirs))
+
+
+def test_full_shell_layouts_take_the_small_symmetric_rule_at_n_5_and_up():
+    # at angular order 8 (degree 15): 2,002 directions at n = 5 against the
+    # product rule's 8,192, and 6,352 at n = 6 against 65,536
+    for n, count, product in ((5, 2002, 8192), (6, 6352, 65536)):
+        pieces = grid.build_shell_pieces(n, 0, [(0.0, 1.0), (1.0, 2.0)], 32)
+        assert len(pieces.dir_weights) == count
+        assert len(grid.unit_sphere_directions(n, 8)[1]) == product
+        assert pieces.dirs is grid.symmetric_sphere_directions(n, 15)[0]  # cached
+    # the product rule stays at n = 3, 4, above angular order 8, on full
+    # sphere pieces, and the zonal and radial layouts keep their own
+    for n, ang in ((3, 8), (4, 8), (6, 9)):
+        pieces = grid.build_shell_pieces(n, 0, [(0.0, 1.0)], 32, angular_order=ang)
+        assert same_bits(pieces.dirs, grid.unit_sphere_directions(n, ang)[0])
+    sphere = grid.build_sphere_pieces(6, 0, [1.0], 8)
+    assert same_bits(sphere.dirs, grid.unit_sphere_directions(6, 8)[0])
