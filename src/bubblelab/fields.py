@@ -28,6 +28,7 @@ from .grid import (
     QuadratureRule,
     build_shell_pieces,
     build_sphere_pieces,
+    default_angular_order,
     geometric_panels,
     integrate,
     integrate_pieces,
@@ -880,12 +881,13 @@ def bump_adapted_rule(
 
 def sphere_pieces_for(u: ScalarField, x, radii, order: int = 32) -> PieceSet:
     """Sphere pieces of the given radii about ``x`` in the cheapest layout
-    valid for ``u``; piece ``i`` equals ``sphere_rule_for(u, x, radii[i], order)``."""
+    valid for ``u``; piece ``i`` equals ``sphere_rule_for(u, x, radii[i], order)``.
+    A full layout takes ``default_angular_order`` as shells do."""
     x = _pts(x, u.dimension)[0][0]
     symmetry, axis = _layout(u, x)
     n = u.dimension
     if symmetry == "full":
-        return build_sphere_pieces(n, x, radii, order)
+        return build_sphere_pieces(n, x, radii, default_angular_order(n, order))
     if symmetry == "radial":
         # field constant on each sphere: a few polar nodes still integrate it
         return build_sphere_pieces(n, x, radii, 4, "zonal", np.eye(n)[0])

@@ -1,19 +1,16 @@
 """Quadrature rules on balls, spheres and annuli in R^n, n >= 3.
 
 Rules are products of a Gauss-Legendre radial factor carrying the
-r^(n-1) Jacobian and an angular factor.  Full ball and annulus layouts at
-n >= 5 and angular orders up to 8 take a fully symmetric angular rule of
-total degree 2 * angular_order - 1 (``symmetric_sphere_directions``): the
-orbits of a few small integer points under coordinate permutations and
-sign changes, with weights from the moment equations, 6,352 directions at
-n = 6 and degree 15.  Every other angular factor is the product rule of the
-same degree, built recursively from Gauss-Gegenbauer nodes in the polar
-cosines (plain midpoint points on the final circle, which integrates
-trigonometric polynomials exactly): full layouts at n = 3, 4 or above
-angular order 8, and full sphere pieces.  ``_full_directions`` makes that
-choice.
+r^(n-1) Jacobian and an angular factor.  Full layouts (balls, annuli and
+spheres) at n >= 5 and angular orders up to 8 take a fully symmetric
+angular rule of total degree 2 * angular_order - 1
+(``symmetric_sphere_directions``): the orbits of a few small integer
+points under coordinate permutations and sign changes, with weights from
+the moment equations, 6,352 directions at n = 6 and degree 15.  Other full
+layouts take the recursive product rule of the same degree
+(``unit_sphere_directions``).  ``_full_directions`` alone makes that choice.
 
-Besides the full product rules, two reduced node layouts are provided for
+Besides the full rules, two reduced node layouts are provided for
 integrands with rotational symmetry:
 
 * ``radial`` rules place nodes on a single ray and are exact (up to the
@@ -25,11 +22,12 @@ integrands with rotational symmetry:
 Both carry the full region measure in their weights, so they satisfy the
 same weight-sum invariants as the full rules.
 
-Gauss-Legendre and Gauss-Gegenbauer nodes and weights and the symmetric
-sphere rules come from one process-wide cache each (``gauss_legendre``,
-``gauss_gegenbauer``, ``symmetric_sphere_directions``) keyed by ``order``,
-``(order, alpha)`` and ``(n, degree)``; each is built only on a miss and
-the cached arrays are read-only.
+Gauss-Legendre and Gauss-Gegenbauer nodes and weights, the symmetric
+sphere rules and the full angular factors come from one process-wide cache
+each (``gauss_legendre``, ``gauss_gegenbauer``,
+``symmetric_sphere_directions``, ``_full_directions``) keyed by ``order``,
+``(order, alpha)``, ``(n, degree)`` and ``(n, angular_order)``; each is
+built only on a miss and the cached arrays are read-only.
 
 Pieces.  A ``PieceSet`` holds rules on many regions about one center in
 one layout: consecutive or overlapping balls and annuli
@@ -410,11 +408,11 @@ def gauss_gegenbauer(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_angular_order(n: int, order: int) -> int:
-    """Order-adaptive angular resolution: generous for n=3, lean above.
+    """Angular order of every full layout: generous for n=3, lean above.
 
     A full layout's angular factor is exact to total degree
     ``2 * angular_order - 1``.  At n >= 5 this returns 4..8 (degree 7..15),
-    which the fully symmetric rules serve; n = 3, 4 keep the product rule."""
+    which the fully symmetric rules serve; n = 3, 4 take the product rule."""
     if n == 3:
         return max(4, min(order, 32))
     if n == 4:
@@ -588,14 +586,15 @@ def symmetric_sphere_directions(n: int, degree: int) -> tuple[np.ndarray, np.nda
     return _read_only(dirs, weights)
 
 
+@cache
 def _full_directions(n: int, angular_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The angular factor of a full shell layout, exact to total degree
-    ``2 * angular_order - 1``: the fully symmetric rule at n >= 5 and
-    angular orders up to ``_SYMMETRIC_MAX_ORDER``, the product rule
-    otherwise."""
+    """The angular factor of every full layout, ball, annulus or sphere,
+    exact to total degree ``2 * angular_order - 1``, cached and read-only:
+    the fully symmetric rule at n >= 5 and angular orders up to
+    ``_SYMMETRIC_MAX_ORDER``, the product rule otherwise."""
     if n >= 5 and angular_order <= _SYMMETRIC_MAX_ORDER:
         return symmetric_sphere_directions(n, 2 * angular_order - 1)
-    return unit_sphere_directions(n, angular_order)
+    return _read_only(*unit_sphere_directions(n, angular_order))
 
 
 def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> np.ndarray:
@@ -674,11 +673,9 @@ def build_shell_pieces(
     Each piece has ``order`` Gauss-Legendre nodes per radial panel, its
     panels broken at its entry of ``radial_panels`` (None: one panel).  The
     layout is one of: "full" rules with ``angular_order`` (default
-    ``default_angular_order``), exact on the sphere to total degree
-    ``2 * angular_order - 1`` (the fully symmetric rule at n >= 5 and
-    angular orders up to 8, the product rule otherwise; see
-    ``_full_directions``); "radial" single-ray rules; "zonal" half-plane
-    rules about ``axis`` with ``polar_order`` polar nodes.
+    ``default_angular_order``; see ``_full_directions``); "radial"
+    single-ray rules; "zonal" half-plane rules about ``axis`` with
+    ``polar_order`` polar nodes.
     """
     regions = np.asarray(regions, dtype=float).reshape(-1, 2)
     inner, outer = regions[:, 0], regions[:, 1]
@@ -726,8 +723,8 @@ def build_sphere_pieces(
     n: int, center, radii, order: int = 16, symmetry: str = "full", axis=None
 ) -> PieceSet:
     """Sphere pieces of the given radii about ``center``, validated: "full"
-    product-angle rules of angular order ``order``, or "zonal" polar-arc
-    rules about ``axis`` with ``order`` polar nodes."""
+    rules of angular order ``order`` (``_full_directions``, as for shells),
+    or "zonal" polar-arc rules about ``axis`` with ``order`` polar nodes."""
     radii = np.asarray(radii, dtype=float).reshape(-1)
     _check_region_args(n, radii, order)
     c = _as_center(center, n)
@@ -738,7 +735,7 @@ def build_sphere_pieces(
         dirs, dir_w, e = _zonal_dirs(n, order, axis)
         radial_w = np.array([unit_sphere_area(n - 1) * p for p in powers])
     elif symmetry == "full":
-        dirs, dir_w = unit_sphere_directions(n, order)
+        dirs, dir_w = _full_directions(n, order)
         radial_w = np.array(powers)
     else:
         raise ValueError(f"unknown symmetry {symmetry!r}; use full or zonal")
@@ -751,7 +748,7 @@ def build_sphere_pieces(
 def build_sphere_rule(
     n: int, center, r: float, order: int = 16
 ) -> QuadratureRule:
-    """Product-angle rule on the sphere of radius ``r`` about ``center``."""
+    """Full-layout rule on the sphere of radius ``r`` about ``center``."""
     return build_sphere_pieces(n, center, [r], order).rule(0)
 
 

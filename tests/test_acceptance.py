@@ -93,19 +93,23 @@ def test_criterion_2_monotone_positive_profiles():
 def test_criterion_3_pohozaev_balance():
     t0 = time.perf_counter()
     worst = 0.0
-    lines = ["n  r    term                 derived         as-printed"]
-    for n in (3, 4):
-        u = aubin_talenti(n)
+    lines = ["n  layout r    term                 derived         as-printed"]
+    fields = [aubin_talenti(3), aubin_talenti(4)]
+    for n in (5, 6):  # behind plain callables: full ball and sphere rules
+        bubble = aubin_talenti(n)
+        fields.append(CustomField(n, bubble.evaluate, bubble.analytic_gradient))
+    for u in fields:
+        n = u.dimension
+        layout = "full" if isinstance(u, CustomField) else "radial"
         for r in (0.5, 1.0, 2.0):
             rep = pohozaev_report(u, np.zeros(n), r, order=48)
             worst = max(worst, rep.relative_residual)
-            for term, val in rep.terms.items():
+            derived = {**rep.terms, "sum": rep.residual}
+            printed = {**rep.paper_terms, "sum": rep.paper_residual}
+            for term, val in derived.items():
                 lines.append(
-                    f"{n}  {r:<4} {term:<20} {val:+.9e} {rep.paper_terms[term]:+.9e}"
+                    f"{n}  {layout:<6} {r:<4} {term:<20} {val:+.9e} {printed[term]:+.9e}"
                 )
-            lines.append(
-                f"{n}  {r:<4} {'sum':<20} {rep.residual:+.9e} {rep.paper_residual:+.9e}"
-            )
     ok = worst < 1e-6
     report(3, "pohozaev balance", ok, t0, f"max rel residual={worst:.2e}")
     print("\n".join(lines), flush=True)

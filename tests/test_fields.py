@@ -28,6 +28,8 @@ from bubblelab.fields import (
     pde_residual,
     pohozaev_report,
     pohozaev_residual,
+    shell_pieces_for,
+    sphere_pieces_for,
     stationarity_residual,
     bump_adapted_rule,
     weak_residual,
@@ -480,6 +482,9 @@ POHOZAEV_CASES = [
      np.full(5, 0.1), 0.8, 32),
     ("full rule n=3", lambda: full_rule_bubble(3), np.array([0.1, 0.0, -0.2]), 1.0, 24),
     ("full rule n=4", lambda: full_rule_bubble(4), np.zeros(4), 1.0, 24),
+    ("full rule n=5", lambda: full_rule_bubble(5), np.array([0.1, 0.0, -0.2, 0.0, 0.05]),
+     1.0, 32),
+    ("full rule n=6", lambda: full_rule_bubble(6), np.zeros(6), 1.0, 24),
 ]
 
 
@@ -518,6 +523,18 @@ def test_pohozaev_passes_each_node_to_the_field_once(case, monkeypatch):
     for name, blocks in seen.items():
         got = np.concatenate(blocks)
         assert got.shape == nodes.shape and got.tobytes() == nodes.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_full_sphere_shares_the_angular_factor_of_the_ball_it_bounds(n):
+    # a full-layout sphere and the ball it bounds share one cached angular
+    # factor at every order
+    u, x = full_rule_bubble(n), np.full(n, 0.1)
+    for order in (8, 24, 48):
+        sphere = sphere_pieces_for(u, x, [0.7], order)
+        ball = shell_pieces_for(u, x, [(0.0, 0.7)], order)
+        assert sphere.symmetry == ball.symmetry == "full"
+        assert sphere.dirs is ball.dirs and sphere.dir_weights is ball.dir_weights
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_sphere_weight_factor_is_a_scalar_power(n):
     radii = np.random.default_rng(n).uniform(0.01, 5.0, 300)
     full = grid.build_sphere_pieces(n, 0, radii, 4)
     zonal = grid.build_sphere_pieces(n, 0, radii, 16, "zonal", np.eye(n)[0])
-    _, w = grid.unit_sphere_directions(n, 4)
+    _, w = grid._full_directions(n, 4)
     _, wt = gauss_gegenbauer(16, (n - 2) / 2)
     for i, r in enumerate(radii):
         assert same_bits(full.rule(i).weights, float(r) ** (n - 1) * w)
@@ -646,10 +646,11 @@ def test_full_shell_layouts_take_the_small_symmetric_rule_at_n_5_and_up():
         assert len(pieces.dir_weights) == count
         assert len(grid.unit_sphere_directions(n, 8)[1]) == product
         assert pieces.dirs is grid.symmetric_sphere_directions(n, 15)[0]  # cached
-    # the product rule stays at n = 3, 4, above angular order 8, on full
-    # sphere pieces, and the zonal and radial layouts keep their own
+    # the product rule stays at n = 3, 4 and above angular order 8, full
+    # sphere pieces take the shells' rule, and the zonal and radial layouts
+    # keep their own
     for n, ang in ((3, 8), (4, 8), (6, 9)):
         pieces = grid.build_shell_pieces(n, 0, [(0.0, 1.0)], 32, angular_order=ang)
         assert same_bits(pieces.dirs, grid.unit_sphere_directions(n, ang)[0])
     sphere = grid.build_sphere_pieces(6, 0, [1.0], 8)
-    assert same_bits(sphere.dirs, grid.unit_sphere_directions(6, 8)[0])
+    assert sphere.dirs is grid.symmetric_sphere_directions(6, 15)[0]

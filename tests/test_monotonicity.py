@@ -257,6 +257,22 @@ def test_eps_regularity_streams_its_sup_sample():
             assert rep.sup_u > abs(u(x0))
 
 
+def test_full_layout_energy_takes_a_small_sphere_rule():
+    # a full-layout sphere takes the shells' symmetric rule, 2,002
+    # directions at n = 5, order 32; the product rule at the raw order
+    # holds 2,097,152 (84 MB of coordinates)
+    bubble = aubin_talenti(5)
+    u = CustomField(5, bubble.evaluate, bubble.analytic_gradient)
+    tracemalloc.start()
+    try:
+        e = energy_E(u, np.zeros(5), 0.5, "B", order=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert e == pytest.approx(energy_E(bubble, np.zeros(5), 0.5, "B", order=32), rel=1e-10)
+
+
 def test_degenerate_energy_reported():
     # a field with boundary mass but negative-definite bulk: force E < 0 by
     # inverting the sign structure is impossible for real fields, so check
