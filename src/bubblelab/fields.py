@@ -222,8 +222,16 @@ class Bubble(ScalarField):
             raise ValueError("bubble center has wrong dimension")
 
     def _z(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = (points - self.center) / self.scale
-        return z, 1.0 + np.einsum("ij,ij->i", z, z)
+        """Fresh ``z = (points - center) / scale`` and ``g = 1 + |z|^2``.
+
+        The kernels below work in place on these two arrays, so a call
+        makes one (N, n) array; each in-place step is the out-of-place
+        expression's operation, and the values match it bit for bit."""
+        z = points - self.center
+        z /= self.scale
+        g = np.einsum("ij,ij->i", z, z)
+        g += 1.0
+        return z, g
 
     @cached_property
     def _amplitudes(self) -> tuple[float, float]:
@@ -233,10 +241,16 @@ class Bubble(ScalarField):
         return amp * self.scale ** (-(n - 2) / 2), (n - 2) * amp * self.scale ** (-n / 2)
 
     def _value(self, g: np.ndarray) -> np.ndarray:
-        return self.sign * self._amplitudes[0] * g ** (-(self.dimension - 2) / 2)
+        v = g ** (-(self.dimension - 2) / 2)
+        v *= self.sign * self._amplitudes[0]
+        return v
 
     def _gradient(self, z: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return -self.sign * self._amplitudes[1] * z * (g ** (-self.dimension / 2))[:, None]
+        """-sign b z g^(-n/2), written into ``z``; ``g`` is overwritten too."""
+        z *= -self.sign * self._amplitudes[1]
+        g **= -self.dimension / 2
+        z *= g[:, None]
+        return z
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return self._value(self._z(points)[1])
@@ -252,7 +266,10 @@ class Bubble(ScalarField):
     def analytic_laplacian(self, points: np.ndarray) -> np.ndarray:
         n = self.dimension
         amp = -self.sign * n * (n - 2) * _bubble_amplitude(n) * self.scale ** (-(n + 2) / 2)
-        return amp * self._z(points)[1] ** (-(n + 2) / 2)
+        g = self._z(points)[1]
+        g **= -(n + 2) / 2
+        g *= amp
+        return g
 
     @cached_property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -321,10 +338,13 @@ class Superposition(ScalarField):
         if not self.has_analytic_gradient:
             return super().value_and_gradient(points)
         val, grad = np.zeros(len(points)), np.zeros_like(points)
+        # one scratch array for every ``w * g``: a part's own arrays are
+        # never written, as a CustomField may return one it keeps
+        wg = np.empty_like(grad)
         for w, p in zip(self.weights, self.parts):
             v, g = p.value_and_gradient(points)
             val += w * v
-            grad += w * g
+            grad += np.multiply(w, g, out=wg)
         return val, grad
 
     @cached_property
@@ -958,7 +978,8 @@ def pohozaev_report(
 
     def sphere_terms(pts):
         v, g = u.value_and_gradient(pts)
-        nu = (pts - x) / r
+        nu = pts - x
+        nu /= r
         return (np.abs(v) ** p, np.einsum("mi,mi->m", g, g),
                 np.einsum("mi,mi->m", g, nu) ** 2)
 

@@ -71,7 +71,9 @@ def _sphere_terms(
 
     def terms(pts):
         v, g = u.value_and_gradient(pts)
-        return v**2, v * np.einsum("mi,mi->m", g, pts - x)
+        w = np.einsum("mi,mi->m", g, pts - x)
+        w *= v
+        return v**2, w
 
     S, W = integrate_pieces(sphere_pieces_for(u, x, rr, order), terms, threads).T
     return S, (n - 1) / rr * S + 2.0 * W / rr

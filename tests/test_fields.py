@@ -1,16 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bubblelab.grid import (
+    RadialGrid,
     build_ball_rule,
     build_shell_pieces,
     integrate,
+    integrate_pieces,
     unit_ball_volume,
     unit_sphere_area,
 )
 from bubblelab.concentration import bubbling_energy
 from bubblelab.fields import (
     Bubble,
+    _energy_terms,
     _finest_scale,
     _layout,
     ball_rule_for,
@@ -590,3 +595,113 @@ def test_value_and_gradient_equal_evaluate_and_gradient(n):
         v, g = u.value_and_gradient(pts)
         assert same_bits(v, u.evaluate(pts))
         assert same_bits(g, u.gradient(pts))
+
+
+def _point_layouts(rng, n, center, scale):
+    """The same kind of points as C-ordered, F-ordered and column-sliced
+    (non-contiguous) arrays; a few rows sit within a few scales of the
+    center, so the profile's core is sampled at every scale."""
+    base = rng.standard_normal((300, n))
+    base[:20] = center + scale * rng.standard_normal((20, n))
+    wide = np.zeros((300, 2 * n + 1))
+    wide[:, 1::2] = base
+    return {"C": base, "F": np.asfortranarray(base), "sliced": wide[:, 1::2]}
+
+
+def _out_of_place(b, pts):
+    """The bubble kernels as out-of-place expressions."""
+    n, d, s = b.dimension, b.scale, b.sign
+    amp = (n * (n - 2)) ** ((n - 2) / 4)
+    z = (pts - b.center) / d
+    g = 1.0 + np.einsum("ij,ij->i", z, z)
+    value = s * (amp * d ** (-(n - 2) / 2)) * g ** (-(n - 2) / 2)
+    grad = -s * ((n - 2) * amp * d ** (-n / 2)) * z * (g ** (-n / 2))[:, None]
+    lap = (-s * n * (n - 2) * amp * d ** (-(n + 2) / 2)) * g ** (-(n + 2) / 2)
+    return value, grad, lap
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-18])
+def test_in_place_kernels_equal_the_out_of_place_expressions(n, sign, scale):
+    rng = np.random.default_rng([n, int(sign > 0), int(-np.log10(scale))])
+    b = Bubble(n, 0.3 * rng.standard_normal(n), scale, sign)
+    c = Bubble(n, rng.standard_normal(n), 0.7 * scale, -sign)
+    weights = np.array([0.7, -1.3])
+    for layout, pts in _point_layouts(rng, n, b.center, scale).items():
+        value, grad, lap = _out_of_place(b, pts)
+        assert same_bits(b.evaluate(pts), value), layout
+        assert same_bits(b.analytic_gradient(pts), grad), layout
+        assert same_bits(b.analytic_laplacian(pts), lap), layout
+        v, g = b.value_and_gradient(pts)
+        assert same_bits(v, value) and same_bits(g, grad), layout
+        # the superposition's old accumulation, one fresh w * g per part
+        cv, cg, _ = _out_of_place(c, pts)
+        val, acc = np.zeros(len(pts)), np.zeros_like(pts)
+        for w, pv, pg in zip(weights, (value, cv), (grad, cg)):
+            val += w * pv
+            acc += w * pg
+        v, g = Superposition([b, c], weights).value_and_gradient(pts)
+        assert same_bits(v, val) and same_bits(g, acc), layout
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_evaluation_never_writes_into_its_inputs(n):
+    rng = np.random.default_rng(n)
+    b = Bubble(n, rng.standard_normal(n), 0.3, -1.0)
+    layouts = _point_layouts(rng, n, b.center, 0.3)
+    kept_v, kept_g = rng.standard_normal(300), rng.standard_normal((300, n))
+    # a part that returns arrays it keeps: the sum must not accumulate
+    # into them
+    stored = CustomField(n, lambda p: kept_v, lambda p: kept_g)
+    sup = Superposition([stored, b, stored], [2.0, -0.5, 3.0])
+    fields = [b, sup, BubbleConfiguration([b, b], [1.0, 2.0]),
+              RescaledField(b, rng.standard_normal(n), 0.25)]
+    for layout, pts in layouts.items():
+        before = pts.copy()
+        for u in fields:
+            u.evaluate(pts)
+            u.analytic_gradient(pts)
+            u.value_and_gradient(pts)
+            if u is not sup:
+                u.analytic_laplacian(pts)
+            assert same_bits(pts, before), (layout, u)
+    v_before, g_before = kept_v.copy(), kept_g.copy()
+    first = sup.value_and_gradient(layouts["C"])
+    assert same_bits(kept_v, v_before) and same_bits(kept_g, g_before)
+    second = sup.value_and_gradient(layouts["C"])
+    assert all(same_bits(a, b) for a, b in zip(first, second))
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_bubble_value_and_gradient_allocates_one_point_array(n):
+    # z, g = 1 + |z|^2 and the values, plus numpy's fixed 8192-element ufunc
+    # buffer for the broadcast product: under 2 (N, n) arrays for n >= 4
+    # (at n = 3 the same four arrays read 2.007).  Out of place, the
+    # kernels held up to four (N, n) arrays: 3.58-4.01 here.
+    rng = np.random.default_rng(n)
+    pts = rng.standard_normal((8192, n))
+    b = Bubble(n, rng.standard_normal(n), 0.5)
+    b.value_and_gradient(pts)  # fills the cached amplitudes
+    assert _traced_peak(lambda: b.value_and_gradient(pts)) <= 2 * pts.nbytes
+
+
+def test_off_center_profile_shells_stay_within_their_memory_budget():
+    # the n = 6 profile's 40 shells about an off-center probe: 61,440
+    # nodes in blocks of 8192; 1.92 MB with out-of-place kernels and nodes
+    u = aubin_talenti(6)
+    x = 0.3 * np.eye(6)[0]
+    rr = RadialGrid.log_spaced(0.05, 5.0, 40).radii
+    shells = shell_pieces_for(u, x, np.stack([np.r_[0.0, rr[:-1]], rr], axis=1), 32)
+    first = integrate_pieces(shells, _energy_terms(u))
+    assert _traced_peak(lambda: integrate_pieces(shells, _energy_terms(u))) < 1.5e6
+    assert same_bits(integrate_pieces(shells, _energy_terms(u)), first)
