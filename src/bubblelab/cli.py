@@ -224,11 +224,12 @@ def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
         raise ValueError(
             f"--duality-trials must be >= 0 (0 runs none), got {args.duality_trials}"
         )
-    out = _prepare_out(cfg, "lorentz", {"p": args.p, "q": args.q})
     n = cfg.n
     q = float("inf") if str(args.q).lower() in ("inf", "infinity") else float(args.q)
     idx = LorentzIndex(float(args.p), q)
 
+    # the samples are read or built before the output directory is made, so
+    # that a bad input leaves nothing behind
     if args.input:
         f = read_samples_csv(args.input)
         label = args.input
@@ -239,6 +240,7 @@ def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
         label = "|x|^(-n/2)"
     else:
         raise ValueError("provide --input or --analytic")
+    out = _prepare_out(cfg, "lorentz", {"p": args.p, "q": args.q})
 
     # the trials run before the table is built, so that the process never
     # holds their arrays and the table at once

@@ -338,13 +338,15 @@ class Superposition(ScalarField):
         if not self.has_analytic_gradient:
             return super().value_and_gradient(points)
         val, grad = np.zeros(len(points)), np.zeros_like(points)
-        # one scratch array for every ``w * g``: a part's own arrays are
-        # never written, as a CustomField may return one it keeps
-        wg = np.empty_like(grad)
+        # one scratch array for every ``w * v`` and one for every ``w * g``:
+        # a part's own arrays are never written, as a CustomField may return
+        # one it keeps, and they are dropped before the next part's call
+        wv, wg = np.empty_like(val), np.empty_like(grad)
         for w, p in zip(self.weights, self.parts):
             v, g = p.value_and_gradient(points)
-            val += w * v
+            val += np.multiply(w, v, out=wv)
             grad += np.multiply(w, g, out=wg)
+            del v, g
         return val, grad
 
     @cached_property

@@ -388,7 +388,7 @@ def test_lorentz_input_rejects_non_finite_cells(tmp_path, capsys, rows):
     assert code == 2
     assert "finite" in captured.err
     assert "status: pass" not in captured.out
-    assert not (out / "table.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -405,7 +405,24 @@ def test_lorentz_input_needs_two_columns_and_a_row(tmp_path, capsys, text, messa
     assert code == 2
     assert message in captured.err
     assert "status: pass" not in captured.out
-    assert not (out / "table.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--analytic", "inv-sqrt-n", "--samples", 0], "count >= 1"),
+    (["--analytic", "inv-sqrt-n", "--inner", 2, "--outer", 1], "inner < outer"),
+    (["--analytic", "inv-sqrt-n", "--p", 0], "p must be positive"),
+    (["--input", "missing.csv"], "not found"),
+    (["--input", "ragged.csv"], "got 1 columns instead of 2"),
+], ids=["no-samples", "inner-above-outer", "zero-p", "missing-input", "ragged-input"])
+def test_lorentz_usage_errors_leave_no_output_directory(tmp_path, capsys, args, message):
+    (tmp_path / "ragged.csv").write_text("value,cell_measure\n1,1\n2\n")
+    args = [tmp_path / a if str(a).endswith(".csv") else a for a in args]
+    out = tmp_path / "o"
+    code = run(["lorentz", *args, "--out", out])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lorentz_input_with_overflowing_norm_writes_infinity(tmp_path, capsys):

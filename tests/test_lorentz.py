@@ -454,11 +454,19 @@ def test_csv_roundtrip(tmp_path):
 
 
 # one value of each kind the .17g writers must reproduce exactly: signed
-# zero, the smallest subnormal, the largest magnitudes and full 17-digit
-# mantissas
-WRITER_SPECIALS = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0]
-WRITER_ROWS = [1, _csv._WRITE_BLOCK_ROWS - 1, _csv._WRITE_BLOCK_ROWS,
+# zero, the smallest subnormal, the largest magnitudes, full 17-digit
+# mantissas, the exact ties that round half to even (…247.2, …246.8), the
+# carry to 1e+17, and both sides of the switches to scientific notation
+WRITER_SPECIALS = [-0.0, 5e-324, 1e308, -1e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0,
+                   2251799813685247.25, 2251799813685246.75, 9.9999999999999999e16,
+                   1e-5, 0.0001, 1e16, 1e17, 1.7976931348623157e308,
+                   -1.7976931348623157e308]
+# the vectorized kernel formats blocks of _KERNEL_MIN_ROWS rows and more
+WRITER_ROWS = [1, _csv._KERNEL_MIN_ROWS - 1, _csv._KERNEL_MIN_ROWS,
+               _csv._WRITE_BLOCK_ROWS - 1, _csv._WRITE_BLOCK_ROWS,
                _csv._WRITE_BLOCK_ROWS + 1, 100_000]
+# integers whose float64 casts round: 2**53 + 1 and the int64 extremes
+WRITER_INTS = [2**53 + 1, 2**63 - 1, -(2**63 - 1)]
 
 
 def _per_value_csv(header, columns, last_row=""):
@@ -497,13 +505,25 @@ def test_samples_writer_bytes_match_per_value_format(tmp_path, rows):
              np.where(np.arange(rows) % 5 == 0, specials, values)]
     _csv.write_csv(tmp_path / "mixed.csv", header, mixed)
     assert (tmp_path / "mixed.csv").read_bytes() == _per_value_csv(header, mixed)
+    # every numeric column kind the kernel casts to float64, and Python ints
+    # beyond uint64, which stay an object column formatted value by value
+    header = ["int", "uint", "flag", "single", "value", "big"]
+    numeric = [np.resize(np.array(WRITER_INTS, dtype=np.int64), rows),
+               np.resize(np.array([2**64 - 1, 2**53 + 1, 7], dtype=np.uint64), rows),
+               np.arange(rows) % 3 == 0,
+               (rng.standard_normal(rows) * 10.0 ** rng.uniform(-30, 30, rows)).astype(np.float32),
+               mixed[-1], np.array([2**64 + 3 * i for i in range(rows)], dtype=object)]
+    _csv.write_csv(tmp_path / "numeric.csv", header[:-1], numeric[:-1])
+    assert (tmp_path / "numeric.csv").read_bytes() == _per_value_csv(header[:-1], numeric[:-1])
+    _csv.write_csv(tmp_path / "numeric.csv", header, numeric)
+    assert (tmp_path / "numeric.csv").read_bytes() == _per_value_csv(header, numeric)
 
 
 @pytest.mark.parametrize("rows", WRITER_ROWS)
 def test_table_writer_bytes_match_per_value_format(tmp_path, rows):
     rng = np.random.default_rng(rows)
     levels = np.sort(np.abs(_writer_values(rng, rows)))[::-1].copy()
-    levels[0] = 1e308
+    levels[0] = max(levels[0], 1e308)
     if rows > 1:
         levels[-1] = -0.0
     breaks = np.concatenate(([0.0], np.cumsum(rng.random(rows) + 1e-3)))
@@ -516,6 +536,21 @@ def test_table_writer_bytes_match_per_value_format(tmp_path, rows):
                           f"{format(breaks[-1], '.17g')},0\r\n")
     assert path.read_bytes() == want
     assert path.read_bytes().count(b"\r\n") == rows + 2
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+       st.sampled_from([_csv._KERNEL_MIN_ROWS - 1, _csv._KERNEL_MIN_ROWS, 1000]))
+@settings(max_examples=150, deadline=None)
+def test_writer_bytes_match_per_value_format_on_any_double(tmp_path_factory, floats,
+                                                           patterns, rows):
+    # any float, nan, inf and subnormals among them, and any 64-bit
+    # pattern, in blocks just below, at and above the kernel's threshold
+    columns = [np.resize(np.array(floats), rows),
+               np.resize(np.array(patterns, dtype=np.uint64), rows).view(np.float64)]
+    path = tmp_path_factory.mktemp("writer") / "any.csv"
+    _csv.write_csv(path, ["float", "pattern"], columns)
+    assert path.read_bytes() == _per_value_csv(["float", "pattern"], columns)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
