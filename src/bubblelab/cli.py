@@ -5,6 +5,12 @@ bubble-constant.  Options come from a flat INI config file (section [run])
 overridden by CLI flags; the effective configuration is echoed into every
 output directory.  Exit codes: 0 pass, 1 tolerance failure, 2 usage error.
 
+Every subcommand is a pair: ``check_<name>`` parses, validates and builds
+its inputs without touching the filesystem, and ``cmd_<name>`` computes and
+writes.  ``main`` makes the output directory between the two, so a usage
+error (exit 2) leaves no --out behind, and its message names the flag or
+spec key it refuses.
+
 Outputs are deterministic: fixed seeds, one round-trip float format (``_csv``),
 sorted JSON keys, and a bit-stable quadrature reduction, so repeated runs
 (and runs with different --threads) produce byte-identical files.
@@ -17,6 +23,7 @@ import configparser
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -74,7 +81,7 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.n < 3:
-            raise ValueError("dimension must be >= 3")
+            raise ValueError(f"n (the dimension) must be >= 3, got {self.n}")
         for name in ("quad_order", "threads"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -108,12 +115,12 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _prepare_out(cfg: RunConfig, command: str, extra: dict | None = None) -> Path:
+def _prepare_out(cfg: RunConfig, command: str, extra: dict) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     cp = configparser.ConfigParser()
     cp["run"] = {k: repr(v) for k, v in asdict(cfg).items()}
-    cp["command"] = {"name": command, **{k: repr(v) for k, v in (extra or {}).items()}}
+    cp["command"] = {"name": command, **{k: repr(v) for k, v in extra.items()}}
     with open(out / "effective_config.ini", "w") as fh:
         cp.write(fh)
     return out
@@ -133,25 +140,60 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {val}")
 
 
+def _need(ok: bool, flag: str, rule: str, value) -> None:
+    """Refuse ``value`` of ``flag`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{flag} must be {rule}, got {value}")
+
+
+@contextmanager
+def _options(names: str):
+    """Name the options that a refusal raised inside the block comes from."""
+    try:
+        yield
+    except (ValueError, OSError, configparser.Error) as exc:
+        raise ValueError(f"{names}: {exc}") from None
+
+
+def _point(flag: str, coords, n: int) -> np.ndarray:
+    """``coords`` as a point of R^n; the origin when none are given."""
+    if coords is None:
+        return np.zeros(n)
+    _need(len(coords) == n and all(map(math.isfinite, coords)), flag,
+          f"{n} finite coordinates", " ".join(map(str, coords)))
+    return np.array(coords, dtype=float)
+
+
 def _field_from_args(args, n: int):
     if args.constant is not None:
+        _need(math.isfinite(args.constant), "--constant", "finite", args.constant)
         return ConstantField(n, args.constant), f"constant({args.constant})"
-    center = np.array(args.center, dtype=float) if args.center else np.zeros(n)
+    _need(0 < args.delta < math.inf, "--delta", "finite and > 0", args.delta)
+    center = _point("--center", args.center, n)
     return aubin_talenti(n, args.delta, center), f"bubble(delta={args.delta})"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: check_<name>(args, cfg) -> (echoed options, inputs),
+# cmd_<name>(args, cfg, out, *inputs) -> (payload, status)
 # ---------------------------------------------------------------------------
 
 
-def cmd_residual(args, cfg: RunConfig) -> tuple[dict, str]:
-    out = _prepare_out(cfg, "residual", {"delta": args.delta, "points": args.points})
+def check_residual(args, cfg: RunConfig):
     n = cfg.n
+    _need(args.points >= 1, "--points", ">= 1", args.points)
+    _need(0 <= args.tol < math.inf, "--tol", "finite and >= 0", args.tol)
+    for r in args.pohozaev or ():
+        _need(0 < r < math.inf, "--pohozaev", "finite and > 0", r)
     u, label = _field_from_args(args, n)
     rng = np.random.default_rng(cfg.seed)
     pts = rng.standard_normal((args.points, n))
     pts *= (5.0 * rng.random(args.points) ** (1.0 / n) / np.linalg.norm(pts, axis=1))[:, None]
+    return {"delta": args.delta, "points": args.points}, (u, label, pts)
+
+
+def cmd_residual(args, cfg: RunConfig, out: Path, u, label: str, pts) -> tuple[dict, str]:
+    n = cfg.n
     res = pde_residual(u, pts)
     _write_csv(out / "residuals.csv", [f"x{i + 1}" for i in range(n)] + ["residual"],
                [*pts.T, res])
@@ -176,15 +218,20 @@ def cmd_residual(args, cfg: RunConfig) -> tuple[dict, str]:
     return payload, "fail" if failed else "pass"
 
 
-def cmd_monotonicity(args, cfg: RunConfig) -> tuple[dict, str]:
-    out = _prepare_out(cfg, "monotonicity", {"delta": args.delta})
+def check_monotonicity(args, cfg: RunConfig):
     n = cfg.n
     if args.zero:
         u, label = ConstantField(n, 0.0), "zero"
     else:
         u, label = _field_from_args(args, n)
-    probe = np.array(args.probe, dtype=float) if args.probe else np.zeros(n)
-    radii = RadialGrid.log_spaced(args.rmin, args.rmax, args.count)
+    probe = _point("--probe", args.probe, n)
+    with _options("--rmin/--rmax/--count"):
+        radii = RadialGrid.log_spaced(args.rmin, args.rmax, args.count)
+    return {"delta": args.delta}, (u, label, probe, radii)
+
+
+def cmd_monotonicity(args, cfg: RunConfig, out: Path, u, label: str, probe,
+                     radii) -> tuple[dict, str]:
     prof = profile(u, probe, radii, order=cfg.quad_order)
     write_profile_csv(out / "profile.csv", prof)
     mono = check_monotone(prof)
@@ -219,29 +266,28 @@ def _duality_failures(seed: int, trials: int) -> int:
     return int(np.count_nonzero(prod > n21 * n2inf * (1 + 1e-12)))
 
 
-def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
-    if args.duality_trials < 0:
-        raise ValueError(
-            f"--duality-trials must be >= 0 (0 runs none), got {args.duality_trials}"
-        )
-    n = cfg.n
-    q = float("inf") if str(args.q).lower() in ("inf", "infinity") else float(args.q)
-    idx = LorentzIndex(float(args.p), q)
-
-    # the samples are read or built before the output directory is made, so
-    # that a bad input leaves nothing behind
+def check_lorentz(args, cfg: RunConfig):
+    _need(args.duality_trials >= 0, "--duality-trials", ">= 0 (0 runs none)",
+          args.duality_trials)
+    with _options("--p/--q"):
+        idx = LorentzIndex(float(args.p), float(args.q))
     if args.input:
-        f = read_samples_csv(args.input)
+        with _options("--input"):
+            f = read_samples_csv(args.input)
         label = args.input
     elif args.analytic == "inv-sqrt-n":
-        f = sample_radial(
-            lambda r: r ** (-n / 2.0), n, args.inner, args.outer, args.samples
-        )
+        n = cfg.n
+        with _options("--inner/--outer/--samples"):
+            f = sample_radial(
+                lambda r: r ** (-n / 2.0), n, args.inner, args.outer, args.samples
+            )
         label = "|x|^(-n/2)"
     else:
         raise ValueError("provide --input or --analytic")
-    out = _prepare_out(cfg, "lorentz", {"p": args.p, "q": args.q})
+    return {"p": args.p, "q": args.q}, (idx, f, label)
 
+
+def cmd_lorentz(args, cfg: RunConfig, out: Path, idx, f, label: str) -> tuple[dict, str]:
     # the trials run before the table is built, so that the process never
     # holds their arrays and the table at once
     fails = _duality_failures(cfg.seed, args.duality_trials) if args.duality_trials else 0
@@ -249,7 +295,7 @@ def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
     table = rearrange(f)
     write_table_csv(out / "table.csv", table)
     norm = lorentz_norm(table, idx)
-    payload = {"field": label, "p": idx.p, "q": "inf" if q == float("inf") else q,
+    payload = {"field": label, "p": idx.p, "q": "inf" if idx.q == math.inf else idx.q,
                "norm": norm}
     if args.duality_trials:
         payload["duality_trials"] = args.duality_trials
@@ -259,15 +305,26 @@ def cmd_lorentz(args, cfg: RunConfig) -> tuple[dict, str]:
     return payload, "fail" if fails else "pass"
 
 
-def cmd_neck(args, cfg: RunConfig) -> tuple[dict, str]:
-    out = _prepare_out(cfg, "neck", {"base": args.base})
+def check_neck(args, cfg: RunConfig):
+    with _options("--base"):
+        seq = make_sequence([(np.zeros(cfg.n), args.base, 1.0)], budget=1e6, n=cfg.n)
+    _need(0 < args.outer < math.inf, "--outer", "finite and > 0", args.outer)
+    for k in args.k:
+        _need(k >= 0, "--k", ">= 0", k)
+        for R in args.R:
+            inner = R * seq.entries[0].schedule(k)  # the inner radius neck_energies takes
+            if not 0 < inner < args.outer:
+                raise ValueError(f"--R {R} at --k {k} puts the inner radius R*base^-k = "
+                                 f"{inner} outside (0, --outer {args.outer})")
+    return {"base": args.base}, (seq,)
+
+
+def cmd_neck(args, cfg: RunConfig, out: Path, seq) -> tuple[dict, str]:
     n = cfg.n
-    seq = make_sequence([(np.zeros(n), args.base, 1.0)], budget=1e6, n=n)
     rows = []
     for k in args.k:
         reps = neck_energies(seq, k, args.R, outer=args.outer, order=cfg.quad_order)
         for R, rep in zip(args.R, reps):
-            rep.checked()  # a degenerate annulus is a usage error
             worst_shell = max(s[2] for s in rep.shells)
             rows.append([R, k, rep.inner, rep.outer, rep.total, worst_shell])
     _write_csv(out / "neck.csv", ["R", "k", "inner", "outer", "energy", "max_shell"],
@@ -282,25 +339,30 @@ def cmd_neck(args, cfg: RunConfig) -> tuple[dict, str]:
     return payload, "pass"
 
 
-def cmd_quantize(args, cfg: RunConfig) -> tuple[dict, str]:
+def check_quantize(args, cfg: RunConfig):
     extras: dict = {}
     if args.spec:
-        seq, extras = read_sequence_spec(args.spec)
-        n = seq.dimension
+        with _options("--spec"):
+            seq, extras = read_sequence_spec(args.spec)
     else:
         n = cfg.n
-        bases = [float(b) for b in args.bases.split(",")] if args.bases else [4.0]
-        seq = make_sequence(
-            [(np.zeros(n), b, 1.0) for b in bases], budget=args.budget, n=n
-        )
-    qcfg = QuantizationConfig(k_max=extras.get("k_max", args.k_max))
-    check_report_input(n, qcfg.k_max)  # before anything is written
-    out = _prepare_out(cfg, "quantize", {"spec": args.spec or "inline"})
-    if cfg.eps0 > 0:
-        qcfg.eps0 = cfg.eps0
-    for key in ("eps0", "eps_n", "r_small"):
-        if key in extras:
-            setattr(qcfg, key, extras[key])
+        with _options("--bases/--budget"):
+            bases = [float(b) for b in args.bases.split(",")] if args.bases else [4.0]
+            seq = make_sequence(
+                [(np.zeros(n), b, 1.0) for b in bases], budget=args.budget, n=n
+            )
+    if args.assert_integer is not None:
+        _need(0 <= args.assert_integer < math.inf, "--assert-integer", "finite and >= 0",
+              args.assert_integer)
+    # a spec's k_max and thresholds override --k-max and [run] eps0 (0 = auto)
+    qcfg = QuantizationConfig(**{"k_max": args.k_max, "eps0": cfg.eps0 or None, **extras})
+    with _options("--spec" if args.spec else "--k-max/--n"):
+        check_report_input(seq.dimension, qcfg)
+    return {"spec": args.spec or "inline"}, (seq, qcfg)
+
+
+def cmd_quantize(args, cfg: RunConfig, out: Path, seq, qcfg) -> tuple[dict, str]:
+    n = seq.dimension
     try:
         report = quantization_report(seq, qcfg)
     except BudgetError as exc:
@@ -349,8 +411,12 @@ def cmd_quantize(args, cfg: RunConfig) -> tuple[dict, str]:
     return summary, "fail" if failed else "pass"
 
 
-def cmd_bubble_constant(args, cfg: RunConfig) -> tuple[dict, str]:
-    out = _prepare_out(cfg, "bubble-constant", {})
+def check_bubble_constant(args, cfg: RunConfig):
+    _need(args.radial_order >= 1, "--radial-order", ">= 1", args.radial_order)
+    return {}, ()
+
+
+def cmd_bubble_constant(args, cfg: RunConfig, out: Path) -> tuple[dict, str]:
     lam0 = bubble_energy_constant(cfg.n, radial_order=args.radial_order)
     payload = {
         "n": cfg.n,
@@ -406,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pohozaev", type=float, action="append",
                     help="also emit the radial-multiplier balance at this radius")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.set_defaults(func=cmd_residual)
+    sp.set_defaults(check=check_residual, run=cmd_residual)
 
     sp = sub.add_parser("monotonicity", help="local energy profile checks")
     _add_common(sp)
@@ -419,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmin", type=float, default=0.05)
     sp.add_argument("--rmax", type=float, default=5.0)
     sp.add_argument("--count", type=int, default=40)
-    sp.set_defaults(func=cmd_monotonicity)
+    sp.set_defaults(check=check_monotonicity, run=cmd_monotonicity)
 
     sp = sub.add_parser("lorentz", help="rearrangement and Lorentz norms")
     _add_common(sp)
@@ -433,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--outer", type=float, default=10.0)
     sp.add_argument("--duality-trials", dest="duality_trials", type=int, default=0,
                     help="random pairing-bound trials, checked as one batch (>= 0)")
-    sp.set_defaults(func=cmd_lorentz)
+    sp.set_defaults(check=check_lorentz, run=cmd_lorentz)
 
     sp = sub.add_parser("neck", help="annulus energy between scales")
     _add_common(sp)
@@ -442,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, nargs="+", default=[3])
     sp.add_argument("--R", type=float, nargs="+", default=[10.0, 30.0, 100.0])
     sp.add_argument("--outer", type=float, default=0.5)
-    sp.set_defaults(func=cmd_neck)
+    sp.set_defaults(check=check_neck, run=cmd_neck)
 
     sp = sub.add_parser("quantize", help="defect quantization pipeline")
     _add_common(sp)
@@ -453,25 +519,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--assert-integer", dest="assert_integer", type=float,
                     help="fail unless every ratio is this close to an integer "
                     "and equals its point's number of extracted bubbles")
-    sp.set_defaults(func=cmd_quantize)
+    sp.set_defaults(check=check_quantize, run=cmd_quantize)
 
     sp = sub.add_parser("bubble-constant", help="print the single-bubble energy")
     _add_common(sp)
     sp.add_argument("--radial-order", dest="radial_order", type=int, default=64)
-    sp.set_defaults(func=cmd_bubble_constant)
+    sp.set_defaults(check=check_bubble_constant, run=cmd_bubble_constant)
 
     return ap
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: load the config, set the thread count, run it,
-    then print its payload with its status and map the status to the exit
-    code."""
+    """Run one subcommand: load the config, set the thread count, check the
+    subcommand's arguments, make the output directory, run it, then print
+    its payload with its status and map the status to the exit code."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config, _cfg_overrides(args))
         grid.set_default_threads(cfg.threads)
-        payload, status = args.func(args, cfg)
+        echo, inputs = args.check(args, cfg)
+        out = _prepare_out(cfg, args.command, echo)
+        payload, status = args.run(args, cfg, out, *inputs)
         payload["status"] = status
         _emit(args, payload)
     except (ValueError, OSError, configparser.Error) as exc:

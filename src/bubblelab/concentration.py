@@ -184,8 +184,8 @@ def _as_schedule(spec) -> Callable[[int], float]:
     if callable(spec):
         return spec
     base = float(spec)
-    if base <= 1.0:
-        raise ValueError(f"geometric schedule base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise ValueError(f"geometric schedule base must be finite and exceed 1, got {base}")
     return lambda k, b=base: b ** (-k)
 
 
@@ -203,6 +203,8 @@ class ConcentrationSequence:
             raise ValueError("need n >= 3")
         if not entries:
             raise ValueError("a sequence needs at least one bubble entry")
+        if not 0 < budget < math.inf:
+            raise ValueError(f"budget must be finite and > 0, got {budget}")
         self.dimension = n
         self.entries = list(entries)
         self.budget = float(budget)
@@ -213,7 +215,7 @@ class ConcentrationSequence:
         k_check = 8
         for e in self.entries:
             d = np.array([e.schedule(k) for k in range(k_check + 1)])
-            if np.any(d <= 0):
+            if not np.all(d > 0):
                 raise ValueError("scale schedules must stay positive")
             if np.any(np.diff(d) >= 0):
                 raise ValueError("scale schedules must be strictly decreasing")
@@ -275,6 +277,8 @@ def make_sequence(
     for item in spec:
         center, sched, weight = item
         c = np.asarray(center, dtype=float).reshape(-1)
+        if not (np.isfinite(c).all() and math.isfinite(weight)):
+            raise ValueError(f"bubble center and weight must be finite, got {c} and {weight}")
         if dim is None:
             dim = c.size
         entries.append(
@@ -375,11 +379,19 @@ def _check_k_max(k_max) -> None:
         raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
 
 
-def check_report_input(n: int, k_max) -> None:
+def check_report_input(n: int, config: QuantizationConfig) -> None:
     """Reject what ``quantization_report`` cannot run, before any work: a
-    ``k_max`` below 1, or a dimension whose detection lattice would hold
-    more than 100,000 probes."""
-    _check_k_max(k_max)
+    ``k_max`` below 1, a threshold ``eps0`` or ``eps_n`` that is neither
+    None (auto) nor finite and > 0, an ``r_small`` that is not finite and
+    > 0, or a dimension whose detection lattice would hold more than
+    100,000 probes."""
+    _check_k_max(config.k_max)
+    for key in ("eps0", "eps_n", "r_small"):
+        value = getattr(config, key)
+        if value is None and key != "r_small":
+            continue  # auto
+        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            raise ValueError(f"{key} must be finite and > 0, got {value}")
     _lattice_ticks(n)
 
 
@@ -399,8 +411,8 @@ def _detect_detailed(seq: ConcentrationSequence, k_max: int, r_grid: Sequence[fl
     module docstring); each k bounds only the probes left, and a NaN or
     infinite bound drops nothing."""
     _check_k_max(k_max)
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
+    if not 0 < eps0 < math.inf:
+        raise ValueError(f"eps0 must be finite and > 0, got {eps0}")
     n = seq.dimension
     us = [seq.field(k) for k in range(math.ceil(k_max / 2), k_max + 1)]
     candidates = _dedup_points(np.vstack(
@@ -842,7 +854,7 @@ def quantization_report(
     drops below threshold, tabulate necks and integer ratios."""
     cfg = config or QuantizationConfig()
     n = seq.dimension
-    check_report_input(n, cfg.k_max)
+    check_report_input(n, cfg)
     lam0 = bubble_energy_constant(n)
     eps0 = cfg.eps0 if cfg.eps0 is not None else lam0.value / 20.0
     eps_n = cfg.eps_n if cfg.eps_n is not None else lam0.value / 10.0

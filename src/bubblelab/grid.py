@@ -364,8 +364,8 @@ class RadialGrid:
 
     @classmethod
     def log_spaced(cls, rmin: float, rmax: float, count: int) -> "RadialGrid":
-        if not (0 < rmin < rmax) or count < 2:
-            raise ValueError("need 0 < rmin < rmax and count >= 2")
+        if not (0 < rmin < rmax < np.inf) or count < 2:
+            raise ValueError("need 0 < rmin < rmax < inf and count >= 2")
         return cls(np.geomspace(rmin, rmax, count))
 
     def __len__(self) -> int:

@@ -320,8 +320,8 @@ def sample_radial(
     is 0; its measure is the exact shell volume and its value is the profile
     at the geometric midpoint (the arithmetic one when inner is 0).
     """
-    if not (0 <= inner < outer) or count < 1:
-        raise ValueError("need 0 <= inner < outer and count >= 1")
+    if not (0 <= inner < outer) or not isfinite(outer) or count < 1:
+        raise ValueError("need 0 <= inner < outer < inf and count >= 1")
     if inner > 0:
         edges = np.geomspace(inner, outer, count + 1)
         mids = np.sqrt(edges[1:] * edges[:-1])

@@ -1,4 +1,6 @@
 import configparser
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bubblelab
+from bubblelab import cli
 from bubblelab.cli import main
 from bubblelab.concentration import ConcentrationSequence
 
@@ -186,6 +190,51 @@ def test_quantize_spec_rejects_missing_n_and_unknown_keys(tmp_path, capsys, text
     captured = capsys.readouterr()
     assert code == 2
     assert message in captured.err
+    assert not out.exists()
+
+
+BAD_VALUE_CASES = [
+    (["neck", "--k", 0], "--R 10.0 at --k 0 puts the inner radius"),
+    (["neck", "--R", -1], "--R -1.0 at --k 3 puts the inner radius"),
+    (["neck", "--outer", 0], "--outer must be finite and > 0"),
+    (["neck", "--base", 1], "--base: geometric schedule base"),
+    (["residual", "--points", 0], "--points must be >= 1"),
+    (["residual", "--points", -3], "--points must be >= 1"),
+    (["residual", "--delta", -1], "--delta must be finite and > 0"),
+    (["residual", "--delta", "nan"], "--delta must be finite and > 0"),
+    (["residual", "--pohozaev", -1], "--pohozaev must be finite and > 0"),
+    (["residual", "--center", 1, 2], "--center must be 3 finite coordinates"),
+    (["residual", "--tol", "nan"], "--tol must be finite and >= 0"),
+    (["monotonicity", "--count", 0], "--rmin/--rmax/--count"),
+    (["monotonicity", "--rmin", 5, "--rmax", 1], "--rmin/--rmax/--count"),
+    (["monotonicity", "--probe", 1, 2], "--probe must be 3 finite coordinates"),
+    (["monotonicity", "--delta", 0], "--delta must be finite and > 0"),
+    (["bubble-constant", "--radial-order", 0], "--radial-order must be >= 1"),
+    (["quantize", "--spec", "eps0 = nan"], "eps0 must be finite and > 0"),
+    (["quantize", "--spec", "eps0 = -1"], "eps0 must be finite and > 0"),
+    (["quantize", "--spec", "eps_n = nan"], "eps_n must be finite and > 0"),
+    (["quantize", "--spec", "r_small = -1"], "r_small must be finite and > 0"),
+    (["quantize", "--budget", "nan"], "--budget: budget must be finite and > 0"),
+    (["quantize", "--budget", 0], "--budget: budget must be finite and > 0"),
+    (["quantize", "--budget", -1], "--budget: budget must be finite and > 0"),
+    (["quantize", "--assert-integer", "nan"], "--assert-integer must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("args, message", BAD_VALUE_CASES,
+                         ids=[" ".join(map(str, args)) for args, _ in BAD_VALUE_CASES])
+def test_bad_values_exit_2_before_the_output_directory_is_made(tmp_path, capsys, args,
+                                                               message):
+    if args[1] == "--spec":
+        spec = tmp_path / "seq.ini"
+        spec.write_text(SPEC_SEQUENCE + args[2] + "\n\n" + SPEC_BUBBLE)
+        args = [args[0], "--spec", spec]
+    out = tmp_path / "o"
+    code = run([*args, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -446,3 +495,138 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+# Every subcommand's options with boundary values each refuses (at the
+# defaults of the others): zero, negative, NaN and infinite values, swapped
+# ranges, points of the wrong length and empty or malformed files.  A value
+# prefixed "file:" names a file of BAD_FILES.  No value starts real work.
+NUMBERS = ["nan", "inf", "-inf", "x"]
+RUN_OPTIONS = {"--quad-order": [0, -1, "x"], "--seed": [-1]}  # also [run] keys
+FIELD = {
+    "--delta": [0, -1, *NUMBERS],
+    "--center": [[1, 2], [1, 2, 3, 4], ["nan", 0, 0], [0, "inf", 0]],
+    "--constant": NUMBERS,
+}
+BAD_OPTIONS = {
+    "residual": {
+        **FIELD, **RUN_OPTIONS,
+        "--points": [0, -1, 1.5],
+        "--tol": [-1, *NUMBERS],
+        "--pohozaev": [0, -1, *NUMBERS],
+    },
+    "monotonicity": {
+        **FIELD, **RUN_OPTIONS,
+        "--probe": [[1, 2], [1, 2, 3, 4], ["nan", 0, 0]],
+        "--rmin": [0, -1, 5, 10, *NUMBERS],  # 5 and 10 are not below --rmax 5
+        "--rmax": [0, -1, 0.01, *NUMBERS],  # 0.01 is below --rmin 0.05
+        "--count": [0, 1, -1, "x"],
+    },
+    "lorentz": {
+        "--seed": [-1],
+        "--p": [0, -1, "nan", "-inf", "x"],
+        "--q": [0, -1, "nan", "-inf", "x"],
+        "--samples": [0, -1, "x"],
+        "--inner": [-1, 20, "nan", "inf", "x"],  # 20 is not below --outer 10
+        "--outer": [0, -1, 0.0005, "nan", "inf"],  # 0.0005 is below --inner 0.001
+        "--duality-trials": [-1, "x"],
+        "--input": ["file:empty.csv", "file:header.csv", "file:one-column.csv",
+                    "file:text-cell.csv", "file:nan-cell.csv", "file:zero-measure.csv",
+                    "file:ragged.csv", "file:missing.csv"],
+    },
+    "neck": {
+        **RUN_OPTIONS,
+        "--base": [0, -1, 1, "nan", "inf", "x"],
+        "--k": [0, -1, "x"],
+        "--R": [0, -1, "nan", "inf"],
+        "--outer": [0, -1, "nan", "inf"],
+    },
+    "quantize": {
+        "--seed": [-1],
+        "--bases": ["0", "-1", "1", "nan", "inf", "x", "4,x", "4,nan"],
+        "--budget": [0, -1, *NUMBERS],
+        "--k-max": [0, -1, "x"],
+        "--assert-integer": [-1, *NUMBERS],
+        "--spec": ["file:empty.ini", "file:headerless.ini", "file:eps0-nan.ini",
+                   "file:eps0-inf.ini", "file:eps-n-nan.ini", "file:r-small-zero.ini",
+                   "file:budget-nan.ini", "file:k-max-zero.ini", "file:base-nan.ini",
+                   "file:n-2.ini", "file:center-nan.ini", "file:no-bubble.ini",
+                   "file:missing.ini"],
+    },
+    "bubble-constant": {"--seed": [-1], "--radial-order": [0, -1, "x"]},
+}
+BASE_ARGS = {"lorentz": ["--analytic", "inv-sqrt-n"]}
+BAD_FILES = {
+    "empty.csv": "",
+    "header.csv": "value,cell_measure\n",
+    "one-column.csv": "value\n1\n2\n",
+    "text-cell.csv": "value,cell_measure\n1,1\nabc,1\n",
+    "nan-cell.csv": "value,cell_measure\nnan,1\n",
+    "zero-measure.csv": "value,cell_measure\n1,0\n",
+    "ragged.csv": "value,cell_measure\n1,1\n2\n",
+    "empty.ini": "",
+    "headerless.ini": "n = 3\n",
+    "no-bubble.ini": SPEC_SEQUENCE,
+    "n-2.ini": "[sequence]\nn = 2\n\n[bubble:a]\ncenter = 0 0\n",
+    "center-nan.ini": SPEC_SEQUENCE + "\n" + SPEC_BUBBLE.replace("0 0 0", "0 nan 0"),
+    "base-nan.ini": SPEC_SEQUENCE + "\n" + SPEC_BUBBLE.replace("base = 4", "base = nan"),
+    **{name: SPEC_SEQUENCE + line + "\n\n" + SPEC_BUBBLE for name, line in [
+        ("eps0-nan.ini", "eps0 = nan"), ("eps0-inf.ini", "eps0 = inf"),
+        ("eps-n-nan.ini", "eps_n = nan"), ("r-small-zero.ini", "r_small = 0"),
+        ("budget-nan.ini", "budget = nan"),
+    ]},
+    "k-max-zero.ini": SPEC_SEQUENCE.replace("k_max = 4", "k_max = 0") + "\n" + SPEC_BUBBLE,
+}
+
+
+@st.composite
+def bad_invocations(draw):
+    """A subcommand with one to three of its options set to refused values;
+    returns the argument list and the options drawn."""
+    command = draw(st.sampled_from(sorted(BAD_OPTIONS)))
+    options = BAD_OPTIONS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3,
+                          unique=True))
+    argv = [command, *BASE_ARGS.get(command, [])]
+    for flag in flags:
+        value = draw(st.sampled_from(options[flag]))
+        # --flag=value, so that argparse reads -inf as a value
+        argv += [flag, *value] if isinstance(value, list) else [f"{flag}={value}"]
+    return argv, flags
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad-files")
+    for name, text in BAD_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
+@given(bad_invocations())
+@settings(max_examples=200, deadline=None)
+def test_every_refused_value_exits_2_naming_an_option_and_writes_nothing(bad_files, drawn):
+    argv, flags = drawn
+    argv = [str(a).replace("file:", f"{bad_files}/") for a in argv]
+    out = bad_files / "out"
+
+    def no_output(*args, **kwargs):
+        raise AssertionError("the output directory was made for a refused value")
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()) as stdout:
+        mp.setattr(cli, "_prepare_out", no_output)
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse refuses a value of the wrong type
+            code = exc.code
+    message = err.getvalue()
+    assert code == 2, (argv, message)
+    assert "Traceback" not in message
+    # the flag, or the [run] key it sets
+    named = [f for f in flags
+             if f in message or f in RUN_OPTIONS and f[2:].replace("-", "_") in message]
+    assert named, (argv, message)
+    assert stdout.getvalue() == ""
+    assert not out.exists()

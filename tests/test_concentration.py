@@ -47,6 +47,7 @@ from bubblelab.concentration import (
     bubble_energy_constant,
     bubble_energy_limit,
     bubbling_energy,
+    check_report_input,
     detect_sigma,
     energy_in,
     make_sequence,
@@ -137,6 +138,42 @@ def test_make_sequence_rejects_nonseparating_tower():
 def test_make_sequence_rejects_base_below_one():
     with pytest.raises(ValueError):
         make_sequence([(np.zeros(3), 0.5, 1.0)], budget=1.0, n=3)
+
+
+@pytest.mark.parametrize("base", [math.nan, math.inf])
+def test_make_sequence_rejects_a_non_finite_base(base):
+    with pytest.raises(ValueError, match="base must be finite and exceed 1"):
+        make_sequence([(np.zeros(3), base, 1.0)], budget=1.0, n=3)
+
+
+@pytest.mark.parametrize("center, weight", [([0.0, math.nan, 0.0], 1.0),
+                                            ([0.0, 0.0, 0.0], math.inf)])
+def test_make_sequence_rejects_a_non_finite_center_or_weight(center, weight):
+    with pytest.raises(ValueError, match="center and weight must be finite"):
+        make_sequence([(center, 4.0, weight)], budget=1.0, n=3)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1.0])
+def test_sequence_budget_must_be_finite_and_positive(budget):
+    # a NaN budget would pass every norm, and a budget <= 0 rejects them all
+    with pytest.raises(ValueError, match="budget must be finite and > 0"):
+        make_sequence([(np.zeros(3), 4.0, 1.0)], budget=budget, n=3)
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in ("eps0", "eps_n", "r_small")
+    for value in (math.nan, math.inf, 0.0, -1.0)
+] + [("r_small", None)])
+def test_report_refuses_a_threshold_before_the_budget_check(monkeypatch, key, value):
+    def no_budget_check(*args, **kwargs):
+        raise AssertionError("the budget check ran before the threshold was refused")
+
+    monkeypatch.setattr(ConcentrationSequence, "verify_budget", no_budget_check)
+    config = QuantizationConfig(k_max=4, **{key: value})
+    with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+        check_report_input(3, config)
+    with pytest.raises(ValueError, match=f"{key} must be finite and > 0"):
+        quantization_report(single_bubble_seq(), config)
 
 
 def test_budget_verification_values_bounded():
