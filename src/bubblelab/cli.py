@@ -97,7 +97,7 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
         cp = configparser.ConfigParser()
         read = cp.read(path)
         if not read:
-            raise FileNotFoundError(path)
+            raise FileNotFoundError(f"--config: cannot read {path}")
         other = [s for s in cp.sections() if s != "run"]
         if cp.defaults():
             other.append(cp.default_section)
@@ -107,7 +107,12 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
             for key, raw in cp["run"].items():
                 if key not in asdict(cfg):
                     raise ValueError(f"unknown config key {key!r}")
-                setattr(cfg, key, type(getattr(cfg, key))(raw))
+                kind = type(getattr(cfg, key))
+                try:
+                    setattr(cfg, key, kind(raw))
+                except ValueError:
+                    raise ValueError(f"{path}: config key {key!r} is not a valid "
+                                     f"{kind.__name__}: {raw!r}") from None
     for key, val in overrides.items():
         if val is not None and hasattr(cfg, key):
             setattr(cfg, key, val)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .grid import (
     QuadratureRule,
+    _read_only,
     gauss_legendre,
     integrate,
     integrate_pieces,
@@ -330,11 +331,11 @@ _LATTICE_SPACING = 0.5
 _DETECTION_ORDER = 12
 
 
-def _lattice_ticks(n: int) -> np.ndarray:
-    """The lattice's ticks on each axis; refuses a dimension whose lattice
-    would hold more than 100,000 probes."""
-    ticks = np.arange(-_LATTICE_EXTENT, _LATTICE_EXTENT + _LATTICE_SPACING / 2,
-                      _LATTICE_SPACING)
+def _lattice_ticks(n: int, extent: float, spacing: float) -> np.ndarray:
+    """The ticks on each axis of the lattice spanning [-extent, extent]^n
+    at ``spacing``; refuses a dimension whose lattice would hold more than
+    100,000 probes."""
+    ticks = np.arange(-extent, extent + spacing / 2, spacing)
     if len(ticks) ** n > 100_000:
         raise ValueError(
             f"the detection lattice supports n <= 7 (5^n probes, at most 100,000); "
@@ -344,9 +345,20 @@ def _lattice_ticks(n: int) -> np.ndarray:
 
 
 def _lattice(n: int) -> np.ndarray:
-    ticks = _lattice_ticks(n)
+    """The probe lattice at the current ``_LATTICE_EXTENT`` and
+    ``_LATTICE_SPACING``, cached and read-only (``_cached_lattice``)."""
+    return _cached_lattice(n, _LATTICE_EXTENT, _LATTICE_SPACING)[0]
+
+
+@cache
+def _cached_lattice(n: int, extent: float, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The probe lattice's points, each once (``_dedup_points``), and their
+    ``_dedup_points`` keys, cached and read-only.  The cache is keyed on
+    the layout constants as well as ``n``, since they may be patched."""
+    ticks = _lattice_ticks(n, extent, spacing)
     grids = np.meshgrid(*([ticks] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    points = _dedup_points(np.stack([g.ravel() for g in grids], axis=1))
+    return _read_only(points, _dedup_keys(points))
 
 
 def _ball_energy_bound(u: ScalarField, xs: np.ndarray, r: float) -> Optional[np.ndarray]:
@@ -366,12 +378,30 @@ def _detection_quantity(u: ScalarField, r: float, x, order: int) -> float:
     return bubbling_energy(u, x, r, order)
 
 
+def _dedup_keys(points: np.ndarray) -> np.ndarray:
+    """The coordinates ``_dedup_points`` compares: rounded to 10 decimals,
+    -0.0 read as 0.0."""
+    return np.round(points, 10) + 0.0
+
+
 def _dedup_points(points: np.ndarray) -> np.ndarray:
     """The rows of ``points`` whose coordinates rounded to 10 decimals
     (-0.0 read as 0.0) differ from every earlier row's, in their order."""
-    keys = np.round(points, 10) + 0.0
-    _, first = np.unique(keys, axis=0, return_index=True)
+    _, first = np.unique(_dedup_keys(points), axis=0, return_index=True)
     return points[np.sort(first)]
+
+
+def _detection_candidates(centers: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """``_dedup_points`` of the declared centers followed by the lattice:
+    the centers each once, then every lattice point whose key no center
+    has.  The lattice's points are distinct and cached with their keys, so
+    only the few centers are deduplicated and compared."""
+    lattice, keys = _cached_lattice(n, _LATTICE_EXTENT, _LATTICE_SPACING)
+    centers = _dedup_points(np.reshape(centers, (-1, n)))
+    taken = np.zeros(len(lattice), dtype=bool)
+    for key in _dedup_keys(centers):
+        taken |= (keys == key).all(axis=1)
+    return np.vstack([centers, lattice[~taken]])
 
 
 def _check_k_max(k_max) -> None:
@@ -392,7 +422,7 @@ def check_report_input(n: int, config: QuantizationConfig) -> None:
             continue  # auto
         if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
             raise ValueError(f"{key} must be finite and > 0, got {value}")
-    _lattice_ticks(n)
+    _lattice_ticks(n, _LATTICE_EXTENT, _LATTICE_SPACING)
 
 
 def _detect_detailed(seq: ConcentrationSequence, k_max: int, r_grid: Sequence[float],
@@ -400,6 +430,12 @@ def _detect_detailed(seq: ConcentrationSequence, k_max: int, r_grid: Sequence[fl
     """Scan declared centers + lattice, each point once; liminf surrogate =
     min over the top half of the k range.  Returns (points, cluster sizes,
     scores).
+
+    The candidates are ``_dedup_points`` of the centers followed by the
+    lattice, built by ``_detection_candidates``: the centers are
+    deduplicated among themselves, and a lattice point is dropped when a
+    center has its key (10 decimals, -0.0 read as 0.0).  The cached
+    lattice is distinct already, so no sort runs over its 5^n points.
 
     Only the smallest radius of ``r_grid`` is read: the ball energy grows
     with r, so that radius decides every hit and holds the minimum value.
@@ -415,8 +451,7 @@ def _detect_detailed(seq: ConcentrationSequence, k_max: int, r_grid: Sequence[fl
         raise ValueError(f"eps0 must be finite and > 0, got {eps0}")
     n = seq.dimension
     us = [seq.field(k) for k in range(math.ceil(k_max / 2), k_max + 1)]
-    candidates = _dedup_points(np.vstack(
-        [e.center for e in seq.entries] + [_lattice(n)]))
+    candidates = _detection_candidates([e.center for e in seq.entries], n)
     r = min(r_grid)  # the ball energy grows with r
     for u in us:
         bound = _ball_energy_bound(u, candidates, r)
@@ -775,9 +810,16 @@ def _standard_halfball_radius(n: int, energy_target: float) -> float:
     return hi
 
 
+@cache
+def _fit_directions(n: int) -> np.ndarray:
+    """The fit's sample directions on S^(n-1), cached and read-only."""
+    dirs, _ = _read_only(*unit_sphere_directions(n, 2))
+    return dirs
+
+
 def _fit_sample_points(n: int, x: np.ndarray, scale: float) -> np.ndarray:
     radii = np.geomspace(scale / 30.0, 30.0 * scale, 24)
-    dirs = unit_sphere_directions(n, 2)[0]
+    dirs = _fit_directions(n)
     return (x[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
 
 

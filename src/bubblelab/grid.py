@@ -23,10 +23,12 @@ Both carry the full region measure in their weights, so they satisfy the
 same weight-sum invariants as the full rules.
 
 Gauss-Legendre and Gauss-Gegenbauer nodes and weights, the symmetric
-sphere rules and the full angular factors come from one process-wide cache
-each (``gauss_legendre``, ``gauss_gegenbauer``,
-``symmetric_sphere_directions``, ``_full_directions``) keyed by ``order``,
-``(order, alpha)``, ``(n, degree)`` and ``(n, angular_order)``; each is
+sphere rules, the full angular factors, the polar arc's cosines, sines and
+weights, and the radial layout's one direction come from one process-wide
+cache each (``gauss_legendre``, ``gauss_gegenbauer``,
+``symmetric_sphere_directions``, ``_full_directions``, ``_polar_nodes``,
+``_radial_direction``) keyed by ``order``, ``(order, alpha)``,
+``(n, degree)``, ``(n, angular_order)``, ``(n, order)`` and ``n``; each is
 built only on a miss and the cached arrays are read-only.
 
 Pieces.  A ``PieceSet`` holds rules on many regions about one center in
@@ -40,7 +42,9 @@ exists once: a ``QuadratureRule`` is a view of a one-piece set that keeps
 its factors and builds ``nodes`` and ``weights`` only when they are read.
 The builders validate every piece in one vectorized pass: its weight sum
 against its own region's measure and its nodes inside its own region
-within ``node_slack``.
+within ``node_slack``.  A shell builder reads its regions and radial panel
+breaks as Python floats in one pass; breaks that already rise strictly
+inside their region skip ``np.unique``.
 
 Evaluation.  ``integrate_pieces`` is the one evaluator; ``integrate`` is
 its one-piece, one-integrand case.  Pieces of at most ``_BLOCK_NODES``
@@ -71,7 +75,7 @@ from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
-from math import factorial, gamma, gcd, pi, prod
+from math import factorial, gamma, gcd, isfinite, pi, prod, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -249,7 +253,9 @@ class PieceSet:
 
         A node's distance to the center is its radial node times the length
         of its direction, so each piece's smallest and largest radial node
-        times the shortest and longest direction bound its distances."""
+        times the shortest and longest direction bound its distances.  As
+        the square root is monotone, those lengths are the roots of the
+        smallest and largest squared lengths."""
         inner, outer = self.radii[:, 0], self.radii[:, 1]
         sphere = self.kind == "sphere"
         if self.radial_weights.min() <= 0 or self.dir_weights.min() <= 0:
@@ -264,9 +270,9 @@ class PieceSet:
                 f"piece {i}: weight sum {sums[i]:.17g} does not match region "
                 f"measure {meas[i]:.17g} within tolerance {_MEASURE_TOL:g}"
             )
-        lengths = np.sqrt(np.einsum("ij,ij->i", self.dirs, self.dirs))
-        near = np.minimum.reduceat(self.s, starts) * lengths.min()
-        far = np.maximum.reduceat(self.s, starts) * lengths.max()
+        squares = np.einsum("ij,ij->i", self.dirs, self.dirs)
+        near = np.minimum.reduceat(self.s, starts) * sqrt(squares.min())
+        far = np.maximum.reduceat(self.s, starts) * sqrt(squares.max())
         slack = node_slack(outer)
         if sphere:
             if (np.maximum(np.abs(near - outer), np.abs(far - outer)) > slack).any():
@@ -372,14 +378,14 @@ class RadialGrid:
         return self.radii.size
 
 
-def _check_region_args(n: int, r, order: int) -> None:
-    """Reject a bad dimension, a non-positive radius (one or an array of
-    them) or an order below 1."""
+def _check_region_args(n: int, radii: list[float], order: int) -> None:
+    """Reject a bad dimension, a non-positive radius among ``radii`` or an
+    order below 1."""
     if int(n) != n or n < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {n}")
-    r = np.asarray(r, dtype=float)
-    if not (r > 0).all():
-        raise ValueError(f"radius must be positive, got {r[~(r > 0)].flat[0]}")
+    for r in radii:
+        if not r > 0:
+            raise ValueError(f"radius must be positive, got {r}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
 
@@ -425,11 +431,20 @@ def default_angular_order(n: int, order: int) -> int:
     return max(4, min(order, 8))
 
 
+@cache
 def _polar_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cosines, sines and weights of the polar angles on S^(n-1); the
-    Gegenbauer weight (1-t^2)^((n-3)/2) carries the sin^(n-2) Jacobian."""
+    """Cosines, sines and weights of the polar angles on S^(n-1), cached
+    and read-only; the Gegenbauer weight (1-t^2)^((n-3)/2) carries the
+    sin^(n-2) Jacobian."""
     t, wt = gauss_gegenbauer(order, (n - 2) / 2)
-    return t, np.sqrt(np.clip(1.0 - t**2, 0.0, None)), wt
+    return _read_only(t, np.sqrt(np.clip(1.0 - t**2, 0.0, None)), wt)
+
+
+@cache
+def _radial_direction(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radial layout's one direction, e_1, and its weight 1, cached and
+    read-only."""
+    return _read_only(np.eye(1, n), np.ones(1))
 
 
 def unit_sphere_directions(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -602,12 +617,19 @@ def _full_directions(n: int, angular_order: int) -> tuple[np.ndarray, np.ndarray
     return _read_only(*unit_sphere_directions(n, angular_order))
 
 
-def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> np.ndarray:
-    """Sorted distinct break radii of [inner, outer], ends included."""
+def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> list[float]:
+    """Sorted distinct break radii of [inner, outer], ends included, as
+    floats.  Breaks that rise strictly inside (inner, outer), as
+    ``geometric_panels`` gives them, are taken as they are; any others go
+    through ``np.unique``, clipped to [inner, outer]."""
     if panels is None:
-        return np.array([inner, outer])
-    edges = np.unique(np.concatenate([[inner, outer], np.asarray(panels, dtype=float)]))
-    return edges[(edges >= inner) & (edges <= outer)]
+        return [inner, outer]
+    breaks = [float(p) for p in panels]
+    edges = [inner, *breaks, outer]
+    if all(a < b for a, b in zip(edges, edges[1:])):
+        return edges
+    edges = np.unique(np.array([inner, outer, *breaks]))
+    return edges[(edges >= inner) & (edges <= outer)].tolist()
 
 
 def _gauss_intervals(
@@ -631,7 +653,7 @@ def geometric_panels(
     Gauss order per panel resolves every octave, up to 80 breaks.  Returns
     None when a single panel suffices.
     """
-    if finest is None or not np.isfinite(finest) or finest <= 0:
+    if finest is None or not isfinite(finest) or finest <= 0:
         return None
     if finest >= (outer - inner) / 4:
         return None
@@ -645,12 +667,13 @@ def geometric_panels(
 
 def _unit_perp_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair (e, e_perp) with e along ``axis``."""
-    e = axis / np.linalg.norm(axis)
+    # sqrt(v.dot(v)) is np.linalg.norm(v), without its overhead
+    e = axis / sqrt(axis.dot(axis))
     k = int(np.argmin(np.abs(e)))
     perp = np.zeros_like(e)
     perp[k] = 1.0
     perp -= e * e[k]
-    return e, perp / np.linalg.norm(perp)
+    return e, perp / sqrt(perp.dot(perp))
 
 
 def _zonal_dirs(n: int, order: int, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -683,30 +706,29 @@ def build_shell_pieces(
     ``polar_order`` polar nodes.
     """
     regions = np.asarray(regions, dtype=float).reshape(-1, 2)
-    inner, outer = regions[:, 0], regions[:, 1]
-    _check_region_args(n, outer, order)
-    bad = (inner < 0) | (inner >= outer)
-    if bad.any():
-        raise ValueError(
-            f"need 0 <= inner < outer, got ({inner[bad][0]}, {outer[bad][0]})"
-        )
+    pairs = regions.tolist()
+    _check_region_args(n, [b for _, b in pairs], order)
+    for a, b in pairs:
+        if a < 0 or a >= b:
+            raise ValueError(f"need 0 <= inner < outer, got ({a}, {b})")
     c = _as_center(center, n)
     if radial_panels is None:
-        radial_panels = [None] * len(regions)
-    if len(radial_panels) != len(regions):
+        radial_panels = [None] * len(pairs)
+    if len(radial_panels) != len(pairs):
         raise ValueError(f"need one panel list per region, got {len(radial_panels)} "
-                         f"for {len(regions)}")
-    if any(p is not None for p in radial_panels):
-        edges = [_panel_edges(a, b, p) for a, b, p in zip(inner, outer, radial_panels)]
-        lo = np.concatenate([e[:-1] for e in edges])
-        hi = np.concatenate([e[1:] for e in edges])
-        bounds = np.cumsum([0] + [len(e) - 1 for e in edges]) * order
-    else:
-        lo, hi, bounds = inner, outer, np.arange(len(regions) + 1) * order
-    s, ws = _gauss_intervals(lo, hi, order)
+                         f"for {len(pairs)}")
+    # every region's panels in one pass over floats
+    lo, hi, bounds = [], [], [0]
+    for (a, b), p in zip(pairs, radial_panels):
+        edges = _panel_edges(a, b, p)
+        lo += edges[:-1]
+        hi += edges[1:]
+        bounds.append(bounds[-1] + (len(edges) - 1) * order)
+    s, ws = _gauss_intervals(np.array(lo), np.array(hi), order)
+    bounds = np.array(bounds)
     e = None
     if symmetry == "radial":
-        dirs, dir_w = np.eye(n)[:1], np.ones(1)
+        dirs, dir_w = _radial_direction(n)
         radial_w = unit_sphere_area(n) * ws * s ** (n - 1)
     elif symmetry == "zonal":
         dirs, wt, e = _zonal_dirs(n, polar_order, axis)
@@ -731,10 +753,11 @@ def build_sphere_pieces(
     rules of angular order ``order`` (``_full_directions``, as for shells),
     or "zonal" polar-arc rules about ``axis`` with ``order`` polar nodes."""
     radii = np.asarray(radii, dtype=float).reshape(-1)
-    _check_region_args(n, radii, order)
+    radius_list = radii.tolist()
+    _check_region_args(n, radius_list, order)
     c = _as_center(center, n)
     # scalar powers, as a one-piece rule computes them (module docstring)
-    powers = [float(r) ** (n - 1) for r in radii]
+    powers = [r ** (n - 1) for r in radius_list]
     e = None
     if symmetry == "zonal":
         dirs, dir_w, e = _zonal_dirs(n, order, axis)
@@ -873,22 +896,24 @@ def integrate_pieces(
     spread over ``threads`` workers (``_piece_sums``); the result is
     bit-identical for any thread count.
     """
-    sizes = pieces.sizes
+    # node offsets of the pieces, as ints: piece i holds nodes
+    # starts[i]:starts[i + 1] of the whole set
+    m = len(pieces.dir_weights)
+    starts = [k * m for k in pieces.bounds.tolist()]
     rows = []
     a = 0
     while a < len(pieces):
-        if sizes[a] > _BLOCK_NODES:
+        if starts[a + 1] - starts[a] > _BLOCK_NODES:
             rows.append(_piece_sums(pieces, a, f, threads))
             a += 1
             continue
-        b, total = a + 1, sizes[a]
-        while b < len(pieces) and total + sizes[b] <= _BLOCK_NODES:
-            total += sizes[b]
+        b = a + 1
+        while b < len(pieces) and starts[b + 1] - starts[a] <= _BLOCK_NODES:
             b += 1
         nodes, weights = pieces.block(a, b)
         cols = [_integrand_values(v, nodes) for v in f(nodes)]
-        ends = np.cumsum(sizes[a:b])
-        for lo, hi in zip(ends - sizes[a:b], ends):
+        offsets = [k - starts[a] for k in starts[a:b + 1]]
+        for lo, hi in zip(offsets, offsets[1:]):
             rows.append([float(np.dot(weights[lo:hi], v[lo:hi])) for v in cols])
         if b == a + 1:
             # a lone piece is one span, and np.sum of its partial maps -0.0 to 0.0

@@ -312,6 +312,28 @@ def test_config_section_other_than_run_is_usage_error(tmp_path, capsys, text, se
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nn = abc\n", "config key 'n' is not a valid int: 'abc'"),
+    ("[run]\nquad_order = 3.5\n", "config key 'quad_order' is not a valid int: '3.5'"),
+    ("[run]\neps0 = small\n", "config key 'eps0' is not a valid float: 'small'"),
+], ids=["n", "quad_order", "eps0"])
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_config_file_names_the_option(tmp_path, capsys):
+    missing = tmp_path / "missing.ini"
+    code = run(["bubble-constant", "--config", missing, "--out", tmp_path / "o", "--quiet"])
+    assert code == 2
+    assert f"--config: cannot read {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_naming_a_method_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nvalidate = 1\n")

@@ -501,6 +501,37 @@ def test_vectorized_dedup_matches_per_point_loop():
     assert np.signbit(got[1]).tolist() == [True, False, True]
 
 
+@pytest.mark.parametrize("entries", [
+    pytest.param([[0.3, 0.1, -0.2], [0.3, 0.1, -0.2], [0.3, 0.1, -0.2 + 1e-12]],
+                 id="duplicated"),
+    pytest.param([[0.5, 0.0, -1.0], [0.2, 0.0, 0.0]], id="on-a-lattice-point"),
+    pytest.param([[-0.0, 0.5, 0.0], [0.0, 0.5, -0.0], [1e-12, -0.0, 0.0]], id="negative-zero"),
+    pytest.param([[0.0, 0.0, 0.0]] * 3 + [[1.0, 1.0, 1.0]], id="lattice-ends"),
+])
+def test_detection_candidates_equal_dedup_over_entries_and_lattice(entries):
+    entries = [np.array(e) for e in entries]
+    got = concentration._detection_candidates(entries, 3)
+    want = _dedup_points(np.vstack(entries + [lattice(3, 1.0)]))
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_detection_lattice_is_cached_read_only_and_keyed_on_its_layout(monkeypatch):
+    points = _lattice(3)
+    assert points is _lattice(3)
+    assert points.tobytes() == lattice(3, 1.0).tobytes()
+    for arr in concentration._cached_lattice(3, concentration._LATTICE_EXTENT,
+                                             concentration._LATTICE_SPACING):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    monkeypatch.setattr(concentration, "_LATTICE_EXTENT", 0.5)
+    assert _lattice(3).tobytes() == lattice(3, 0.5).tobytes()
+    dirs = concentration._fit_directions(3)
+    assert dirs is concentration._fit_directions(3)
+    with pytest.raises(ValueError):
+        dirs[0] = 1.0
+
+
 def test_scan_of_entries_on_and_off_the_lattice_matches_per_probe():
     seq = make_sequence([([-0.0, 0.0, 0.0], 4.0, 1.0), ([0.5, 0.0, 0.0], 16.0, 1.0),
                          ([0.3, 0.1, 0.0], 4.0, 1.0), (np.zeros(3), 64.0, 1.0)],

@@ -654,3 +654,66 @@ def test_full_shell_layouts_take_the_small_symmetric_rule_at_n_5_and_up():
         assert same_bits(pieces.dirs, grid.unit_sphere_directions(n, ang)[0])
     sphere = grid.build_sphere_pieces(6, 0, [1.0], 8)
     assert sphere.dirs is grid.symmetric_sphere_directions(6, 15)[0]
+
+
+def unique_panel_edges(inner, outer, panels):
+    """Reference break radii: np.unique of the ends and the breaks,
+    clipped to [inner, outer]."""
+    edges = np.unique(np.concatenate([[inner, outer], np.asarray(panels, dtype=float)]))
+    return edges[(edges >= inner) & (edges <= outer)]
+
+
+@pytest.mark.parametrize("inner, outer, panels", [
+    (0.0, 1.0, [0.1, 0.2, 0.5]),
+    (0.0, 1.0, [0.5, 0.1, 0.2]),
+    (0.0, 1.0, [0.2, 0.1, 0.2, 0.5, 0.5]),
+    (0.5, 1.0, [-1.0, 0.25, 0.75, 3.0, 0.6]),
+    (0.5, 1.0, [0.5, 0.7, 1.0]),
+    (0.0, 1.0, [1.0]),
+    (0.0, 1.0, np.array([0.3, 0.6])),
+    (0.0, 1.0, []),
+    (1.0, 2.0, geometric_panels(1.0, 2.0, 1e-20)),
+    (0.0, 1.0, geometric_panels(0.0, 1.0, 1e-19)),
+], ids=["presorted", "unsorted", "duplicated", "outside", "equal-ends", "outer-only",
+        "array", "empty", "below-one-ulp", "geometric"])
+def test_panel_edges_match_unique_semantics_bit_for_bit(inner, outer, panels):
+    # presorted breaks inside (inner, outer) skip np.unique; every other
+    # list must still give np.unique's edges, and the same pieces
+    edges = unique_panel_edges(inner, outer, panels)
+    pieces = grid.build_shell_pieces(3, 0, [(inner, outer), (inner, outer)], 6,
+                                     radial_panels=[panels, None])
+    s, ws = grid._gauss_intervals(np.append(edges[:-1], inner),
+                                  np.append(edges[1:], outer), 6)
+    assert same_bits(pieces.s, s)
+    assert same_bits(pieces.radial_weights, ws * s ** 2)
+    assert pieces.bounds.tolist() == [0, 6 * (len(edges) - 1), 6 * len(edges)]
+    assert same_bits(np.array(grid._panel_edges(inner, outer, panels)), edges)
+
+
+def test_geometric_breaks_below_one_ulp_repeat_inner():
+    # the case above that presorted breaks must not be mistaken for
+    panels = geometric_panels(1.0, 2.0, 1e-20)
+    assert panels[0] == panels[1] == 1.0 and panels[-1] > 1.0
+
+
+@pytest.mark.parametrize("arrays", [
+    lambda: grid._polar_nodes(4, 12),
+    lambda: grid._radial_direction(5),
+], ids=["polar-nodes", "radial-direction"])
+def test_cached_angular_factors_are_read_only(arrays):
+    first = arrays()
+    assert all(a is b for a, b in zip(first, arrays()))  # cached
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+
+
+def test_cached_polar_nodes_equal_the_gegenbauer_arc():
+    t, wt = gauss_gegenbauer(12, 1.0)
+    got_t, got_sin, got_w = grid._polar_nodes(4, 12)
+    assert same_bits(got_t, t) and same_bits(got_w, wt)
+    assert same_bits(got_sin, np.sqrt(np.clip(1.0 - t**2, 0.0, None)))
+    dirs, weights = grid._radial_direction(4)
+    assert same_bits(dirs, np.eye(4)[:1]) and same_bits(weights, np.ones(1))
