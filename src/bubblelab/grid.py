@@ -57,14 +57,21 @@ spans are spread over ``threads`` workers.  Inside a span the nodes and
 weights are built from the factors in blocks of at most ``_BLOCK_NODES``,
 so no node array larger than one block exists.  Integrands must therefore
 be pointwise: ``f`` sees blocks of at most ``_BLOCK_NODES`` nodes and
-must return one value per node it is given.
+must return one value per node it is given.  Blocks are coordinate-major:
+each is built as an (n, N) array and handed to ``f`` as its (N, n)
+transpose, so a field's per-node steps keep that layout and its per-node
+coordinate sums run over contiguous columns.  ``f`` must accept an array
+of either memory order.
 
 Bit-identity rule.  A piece's nodes, weights and integrals equal those of
 its one-piece rule bit for bit, and a span's blocks equal the rows of the
 span's whole node array.  Numpy's elementwise array results do not depend
 on an element's position or on the array's length, so array arithmetic
-over concatenated pieces or over parts of a piece is safe.  Numpy's array
-power differs from the scalar power in the last bit for some inputs, so a
+over concatenated pieces or over parts of a piece is safe.  A per-node
+sum over the coordinates (``einsum("ij,ij->i")``) is not elementwise: its
+summation order, and so its last bit, depends on the block's memory order,
+so ``block`` and ``node_range`` build one layout.  Numpy's array power
+differs from the scalar power in the last bit for some inputs, so a
 quantity that a one-piece rule computes as a scalar (the sphere weight
 factor ``r ** (n - 1)``) is computed per piece as a scalar.
 """
@@ -75,7 +82,7 @@ from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
-from math import factorial, gamma, gcd, isfinite, pi, prod, sqrt
+from math import factorial, gamma, gcd, inf, isfinite, pi, prod, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -104,9 +111,9 @@ __all__ = [
 
 _CHUNK = 1 << 16
 # Nodes per integrand call in ``integrate_pieces``: whole small pieces, or
-# one block of a span.  On the profile sweeps (median of 5 runs, 2-vCPU
-# host) 8192 read 0.075 s, 4096 0.079 s and 16384 0.082 s, whose blocks
-# fault 1.7k pages per pass back in; all three give the same bits.
+# one block of a span.  On the profile sweeps with coordinate-major blocks
+# (2 runs each, seed 1, 2-vCPU host) 8192 read 0.048 s, 4096 0.057 s and
+# 16384 0.051 s (peak memory +1.5 MB); all three give the same bits.
 # Evaluating a whole sweep at once raised peak memory by 17%.
 _BLOCK_NODES = 8192
 _MEASURE_TOL = 1e-10
@@ -200,28 +207,26 @@ class PieceSet:
         return (self.bounds[1:] - self.bounds[:-1]) * len(self.dir_weights)
 
     def block(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of pieces ``a`` to ``b - 1``, one after another."""
+        """Nodes and weights of pieces ``a`` to ``b - 1``, one after another.
+        The nodes are the (N, n) transpose of a coordinate-major block."""
         lo, hi = self.bounds[a], self.bounds[b]
-        nodes = self.s[lo:hi, None, None] * self.dirs[None, :, :]
-        nodes += self.center
+        nodes = np.empty((self.dimension, hi - lo, len(self.dir_weights)))
+        np.multiply(self.s[None, lo:hi, None], self.dirs.T[:, None, :], out=nodes)
+        nodes += self.center[:, None, None]
         weights = self.radial_weights[lo:hi, None] * self.dir_weights[None, :]
-        return nodes.reshape(-1, self.dimension), weights.reshape(-1)
+        return nodes.reshape(self.dimension, -1).T, weights.reshape(-1)
 
     def node_range(self, c: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights ``c`` to ``d - 1`` of the whole set, numbered
         as ``block(0, len(self))`` numbers them and built with its
-        arithmetic, so they equal that block's rows bit for bit.
+        arithmetic in its layout, so they equal that block's rows bit for
+        bit.
 
         The range is written as at most three segments: the rest of a
         partial first radial row, whole rows, and the start of a last row.
-        ``block`` stays the broadcast expression for whole pieces.  Building
-        them here instead once doubled the minor page faults of a
-        profile-sweeps pass (9.2k to 20.1k) and cost it 10% of its wall
-        time; with the in-place field kernels both read 0 faults per pass,
-        and this path 0.076 s against ``block``'s 0.075 s.
         """
         m = len(self.dir_weights)
-        nodes = np.empty((d - c, self.dimension))
+        nodes = np.empty((self.dimension, d - c))
         weights = np.empty(d - c)
         k = c
         while k < d:
@@ -229,14 +234,15 @@ class PieceSet:
             rows = max((d - k) // m, 1) if j == 0 else 1
             e = min(d, (r + rows) * m)
             width = (e - k) // rows
-            np.multiply(self.s[r:r + rows, None, None], self.dirs[None, j:j + width],
-                        out=nodes[k - c:e - c].reshape(rows, width, -1))
+            # splitting the contiguous last axis is a view, so ``out=`` lands
+            np.multiply(self.s[None, r:r + rows, None], self.dirs.T[:, None, j:j + width],
+                        out=nodes[:, k - c:e - c].reshape(-1, rows, width))
             np.multiply(self.radial_weights[r:r + rows, None],
                         self.dir_weights[None, j:j + width],
                         out=weights[k - c:e - c].reshape(rows, width))
             k = e
-        nodes += self.center
-        return nodes, weights
+        nodes += self.center[:, None]
+        return nodes.T, weights
 
     def rule(self, i: int) -> QuadratureRule:
         """Piece ``i`` as a rule of its own (a view; no node is built)."""
@@ -379,13 +385,13 @@ class RadialGrid:
 
 
 def _check_region_args(n: int, radii: list[float], order: int) -> None:
-    """Reject a bad dimension, a non-positive radius among ``radii`` or an
-    order below 1."""
+    """Reject a bad dimension, a radius among ``radii`` that is not finite
+    and positive, or an order below 1."""
     if int(n) != n or n < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {n}")
     for r in radii:
-        if not r > 0:
-            raise ValueError(f"radius must be positive, got {r}")
+        if not 0 < r < inf:
+            raise ValueError(f"radius must be finite and > 0, got {r}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
 
@@ -396,6 +402,8 @@ def _as_center(center, n: int) -> np.ndarray:
     c = np.asarray(center, dtype=float).reshape(-1)
     if c.size != n:
         raise ValueError(f"center has {c.size} components, expected {n}")
+    if not all(map(isfinite, c.tolist())):
+        raise ValueError(f"center must be finite, got {c.tolist()}")
     return c
 
 
@@ -621,13 +629,17 @@ def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> 
     """Sorted distinct break radii of [inner, outer], ends included, as
     floats.  Breaks that rise strictly inside (inner, outer), as
     ``geometric_panels`` gives them, are taken as they are; any others go
-    through ``np.unique``, clipped to [inner, outer]."""
+    through ``np.unique``, clipped to [inner, outer].  A break that is not
+    finite is refused: the clip would drop a NaN silently."""
     if panels is None:
         return [inner, outer]
     breaks = [float(p) for p in panels]
     edges = [inner, *breaks, outer]
     if all(a < b for a, b in zip(edges, edges[1:])):
         return edges
+    for p in breaks:
+        if not isfinite(p):
+            raise ValueError(f"radial panel break must be finite, got {p}")
     edges = np.unique(np.array([inner, outer, *breaks]))
     return edges[(edges >= inner) & (edges <= outer)].tolist()
 
@@ -668,7 +680,10 @@ def geometric_panels(
 def _unit_perp_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal pair (e, e_perp) with e along ``axis``."""
     # sqrt(v.dot(v)) is np.linalg.norm(v), without its overhead
-    e = axis / sqrt(axis.dot(axis))
+    norm = sqrt(axis.dot(axis))
+    if not 0 < norm < inf:
+        raise ValueError(f"axis must be finite and nonzero, got {axis.tolist()}")
+    e = axis / norm
     k = int(np.argmin(np.abs(e)))
     perp = np.zeros_like(e)
     perp[k] = 1.0
@@ -709,7 +724,7 @@ def build_shell_pieces(
     pairs = regions.tolist()
     _check_region_args(n, [b for _, b in pairs], order)
     for a, b in pairs:
-        if a < 0 or a >= b:
+        if not 0 <= a < b:
             raise ValueError(f"need 0 <= inner < outer, got ({a}, {b})")
     c = _as_center(center, n)
     if radial_panels is None:

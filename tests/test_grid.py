@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from bubblelab import grid
+from bubblelab.concentration import bubbling_energy
+from bubblelab.fields import Bubble, Superposition
 from bubblelab.grid import (
     NonFiniteFieldError,
     RadialGrid,
@@ -717,3 +719,75 @@ def test_cached_polar_nodes_equal_the_gegenbauer_arc():
     assert same_bits(got_sin, np.sqrt(np.clip(1.0 - t**2, 0.0, None)))
     dirs, weights = grid._radial_direction(4)
     assert same_bits(dirs, np.eye(4)[:1]) and same_bits(weights, np.ones(1))
+
+
+NONFINITE_GEOMETRY = {
+    "nan-inner": (lambda: grid.build_shell_pieces(3, 0, [(np.nan, 1.0)], 4),
+                  r"need 0 <= inner < outer, got \(nan, 1.0\)"),
+    "inf-outer": (lambda: grid.build_shell_pieces(3, 0, [(0.0, np.inf)], 4),
+                  "radius must be finite and > 0, got inf"),
+    "inf-sphere": (lambda: grid.build_sphere_pieces(3, 0, [np.inf], 4),
+                   "radius must be finite and > 0, got inf"),
+    "inf-center": (lambda: build_ball_rule(3, [np.inf, 0, 0], 1.0, 4),
+                   r"center must be finite, got \[inf, 0.0, 0.0\]"),
+    "nan-break": (lambda: grid.build_shell_pieces(3, 0, [(0.0, 1.0)], 4, radial_panels=[[np.nan]]),
+                  "radial panel break must be finite, got nan"),
+    "inf-break": (lambda: build_ball_rule(3, 0, 1.0, 4, radial_panels=[0.5, np.inf]),
+                  "radial panel break must be finite, got inf"),
+    "nan-axis": (lambda: grid.build_shell_pieces(3, 0, [(0.0, 1.0)], 4, "zonal", [np.nan, 0, 0]),
+                 "axis must be finite and nonzero"),
+    "zero-axis": (lambda: grid.build_sphere_pieces(3, 0, [1.0], 4, "zonal", np.zeros(3)),
+                  "axis must be finite and nonzero"),
+}
+
+
+@pytest.mark.parametrize("build, message", NONFINITE_GEOMETRY.values(),
+                         ids=NONFINITE_GEOMETRY.keys())
+def test_builders_refuse_nonfinite_geometry(build, message):
+    # a NaN or inf region, center, break or axis would build NaN nodes that
+    # pass validation and surface at integration, blaming the field
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_ball_energy_refuses_an_infinite_radius_before_integrating():
+    u = Bubble(3, np.zeros(3), 0.1)
+    with pytest.raises(ValueError, match="radius must be finite") as caught:
+        bubbling_energy(u, np.zeros(3), np.inf)
+    assert not isinstance(caught.value, NonFiniteFieldError)
+
+
+LAYOUTS = {
+    "full": lambda: grid.build_shell_pieces(4, [0.1, -0.2, 0.3, 0.05],
+                                            [(0.0, 0.5), (0.5, 1.0)], 12),
+    "zonal-generic-axis": lambda: grid.build_shell_pieces(
+        5, [0.3, 0.2, 0.1, 0.0, -0.1], [(0.0, 1.0), (0.2, 2.0)], 16, "zonal",
+        [0.3, 0.2, 0.1, 0.0, 0.4]),
+    "radial": lambda: grid.build_shell_pieces(3, [0.5, 0.0, -1.0], [(0.0, 1.0)], 64, "radial",
+                                              radial_panels=[[0.25, 0.5]]),
+    "sphere": lambda: grid.build_sphere_pieces(6, np.linspace(-0.5, 0.5, 6), [0.5, 1.0], 6),
+}
+
+
+@pytest.mark.parametrize("build", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_node_blocks_are_coordinate_major_and_fields_keep_their_layout(build):
+    # fields get the (N, n) transpose of a coordinate-major block, so each
+    # per-node coordinate sum runs over contiguous columns; a field kernel
+    # that makes a C-order copy would lose that, and block and node_range
+    # disagreeing on the layout would change sums in the last bit
+    pieces = build()
+    n, m = pieces.dimension, len(pieces.dir_weights)
+    size = int(pieces.sizes.sum())
+    nodes, weights = pieces.block(0, len(pieces))
+    c, d = m // 2 + 1, size - 1  # c in the middle of the first row
+    ranged, ranged_weights = pieces.node_range(c, d)
+    for got, rows in ((nodes, size), (ranged, d - c)):
+        assert got.shape == (rows, n) and got.flags.f_contiguous
+    assert same_bits(ranged, nodes[c:d]) and same_bits(ranged_weights, weights[c:d])
+    bubble = Bubble(n, np.full(n, 0.1), 0.3)
+    fields = (bubble, Superposition([bubble, Bubble(n, np.zeros(n), 0.05, -1.0)], [1.0, 0.5]))
+    for u in fields:
+        for points in (nodes, ranged):
+            value, gradient = u.value_and_gradient(points)
+            assert value.shape == (len(points),)
+            assert gradient.shape == points.shape and gradient.flags.f_contiguous

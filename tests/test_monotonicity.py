@@ -442,3 +442,19 @@ def test_default_thread_count_reaches_the_integrals(monkeypatch, name):
     assert len(ball) == 110_592
     THREADED_CALLS[name](full, ball)
     assert pools and set(pools) == {2}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("length", [0.3, 0.9, 1.9])
+def test_profile_is_rotation_invariant(n, length):
+    # the bubble is radial about 0, so E(x, r) depends on |x| only: a probe
+    # in a random direction sweeps zonal rules about a generic axis, whose
+    # per-node coordinate sums mix every coordinate, and must read the
+    # on-axis values; wrong nodes that pass the weight-sum validation do not
+    u = aubin_talenti(n)
+    radii = RadialGrid.log_spaced(0.05, 5.0, 40)
+    rng = np.random.default_rng(100 * n + round(10 * length))
+    direction = rng.standard_normal(n)
+    rotated = profile(u, length / np.linalg.norm(direction) * direction, radii)
+    on_axis = profile(u, e1(n, length), radii)
+    np.testing.assert_allclose(rotated.values, on_axis.values, rtol=1e-13, atol=0)
