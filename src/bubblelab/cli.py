@@ -251,24 +251,26 @@ def cmd_monotonicity(args, cfg: RunConfig, out: Path, u, label: str, probe,
     return payload, "pass" if (mono.passed and pos.passed) else "fail"
 
 
+_TRIAL_BATCH = 1024
+
+
 def _duality_failures(seed: int, trials: int) -> int:
     """How many of ``trials`` random sampled pairs break the pairing bound
-    ||fg||_1 <= ||f||_{2,1} ||g||_{2,inf}.  Every trial is drawn first, in
-    the per-trial order a seed has always drawn them, then all are checked
-    in one batch."""
+    ||fg||_1 <= ||f||_{2,1} ||g||_{2,inf}, drawn and checked in batches of
+    at most ``_TRIAL_BATCH``: each draws its cell counts (3 to 39), then the
+    measures, then f's values and per-trial scales, then g's."""
     rng = np.random.default_rng(seed)
-    lengths = np.empty(trials, dtype=int)
-    # rng.integers(3, 40) draws at most 39 cells per trial
-    meas, fv, gv = np.empty((3, 39 * trials))
-    end = 0
-    for i in range(trials):
-        m = lengths[i] = int(rng.integers(3, 40))
-        meas[end:end + m] = rng.random(m) + 0.05
-        fv[end:end + m] = rng.standard_normal(m) * 10 ** rng.uniform(-2, 2)
-        gv[end:end + m] = rng.standard_normal(m) * 10 ** rng.uniform(-2, 2)
-        end += m
-    prod, n21, n2inf = duality_product_checks(fv[:end], gv[:end], meas[:end], lengths)
-    return int(np.count_nonzero(prod > n21 * n2inf * (1 + 1e-12)))
+    fails = 0
+    for start in range(0, trials, _TRIAL_BATCH):
+        count = min(_TRIAL_BATCH, trials - start)
+        lengths = rng.integers(3, 40, size=count)
+        cells = int(lengths.sum())
+        meas = rng.random(cells) + 0.05
+        f = rng.standard_normal(cells) * np.repeat(10.0 ** rng.uniform(-2, 2, count), lengths)
+        g = rng.standard_normal(cells) * np.repeat(10.0 ** rng.uniform(-2, 2, count), lengths)
+        prod, n21, n2inf = duality_product_checks(f, g, meas, lengths)
+        fails += int(np.count_nonzero(prod > n21 * n2inf * (1 + 1e-12)))
+    return fails
 
 
 def check_lorentz(args, cfg: RunConfig):

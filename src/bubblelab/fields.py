@@ -387,11 +387,13 @@ class RescaledField(ScalarField):
     """
 
     def __init__(self, base: ScalarField, y, delta: float):
-        if not (delta > 0):
-            raise ValueError(f"rescaling factor must be positive, got {delta}")
+        if not (0 < delta < math.inf):
+            raise ValueError(f"rescaling factor must be finite and > 0, got {delta}")
         self.base = base
         self.dimension = base.dimension
         self.y = _pts(y, base.dimension)[0][0]
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError(f"rescaling center must be finite, got {self.y.tolist()}")
         self.delta = float(delta)
 
     def _map(self, points: np.ndarray) -> np.ndarray:

@@ -9,10 +9,11 @@ sampling stage.
 
 Many small samples are rearranged at once: ``duality_product_checks`` takes
 its trials back to back in flat arrays with per-trial lengths, pads them to
-one row each and sorts and accumulates every row in one call, so the
-``bubblelab lorentz --duality-trials K`` trials are checked as one batch
-(``K`` must be >= 0; 0 runs none).  ``rearrange``, ``lorentz_norm`` and
-``duality_product_check`` are the one-row case of the same code.
+one row each and sorts and accumulates every row in one call; the
+``bubblelab lorentz --duality-trials K`` trials are checked in batches of
+at most 1024 (``K`` must be >= 0; 0 runs none).  ``rearrange``,
+``lorentz_norm`` and ``duality_product_check`` are the one-row case of the
+same code.
 
 Norm convention: ||f||_{p,q}^q = int_0^inf (t^(1/p) f*(t))^q dt/t for finite
 q, and ||f||_{p,inf} = sup_t t^(1/p) f*(t).  With this normalization
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import isfinite, isinf
+from math import inf, isfinite, isinf
 
 import numpy as np
 
@@ -138,8 +139,8 @@ class LorentzIndex:
     q: float  # may be inf
 
     def __post_init__(self):
-        if not (self.p > 0):
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not (0 < self.p < inf):
+            raise ValueError(f"p must be finite and > 0, got {self.p}")
         if not (self.q > 0):
             raise ValueError(f"q must be positive or inf, got {self.q}")
 
@@ -187,7 +188,9 @@ def _rearranged_rows(values, measures, valid: np.ndarray):
 def _row_norms(levels: np.ndarray, breaks: np.ndarray, idx: LorentzIndex) -> np.ndarray:
     """``lorentz_norm`` of each row of a rearrangement laid out as
     ``_rearranged_rows`` returns it; a row whose levels are all 0 has norm 0
-    and is not evaluated."""
+    and is not evaluated.  A power of a break that overflows reads +inf, as
+    does a difference ``t1**e - t0**e`` whose ``t1**e`` overflows; a cell of
+    level 0 or of no measure adds nothing."""
     p, q = idx.p, idx.q
     live = np.any(levels != 0, axis=1)
     norms = np.zeros(len(levels))
@@ -196,13 +199,20 @@ def _row_norms(levels: np.ndarray, breaks: np.ndarray, idx: LorentzIndex) -> np.
     if not live.all():
         levels, breaks = levels[live], breaks[live]
     t0, t1 = breaks[:, :-1], breaks[:, 1:]
-    if isinf(q):
-        norms[live] = np.max(t1 ** (1.0 / p) * levels, axis=1)
-        return norms
     with np.errstate(over="ignore"):
+        if isinf(q):
+            # 0 * inf is NaN only at a cell of level 0, which fmax skips;
+            # every live row's first cell has a positive level
+            with np.errstate(invalid="ignore"):
+                norms[live] = np.fmax.reduce(t1 ** (1.0 / p) * levels, axis=1)
+            return norms
+        counted = (levels != 0) & (t1 != t0)
+        terms = np.zeros_like(levels)
         e = q / p
-        chunks = levels**q * (p / q) * (t1**e - t0**e)
-        totals = np.sum(chunks, axis=1)
+        hi = t1**e
+        widths = np.subtract(hi, t0**e, out=np.full_like(hi, inf), where=hi != inf)
+        np.multiply(levels**q * (p / q), widths, out=terms, where=counted)
+        totals = np.sum(terms, axis=1)
     # the root in Python floats, the C library's pow: numpy's vectorized
     # power may round differently
     norms[live] = [_root(t, q) for t in totals.tolist()]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,75 @@ def test_negative_duality_trials_is_usage_error(tmp_path, capsys):
     assert "duality_trials" not in json.loads((out / "norms.json").read_text())
 
 
+class _RecordingGenerator:
+    """A numpy Generator that records each call made on it: the method's
+    name and a copy of what it drew."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            drawn = method(*args, **kwargs)
+            self._calls.append((name, np.copy(drawn)))
+            return drawn
+        return call
+
+
+def _recorded_trials(monkeypatch, seed, trials):
+    """``_duality_failures(seed, trials)`` and the generator calls it made."""
+    calls = []
+    real = np.random.default_rng
+    monkeypatch.setattr(cli.np.random, "default_rng",
+                        lambda *a, **kw: _RecordingGenerator(real(*a, **kw), calls))
+    fails = cli._duality_failures(seed, trials)
+    monkeypatch.undo()
+    return fails, calls
+
+
+@pytest.mark.parametrize("trials, batches", [(1000, [1000]), (3000, [1024, 1024, 952])])
+def test_duality_trials_make_six_generator_calls_per_batch(monkeypatch, trials, batches):
+    fails, calls = _recorded_trials(monkeypatch, 1, trials)
+    assert fails == 0
+    assert len(calls) == 6 * len(batches)
+    names = ["integers", "random", "standard_normal", "uniform", "standard_normal",
+             "uniform"]
+    for b, count in enumerate(batches):
+        batch = calls[6 * b:6 * b + 6]
+        assert [name for name, _ in batch] == names
+        cells = batch[0][1].sum()
+        assert [a.size for _, a in batch] == [count, cells, cells, count, cells, count]
+
+
+def test_duality_trials_are_reproducible_per_seed(monkeypatch):
+    first = _recorded_trials(monkeypatch, 7, 1500)
+    second = _recorded_trials(monkeypatch, 7, 1500)
+    assert first[0] == second[0] == 0
+    assert len(first[1]) == len(second[1]) == 12
+    for (name_a, a), (name_b, b) in zip(first[1], second[1]):
+        assert name_a == name_b and np.array_equal(a, b)
+    lengths = np.concatenate([a for name, a in first[1] if name == "integers"])
+    assert lengths.size == 1500
+    assert lengths.min() >= 3 and lengths.max() <= 39
+
+
+def test_duality_trials_pass_for_many_seeds():
+    assert [cli._duality_failures(seed, 1000) for seed in range(50)] == [0] * 50
+
+
+def test_duality_trials_peak_memory_does_not_grow_with_their_count():
+    tracemalloc.start()
+    try:
+        fails = cli._duality_failures(0, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fails == 0
+    assert peak < 16 * 2**20
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -482,10 +552,12 @@ def test_lorentz_input_needs_two_columns_and_a_row(tmp_path, capsys, text, messa
 @pytest.mark.parametrize("args, message", [
     (["--analytic", "inv-sqrt-n", "--samples", 0], "count >= 1"),
     (["--analytic", "inv-sqrt-n", "--inner", 2, "--outer", 1], "inner < outer"),
-    (["--analytic", "inv-sqrt-n", "--p", 0], "p must be positive"),
+    (["--analytic", "inv-sqrt-n", "--p", 0], "p must be finite and > 0"),
     (["--input", "missing.csv"], "not found"),
     (["--input", "ragged.csv"], "got 1 columns instead of 2"),
-], ids=["no-samples", "inner-above-outer", "zero-p", "missing-input", "ragged-input"])
+    (["--analytic", "inv-sqrt-n", "--p", "inf"], "--p/--q: p must be finite and > 0"),
+], ids=["no-samples", "inner-above-outer", "zero-p", "missing-input", "ragged-input",
+        "infinite-p"])
 def test_lorentz_usage_errors_leave_no_output_directory(tmp_path, capsys, args, message):
     (tmp_path / "ragged.csv").write_text("value,cell_measure\n1,1\n2\n")
     args = [tmp_path / a if str(a).endswith(".csv") else a for a in args]
@@ -546,7 +618,7 @@ BAD_OPTIONS = {
     },
     "lorentz": {
         "--seed": [-1],
-        "--p": [0, -1, "nan", "-inf", "x"],
+        "--p": [0, -1, "nan", "inf", "-inf", "x"],
         "--q": [0, -1, "nan", "-inf", "x"],
         "--samples": [0, -1, "x"],
         "--inner": [-1, 20, "nan", "inf", "x"],  # 20 is not below --outer 10

@@ -1018,6 +1018,22 @@ def test_rescale_zero_field():
     assert np.all(v.evaluate(np.zeros((4, 3))) == 0.0)
 
 
+@pytest.mark.parametrize("y, delta, message", [
+    (np.zeros(3), math.inf, "rescaling factor must be finite and > 0, got inf"),
+    ([math.nan, 0, 0], 0.5, r"rescaling center must be finite, got \[nan, 0.0, 0.0\]"),
+    ([0, -math.inf, 0], 0.5, r"rescaling center must be finite, got \[0.0, -inf, 0.0\]"),
+], ids=["infinite-factor", "nan-center", "infinite-center"])
+def test_rescale_refuses_non_finite_factor_and_center(y, delta, message):
+    u = aubin_talenti(3)
+    with pytest.raises(ValueError, match=message):
+        rescale(u, y, delta)
+    with pytest.raises(ValueError, match=message):
+        RescaledField(u, y, delta)
+    # refused before any node is integrated, so the field is not blamed
+    with pytest.raises(ValueError, match=message):
+        scaled_measure(u, y, delta, 1.0)
+
+
 def test_rescale_two_scale_superposition_converges_to_profile():
     seq = make_sequence(
         [(np.zeros(3), 4.0, 1.0), (np.zeros(3), 16.0, 1.0)], budget=1e4, n=3

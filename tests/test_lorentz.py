@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bubblelab.lorentz import (
     SampledFunction,
     _rearranged_rows,
     _row_mask,
+    _row_norms,
     duality_product_check,
     duality_product_checks,
     lorentz_norm,
@@ -161,11 +163,30 @@ def test_overflowing_root_is_infinite():
     assert lorentz_norm(sampled([1e20, 1.0]), idx) == pytest.approx(total**10, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [math.inf, 1.0])
+def test_extreme_exponent_is_infinite_without_warnings(q):
+    # p = 1e-300: t ** (q/p) overflows for every break above 1, so both
+    # ends of the second and third cells overflow; the third cell has level 0
+    idx = LorentzIndex(1e-300, q)
+    f = sampled([3.0, 2.0, 0.0], [2.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lorentz_norm(f, idx) == math.inf
+        assert lorentz_norm(rearrange(f), idx) == math.inf
+        # the short row's padding has level 0 and no measure, at t = 2
+        rows = _rearranged_rows(np.array([3.0, 2.0, 0.0, 3.0]),
+                                np.array([2.0, 1.0, 1.0, 2.0]), _row_mask([3, 1]))
+        assert _row_norms(*rows, idx).tolist() == [math.inf, math.inf]
+
+
 def test_invalid_indices_rejected():
     with pytest.raises(ValueError):
         LorentzIndex(0.0, 2.0)
     with pytest.raises(ValueError):
         LorentzIndex(2.0, -1.0)
+    for p in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be finite and > 0"):
+            LorentzIndex(p, 2.0)
 
 
 # ---------------------------------------------------------------------------
