@@ -5,9 +5,18 @@ schedule, weight); its k-th field is the superposition at the k-th scales.
 The pipeline detects concentration points by thresholding local energies
 along the sequence, reads off the defect density Theta from small balls at
 large k, extracts bubbles one at a time (half-threshold radius, blow-up
-rescaling, least-squares profile fit, subtraction) and reports the bubble
-count, neck energies and the ratio of Theta to the single-bubble energy
-constant, which clusters at integers.
+rescaling, profile fit, subtraction) and reports the bubble count, neck
+energies and the ratio of Theta to the single-bubble energy constant, which
+clusters at integers.
+
+The profile fit is least squares on (log delta, center) by this module's
+own Levenberg-Marquardt (``_levenberg_marquardt``: Marquardt's damping with
+Nielsen's update, the closed-form Jacobian of ``_profile_model``).  It
+stops on one of MINPACK's tests, a relative cost decrease, a step length or
+a gradient cosine at most ``_FIT_TOL * 1e-4``, or after 400 evaluations.  A
+fit is converged when it stopped on a tolerance test and its relative RMS
+residual is below 0.05; a fit that is not ends the point's extraction with
+the flag ``fit-not-converged``.
 
 Two energy densities appear side by side:
 
@@ -823,68 +832,135 @@ def _fit_sample_points(n: int, x: np.ndarray, scale: float) -> np.ndarray:
     return (x[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
 
 
-def _profile_model(n: int, sign: float, samples: np.ndarray):
-    """The signed standard profile at ``samples`` as a function of
-    ``params = (log delta, center)``, and its closed-form Jacobian in
-    ``params``: dU/dc = -grad U and dU/dlog(delta) =
-    U (n-2)/2 (|z|^2 - 1)/(|z|^2 + 1), with z = (y - c)/delta."""
+def _profile_model(n: int, sign: float, samples: np.ndarray, target: np.ndarray,
+                   scale_ref: float):
+    """``params = (log delta, center) -> (r, J)``: the residual
+    ``r = (U - target) / scale_ref`` of the signed standard profile U at
+    ``samples`` and its closed-form Jacobian ``J = dr/dparams``, with
+    dU/dc = -grad U and dU/dlog(delta) = U (n-2)/2 (|z|^2 - 1)/(|z|^2 + 1),
+    z = (y - c)/delta.  One ``Bubble.value_and_gradient`` gives both; a
+    parameter ``Bubble`` refuses raises ``ValueError`` (or ``OverflowError``
+    from ``exp(log delta)``)."""
 
-    def bubble(params):
-        return Bubble(n, params[1:], math.exp(params[0]), sign)
-
-    def profile(params):
-        return bubble(params).evaluate(samples)
-
-    def jacobian(params):
-        b = bubble(params)
+    def model(params):
+        b = Bubble(n, params[1:], math.exp(params[0]), sign)
         v, grad = b.value_and_gradient(samples)
         z = (samples - b.center) / b.scale
         zz = np.einsum("ij,ij->i", z, z)
-        return np.column_stack([0.5 * (n - 2) * v * (zz - 1.0) / (zz + 1.0), -grad])
+        jac = np.column_stack([0.5 * (n - 2) * v * (zz - 1.0) / (zz + 1.0), -grad])
+        jac /= scale_ref
+        v -= target
+        v /= scale_ref
+        return v, jac
 
-    return profile, jacobian
+    return model
+
+
+def _levenberg_marquardt(model, p: np.ndarray, tol: float, max_nfev: int):
+    """Minimize ``cost = |r|^2 / 2`` over ``p`` for ``model(p) = (r, J)``.
+
+    Marquardt's damped Gauss-Newton: each trial step solves
+    ``(J^T J + lam D) h = -J^T r``, with D the largest diag(J^T J) seen so
+    far (MINPACK's scaling, which keeps the system positive definite), and
+    is accepted when it lowers the cost, that is when the gain ratio
+    (actual over predicted decrease) is positive.  lam follows Nielsen's
+    rule: times max(1/3, 1 - (2 rho - 1)^3) on acceptance, times 2, 4, 8,
+    ... on consecutive rejections.  A trial the model refuses (it raises
+    ``ValueError`` or ``OverflowError``) or whose residual or Jacobian is
+    not finite is a rejected step.
+
+    Returns ``(p, cost, nfev, stop)``; ``stop`` names the test that ended
+    the fit, MINPACK's three at ``tol`` or the evaluation budget:
+    ``"ftol"`` (an accepted step's actual and predicted decrease are both at
+    most tol * cost), ``"xtol"`` (a step no longer than tol (tol + |p|)),
+    ``"gtol"`` (every column of J at cosine at most tol with r) or
+    ``"max_nfev"`` (``max_nfev`` evaluations made, the start included).
+    The start must evaluate."""
+
+    def evaluate(q):
+        try:
+            with np.errstate(all="ignore"):
+                r, jac = model(q)
+        except (ValueError, OverflowError):
+            return None
+        return (r, jac) if np.isfinite(r).all() and np.isfinite(jac).all() else None
+
+    start = evaluate(p)
+    if start is None:
+        raise ValueError("the fit's start gives no finite residual")
+    r, jac = start
+    cost, nfev = 0.5 * float(r @ r), 1
+    lam, nu = 1e-3, 2.0
+    scale = np.zeros(len(p))
+    while True:
+        a, g = jac.T @ jac, jac.T @ r
+        diag = np.diag(a)
+        scale = np.maximum(scale, diag)
+        if np.all(np.abs(g) <= tol * np.sqrt(diag * (2.0 * cost))):
+            return p, cost, nfev, "gtol"
+        while True:
+            if nfev >= max_nfev:
+                return p, cost, nfev, "max_nfev"
+            h = np.linalg.solve(a + lam * np.diag(scale), -g)
+            if np.linalg.norm(h) <= tol * (tol + np.linalg.norm(p)):
+                return p, cost, nfev, "xtol"
+            trial = evaluate(p + h)
+            nfev += 1
+            new_cost = math.inf if trial is None else 0.5 * float(trial[0] @ trial[0])
+            if new_cost < cost:
+                break
+            lam *= nu
+            nu *= 2.0
+        predicted = 0.5 * float(h @ (lam * scale * h - g))
+        rho = (cost - new_cost) / predicted
+        flat = cost - new_cost <= tol * cost and predicted <= tol * cost
+        lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        nu = 2.0
+        p, cost, (r, jac) = p + h, new_cost, trial
+        if flat:
+            return p, cost, nfev, "ftol"
 
 
 def _fit_bubble(
     w: ScalarField, x: np.ndarray, delta0: float, tol: float
 ) -> tuple[Bubble, dict]:
-    """Least squares on (log delta, center) of a signed standard profile,
-    Levenberg-Marquardt with the closed-form Jacobian of ``_profile_model``.
+    """Fit a signed standard profile to ``w`` on (log delta, center).
+
+    ``_levenberg_marquardt`` minimizes the residual of ``_profile_model``,
+    scaled by the largest |w| sampled, from (log delta0, x), with its stop
+    tests at ``tol * 1e-4`` and at most 400 evaluations.  The fit is
+    ``converged`` when it stopped on a tolerance test, not on the budget,
+    and its relative RMS residual is below 0.05; ``info["stop"]`` names the
+    test.
 
     The sample cloud spans radii delta0/30 .. 30*delta0 around the probe
     point and excludes the point itself, where imperfect cancellation of
     previously subtracted bubbles leaves a spurious spike.
     """
-    # scipy.optimize is imported here, its only use, so that importing
-    # bubblelab (and every subcommand but quantize) does not pay for it
-    from scipy.optimize import least_squares
-
     n = w.dimension
     samples = _fit_sample_points(n, x, delta0)
     target = w.evaluate(samples)
     # sign read at the working scale, not at the contaminated center
     core = np.linalg.norm(samples - x, axis=1) <= delta0
     sign = 1.0 if float(np.mean(target[core])) >= 0 else -1.0
-    scale_ref = np.abs(target).max()
-    profile, jacobian = _profile_model(n, sign, samples)
+    model = _profile_model(n, sign, samples, target, np.abs(target).max())
 
     p0 = np.concatenate([[math.log(delta0)], x])
-    res = least_squares(lambda p: (profile(p) - target) / scale_ref, p0,
-                        jac=lambda p: jacobian(p) / scale_ref, method="lm",
-                        xtol=tol * 1e-4, ftol=tol * 1e-4, gtol=tol * 1e-4, max_nfev=400)
-    delta = math.exp(res.x[0])
-    center = res.x[1:]
+    p, cost, nfev, stop = _levenberg_marquardt(model, p0, tol * 1e-4, 400)
+    delta = math.exp(p[0])
+    center = p[1:]
     # snap to the probe point when the offset is far below the bubble scale:
     # the fit cannot resolve it and an exact common center keeps the
     # subtracted superposition radially symmetric (cheap quadrature)
     if np.linalg.norm(center - x) < 1e-3 * delta:
         center = x.copy()
-    rel_rms = math.sqrt(2.0 * res.cost / len(target))
+    rel_rms = math.sqrt(2.0 * cost / len(target))
     info = {
-        "converged": bool(res.success) and rel_rms < 0.05,
-        "cost": float(res.cost),
+        "converged": stop != "max_nfev" and rel_rms < 0.05,
+        "cost": cost,
         "rel_rms": rel_rms,
-        "nfev": int(res.nfev),
+        "nfev": nfev,
+        "stop": stop,
     }
     return Bubble(n, center, delta, sign), info
 

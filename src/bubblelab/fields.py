@@ -211,8 +211,8 @@ class Bubble(ScalarField):
     def __post_init__(self):
         if self.dimension < 3:
             raise ValueError("bubbles need dimension >= 3")
-        if not (self.scale > 0):
-            raise ValueError(f"bubble scale must be positive, got {self.scale}")
+        if not (0 < self.scale < math.inf):
+            raise ValueError(f"bubble scale must be finite and > 0, got {self.scale}")
         if self.sign not in (-1.0, 1.0, -1, 1):
             raise ValueError("bubble sign must be +1 or -1")
         object.__setattr__(
@@ -220,6 +220,8 @@ class Bubble(ScalarField):
         )
         if self.center.size != self.dimension:
             raise ValueError("bubble center has wrong dimension")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"bubble center must be finite, got {self.center.tolist()}")
 
     def _z(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fresh ``z = (points - center) / scale`` and ``g = 1 + |z|^2``.
@@ -487,8 +489,6 @@ def aubin_talenti(n: int, delta: float = 1.0, y=0) -> Bubble:
     """The closed-form positive entire solution, rescaled and translated."""
     if n < 3:
         raise ValueError("need n >= 3")
-    if not (delta > 0):
-        raise ValueError(f"scale must be positive, got {delta}")
     center = np.zeros(n) if (np.isscalar(y) and y == 0) else np.asarray(y, dtype=float)
     return Bubble(dimension=n, center=center, scale=float(delta))
 

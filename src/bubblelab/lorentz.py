@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import inf, isfinite, isinf
+from math import inf, isfinite, isinf, log
 
 import numpy as np
 
@@ -188,9 +188,14 @@ def _rearranged_rows(values, measures, valid: np.ndarray):
 def _row_norms(levels: np.ndarray, breaks: np.ndarray, idx: LorentzIndex) -> np.ndarray:
     """``lorentz_norm`` of each row of a rearrangement laid out as
     ``_rearranged_rows`` returns it; a row whose levels are all 0 has norm 0
-    and is not evaluated.  A power of a break that overflows reads +inf, as
-    does a difference ``t1**e - t0**e`` whose ``t1**e`` overflows; a cell of
-    level 0 or of no measure adds nothing."""
+    and is not evaluated.  A cell of level 0 or of no measure adds nothing.
+
+    At finite q each cell adds ``(p/q) level^q (t1^e - t0^e)``, e = q/p,
+    to the integral.  Each term is formed in logs, over the row's top level
+    ``L``: ``q ln(level/L) + e ln(t1) + ln(p/q) + ln(-expm1(e ln(t0/t1)))``.
+    The terms are summed by a log-sum-exp, and the norm is
+    ``L exp(lse / q)``, so no power overflows or underflows alone: only a
+    norm beyond the float range reads +inf (or 0)."""
     p, q = idx.p, idx.q
     live = np.any(levels != 0, axis=1)
     norms = np.zeros(len(levels))
@@ -199,34 +204,30 @@ def _row_norms(levels: np.ndarray, breaks: np.ndarray, idx: LorentzIndex) -> np.
     if not live.all():
         levels, breaks = levels[live], breaks[live]
     t0, t1 = breaks[:, :-1], breaks[:, 1:]
-    with np.errstate(over="ignore"):
-        if isinf(q):
-            # 0 * inf is NaN only at a cell of level 0, which fmax skips;
-            # every live row's first cell has a positive level
-            with np.errstate(invalid="ignore"):
-                norms[live] = np.fmax.reduce(t1 ** (1.0 / p) * levels, axis=1)
-            return norms
-        counted = (levels != 0) & (t1 != t0)
-        terms = np.zeros_like(levels)
-        e = q / p
-        hi = t1**e
-        widths = np.subtract(hi, t0**e, out=np.full_like(hi, inf), where=hi != inf)
-        np.multiply(levels**q * (p / q), widths, out=terms, where=counted)
-        totals = np.sum(terms, axis=1)
-    # the root in Python floats, the C library's pow: numpy's vectorized
-    # power may round differently
-    norms[live] = [_root(t, q) for t in totals.tolist()]
+    if isinf(q):
+        # 0 * inf is NaN only at a cell of level 0, which fmax skips;
+        # every live row's first cell has a positive level
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms[live] = np.fmax.reduce(t1 ** (1.0 / p) * levels, axis=1)
+        return norms
+    counted = (levels != 0) & (t1 != t0)
+    top = levels[:, :1]  # levels are nonincreasing
+    logs = np.full_like(levels, -inf)
+    # log 0 at level 0 and at t0 = 0 (where -expm1(-inf) = 1), inf / inf at
+    # padding after an overflowed break: only counted cells are kept.  e is
+    # applied as q * (ln t / p), which stays 0 at t = 1 where q / p overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.add(q * (np.log(levels / top) + np.log(t1) / p) + (log(p) - log(q)),
+               np.log(-np.expm1(q * (np.log(t0 / t1) / p))), out=logs, where=counted)
+        peak = logs.max(axis=1, keepdims=True)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        lse = shift[:, 0] + np.log(np.exp(logs - shift).sum(axis=1))
+        root = np.exp(lse / q)
+        norm = top[:, 0] * root
+        # a small top times a root beyond the float range: the product in logs
+        np.exp(np.log(top[:, 0]) + lse / q, out=norm, where=np.isinf(root) | (root == 0))
+    norms[live] = norm
     return norms
-
-
-def _root(t: float, q: float) -> float:
-    """t ** (1/q) in Python floats, +inf where it overflows (q < 1)."""
-    if not isfinite(t):
-        return float("inf")
-    try:
-        return t ** (1.0 / q)
-    except OverflowError:
-        return float("inf")
 
 
 def rearrange(f: SampledFunction) -> RearrangementTable:

@@ -580,15 +580,35 @@ def test_lorentz_input_with_overflowing_norm_writes_infinity(tmp_path, capsys):
     assert json.loads((out / "norms.json").read_text())["norm"] == float("inf")
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """Only the bubble fit needs scipy.optimize; no other run should pay for
-    importing it."""
+README_COMMANDS = [
+    "residual --n 3 --delta 1 --pohozaev 1",
+    "monotonicity --n 4 --probe 0.3 0 0 0",
+    "lorentz --analytic inv-sqrt-n --p 2 --q inf --duality-trials 1000",
+    "neck --n 3 --base 10 --k 3 --R 10 30 100",
+    "quantize --n 3 --bases 4,16,64 --k-max 10 --assert-integer 0.05",
+    "bubble-constant --n 5",
+]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    """The package fits bubbles with its own Levenberg-Marquardt, so neither
+    importing the CLI nor running the README commands, the quantize fit
+    included, loads scipy.optimize."""
     src = str(Path(bubblelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, bubblelab.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    # the subcommands print their own reports; the last line is the probe's
+    probe = (
+        "import json, sys, bubblelab.cli\n"
+        "seen = [[None, 'scipy.optimize' in sys.modules]]\n"
+        "for i, cmd in enumerate(sys.argv[2:]):\n"
+        "    code = bubblelab.cli.main([*cmd.split(), '--out', f'{sys.argv[1]}/{i}'])\n"
+        "    seen.append([code, 'scipy.optimize' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path), *README_COMMANDS],
+                          env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout.strip().splitlines()[-1])
+    assert seen == [[None, False]] + [[0, False]] * len(README_COMMANDS)
 
 
 # Every subcommand's options with boundary values each refuses (at the

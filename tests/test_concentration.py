@@ -38,9 +38,11 @@ from bubblelab.concentration import (
     _ball_energy_bound,
     _dedup_points,
     _detect_detailed,
+    _fit_bubble,
     _fit_sample_points,
     _half_threshold_radius,
     _lattice,
+    _levenberg_marquardt,
     _profile_model,
     _standard_halfball_radius,
     QuantizationConfig,
@@ -1441,14 +1443,13 @@ def test_fit_jacobian_matches_central_differences(n, sign):
         x = rng.uniform(-0.5, 0.5, n)
         samples = _fit_sample_points(n, x, delta * 10.0 ** rng.uniform(-0.5, 0.5))
         params = np.concatenate([[math.log(delta)], x + 0.3 * delta * rng.standard_normal(n)])
-        profile, jacobian = _profile_model(n, sign, samples)
         # the residual against a nearby bubble, as in the fit
-        target = profile(params + 0.1 * np.concatenate([[1.0], np.full(n, delta)])
-                         * rng.standard_normal(n + 1))
-        scale_ref = np.abs(target).max()
+        target, _ = _profile_model(n, sign, samples, 0.0, 1.0)(
+            params + 0.1 * np.concatenate([[1.0], np.full(n, delta)]) * rng.standard_normal(n + 1))
+        model = _profile_model(n, sign, samples, target, np.abs(target).max())
 
         def resid(p):
-            return (profile(p) - target) / scale_ref
+            return model(p)[0]
 
         steps = 1e-5 * np.concatenate([[1.0], np.full(n, delta)])
         fd = np.empty((len(samples), n + 1))
@@ -1458,8 +1459,57 @@ def test_fit_jacobian_matches_central_differences(n, sign):
             down[i] -= h
             # the exact step taken, after rounding the perturbed parameters
             fd[:, i] = (resid(up) - resid(down)) / (up[i] - down[i])
-        jac = jacobian(params) / scale_ref
+        jac = model(params)[1]
         assert np.all(np.abs(jac - fd).max(axis=0) <= 1e-6 * np.abs(jac).max(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 7), log_delta=st.floats(math.log(1e-18), 0.0),
+       sign=st.sampled_from([1.0, -1.0]), scale_off=st.sampled_from([-0.3, 0.3]),
+       center_off=st.lists(st.sampled_from([-0.3, 0.3]), min_size=7, max_size=7))
+def test_fit_recovers_a_clean_bubble(n, log_delta, sign, scale_off, center_off):
+    # a start off by 0.3 in log delta and by 0.3 delta in every coordinate
+    delta = math.exp(log_delta)
+    x = delta * np.array(center_off[:n])
+    fitted, info = _fit_bubble(Bubble(n, np.zeros(n), delta, sign), x,
+                               delta * math.exp(scale_off), concentration._FIT_TOL)
+    assert info["converged"] and info["stop"] != "max_nfev"
+    assert fitted.sign == sign
+    assert abs(fitted.scale / delta - 1.0) <= 1e-10
+    assert np.abs(fitted.center).max() <= 1e-10 * delta
+
+
+def test_fit_that_runs_out_of_evaluations_is_not_converged(monkeypatch):
+    lm = concentration._levenberg_marquardt
+    monkeypatch.setattr(concentration, "_levenberg_marquardt",
+                        lambda model, p, tol, max_nfev: lm(model, p, tol, 2))
+    x = np.array([0.03, 0.0, 0.0])
+    _, info = _fit_bubble(aubin_talenti(3, 0.1), x, 0.05, concentration._FIT_TOL)
+    assert info["stop"] == "max_nfev" and info["nfev"] == 2
+    assert info["converged"] is False
+    assert info["rel_rms"] < 0.05  # a small residual alone does not converge a fit
+
+
+@pytest.mark.parametrize("bound", [800.0, -800.0], ids=["exp-overflows", "exp-underflows"])
+def test_fit_step_whose_scale_bubble_refuses_is_rejected(bound):
+    # the residual pulls log delta towards a bound where exp(log delta) is
+    # inf or 0: Bubble refuses those trials, and they are rejected steps
+    refused = []
+
+    def model(p):
+        try:
+            Bubble(3, np.zeros(3), math.exp(p[0]))
+        except (ValueError, OverflowError):
+            refused.append(p[0])
+            raise
+        return np.array([p[0] - bound]), np.eye(1)
+
+    p, cost, nfev, stop = _levenberg_marquardt(
+        model, np.array([math.copysign(700.0, bound)]), 1e-12, 400)
+    assert refused and stop != "max_nfev"
+    # stalled between the start and the first scale Bubble refuses
+    assert 700.0 < abs(p[0]) < min(abs(r) for r in refused)
+    assert cost == 0.5 * (p[0] - bound) ** 2
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])

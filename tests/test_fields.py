@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,20 @@ def test_rejects_bad_scale_and_dimension():
         aubin_talenti(3, delta=0.0)
     with pytest.raises(ValueError):
         aubin_talenti(2)
+
+
+@pytest.mark.parametrize("center, scale, message", [
+    (np.zeros(3), math.inf, "bubble scale must be finite and > 0, got inf"),
+    (np.zeros(3), math.nan, "bubble scale must be finite and > 0, got nan"),
+    ([math.nan, 0, 0], 1.0, r"bubble center must be finite, got \[nan, 0.0, 0.0\]"),
+    ([0, -math.inf, 0], 1.0, r"bubble center must be finite, got \[0.0, -inf, 0.0\]"),
+], ids=["infinite-scale", "nan-scale", "nan-center", "infinite-center"])
+def test_bubble_refuses_non_finite_scale_and_center(center, scale, message):
+    # refused at construction, not as the zero field or a non-finite integrand
+    with pytest.raises(ValueError, match=message):
+        Bubble(3, center, scale)
+    with pytest.raises(ValueError, match=message):
+        aubin_talenti(3, scale, center)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +215,6 @@ def test_superposition_sums_parts():
 @pytest.mark.parametrize("center", [
     pytest.param([0.0, 0.0, 0.0], id="origin"),
     pytest.param([0.3, -0.2, 0.1], id="off-origin"),
-    pytest.param([np.nan, 0.0, 0.0], id="nan"),
 ])
 def test_one_part_rule_selection_matches_the_several_part_path(center):
     # a one-part field skips the comparison of centers; the same part twice

@@ -1,3 +1,4 @@
+import decimal
 import math
 import tracemalloc
 import warnings
@@ -161,6 +162,36 @@ def test_overflowing_root_is_infinite():
     # a root that fits is the Python-float power of the closed-form sum
     total = 1e20 ** 0.1 * 10.0 + 1.0 * 10.0 * (2.0**0.1 - 1.0)
     assert lorentz_norm(sampled([1e20, 1.0]), idx) == pytest.approx(total**10, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, m, p, q", [
+    (10.0, 0.01, 1.0, 1000.0), (10.0, 0.01, 1.0, 1e4),  # a**q overflows, m**q underflows
+    (2.0, 1.0, 1e-300, 1e10), (2.0, 1.0, 1e-10, 1e300),  # q / p overflows
+    (1e-200, 1e20, 0.05, 1.0),  # m**(1/p) overflows, the norm does not
+])
+def test_one_cell_norm_matches_the_closed_form_without_warnings(a, m, p, q):
+    # one cell of level a and measure m: a m**(1/p) (p/q)**(1/q), in decimals
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a_, m_, p_, q_ = map(decimal.Decimal, (a, m, p, q))
+        want = float(a_ * m_ ** (1 / p_) * (p_ / q_) ** (1 / q_))
+    f = sampled([a], [m])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lorentz_norm(f, LorentzIndex(p, q)) == pytest.approx(want, rel=1e-13)
+        assert lorentz_norm(rearrange(f), LorentzIndex(p, q)) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [1000.0, 1e4])
+def test_large_q_norm_of_two_cells_matches_the_closed_form_without_warnings(q):
+    # levels a > b with measures m, m2 and b (m + m2) > a m: at p = 1 the sum
+    # is (1/q) (b (m + m2))**q (1 - (m / (m + m2))**q + (a m / (b (m + m2)))**q)
+    want = 9.0 * 0.03 * (1.0 / q) ** (1.0 / q) * (1.0 - 3.0**-q + (10.0 / 27.0) ** q) ** (1.0 / q)
+    f = sampled([9.0, 10.0], [0.02, 0.01])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lorentz_norm(f, LorentzIndex(1.0, q)) == pytest.approx(want, rel=1e-13)
+        assert lorentz_norm(rearrange(f), LorentzIndex(1.0, q)) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("q", [math.inf, 1.0])
