@@ -9,7 +9,10 @@ Every subcommand is a pair: ``check_<name>`` parses, validates and builds
 its inputs without touching the filesystem, and ``cmd_<name>`` computes and
 writes.  ``main`` makes the output directory between the two, so a usage
 error (exit 2) leaves no --out behind, and its message names the flag or
-spec key it refuses.
+spec key it refuses.  The argument parser is built once per process, by the
+first ``main`` call; each call then looks up ``check_<name>`` and
+``cmd_<name>`` on this module by the subcommand's name.  Config, spec and
+echoed values are read literally: no ``%`` interpolation.
 
 Outputs are deterministic: fixed seeds, one round-trip float format (``_csv``),
 sorted JSON keys, and a bit-stable quadrature reduction, so repeated runs
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import sys
@@ -94,7 +98,7 @@ class RunConfig:
 def _load_config(path: str | None, overrides: dict) -> RunConfig:
     cfg = RunConfig()
     if path:
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         read = cp.read(path)
         if not read:
             raise FileNotFoundError(f"--config: cannot read {path}")
@@ -123,7 +127,7 @@ def _load_config(path: str | None, overrides: dict) -> RunConfig:
 def _prepare_out(cfg: RunConfig, command: str, extra: dict) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["run"] = {k: repr(v) for k, v in asdict(cfg).items()}
     cp["command"] = {"name": command, **{k: repr(v) for k, v in extra.items()}}
     with open(out / "effective_config.ini", "w") as fh:
@@ -479,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pohozaev", type=float, action="append",
                     help="also emit the radial-multiplier balance at this radius")
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.set_defaults(check=check_residual, run=cmd_residual)
 
     sp = sub.add_parser("monotonicity", help="local energy profile checks")
     _add_common(sp)
@@ -492,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rmin", type=float, default=0.05)
     sp.add_argument("--rmax", type=float, default=5.0)
     sp.add_argument("--count", type=int, default=40)
-    sp.set_defaults(check=check_monotonicity, run=cmd_monotonicity)
 
     sp = sub.add_parser("lorentz", help="rearrangement and Lorentz norms")
     _add_common(sp)
@@ -506,16 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--outer", type=float, default=10.0)
     sp.add_argument("--duality-trials", dest="duality_trials", type=int, default=0,
                     help="random pairing-bound trials, checked as one batch (>= 0)")
-    sp.set_defaults(check=check_lorentz, run=cmd_lorentz)
 
     sp = sub.add_parser("neck", help="annulus energy between scales")
     _add_common(sp)
     _add_quad_order(sp)
     sp.add_argument("--base", type=float, default=10.0, help="scale schedule base")
-    sp.add_argument("--k", type=int, nargs="+", default=[3])
-    sp.add_argument("--R", type=float, nargs="+", default=[10.0, 30.0, 100.0])
+    sp.add_argument("--k", type=int, nargs="+", default=(3,))
+    sp.add_argument("--R", type=float, nargs="+", default=(10.0, 30.0, 100.0))
     sp.add_argument("--outer", type=float, default=0.5)
-    sp.set_defaults(check=check_neck, run=cmd_neck)
 
     sp = sub.add_parser("quantize", help="defect quantization pipeline")
     _add_common(sp)
@@ -526,27 +526,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--assert-integer", dest="assert_integer", type=float,
                     help="fail unless every ratio is this close to an integer "
                     "and equals its point's number of extracted bubbles")
-    sp.set_defaults(check=check_quantize, run=cmd_quantize)
 
     sp = sub.add_parser("bubble-constant", help="print the single-bubble energy")
     _add_common(sp)
     sp.add_argument("--radial-order", dest="radial_order", type=int, default=64)
-    sp.set_defaults(check=check_bubble_constant, run=cmd_bubble_constant)
 
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built by the first one."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     """Run one subcommand: load the config, set the thread count, check the
     subcommand's arguments, make the output directory, run it, then print
     its payload with its status and map the status to the exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, so a rebound check_<name> or cmd_<name> is the one run
+    name = args.command.replace("-", "_")
+    check, run = globals()[f"check_{name}"], globals()[f"cmd_{name}"]
     try:
         cfg = _load_config(args.config, _cfg_overrides(args))
         grid.set_default_threads(cfg.threads)
-        echo, inputs = args.check(args, cfg)
+        echo, inputs = check(args, cfg)
         out = _prepare_out(cfg, args.command, echo)
-        payload, status = args.run(args, cfg, out, *inputs)
+        payload, status = run(args, cfg, out, *inputs)
         payload["status"] = status
         _emit(args, payload)
     except (ValueError, OSError, configparser.Error) as exc:

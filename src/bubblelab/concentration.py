@@ -1151,7 +1151,7 @@ def read_sequence_spec(path) -> tuple[ConcentrationSequence, dict]:
     """
     import configparser
 
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         cp.read_file(fh)
     if "sequence" not in cp:

@@ -108,6 +108,15 @@ def test_neck_outputs(tmp_path, capsys):
     assert len(rows) == 4  # header + 3 R values
 
 
+def test_neck_defaults_survive_a_run_that_overrides_them(tmp_path):
+    # the parser is shared by every main call, so its defaults must not be
+    # left holding an earlier run's values
+    assert run(["neck", "--n", 3, "--R", 5, "--out", tmp_path / "one", "--quiet"]) == 0
+    assert run(["neck", "--n", 3, "--out", tmp_path / "three", "--quiet"]) == 0
+    rows = [l for l in (tmp_path / "three" / "neck.csv").read_bytes().split(b"\r\n") if l]
+    assert [float(r.split(b",")[0]) for r in rows[1:]] == [10.0, 30.0, 100.0]
+
+
 def test_quantize_inline_single_bubble(tmp_path, capsys):
     out = tmp_path / "q"
     code = run(["quantize", "--n", 3, "--bases", "4", "--k-max", 8,
@@ -504,6 +513,57 @@ def test_config_naming_deleted_key_is_usage_error(tmp_path, capsys, key):
     code = run(["bubble-constant", "--config", cfg, "--out", tmp_path / "o", "--quiet"])
     assert code == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_percent_in_out_is_written_literally(tmp_path):
+    out = tmp_path / "dir%x"
+    assert run(["bubble-constant", "--n", 3, "--radial-order", 8, "--out", out,
+                "--quiet"]) == 0
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read(out / "effective_config.ini")
+    assert cp["run"]["out"] == repr(str(out))
+
+
+def test_percent_in_config_is_read_literally(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[run]\nout = {tmp_path / 'o%2'}\n")
+    assert run(["bubble-constant", "--n", 3, "--radial-order", 8, "--config", cfg,
+                "--quiet"]) == 0
+    assert (tmp_path / "o%2" / "bubble_constant.json").exists()
+
+
+def test_parser_is_built_once_across_main_calls(tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for i in range(3):
+            assert run(["bubble-constant", "--n", 3, "--radial-order", 8,
+                        "--out", tmp_path / str(i), "--quiet"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_main_runs_the_subcommand_functions_bound_at_call_time(tmp_path, monkeypatch,
+                                                               capsys):
+    assert run(["bubble-constant", "--n", 3, "--out", tmp_path / "a", "--quiet"]) == 0
+    calls = []
+
+    def check(args, cfg):
+        calls.append("check")
+        return {}, ()
+
+    def cmd(args, cfg, out):
+        calls.append("cmd")
+        return {"patched": True}, "fail"
+
+    monkeypatch.setattr(cli, "check_bubble_constant", check)
+    monkeypatch.setattr(cli, "cmd_bubble_constant", cmd)
+    assert run(["bubble-constant", "--n", 3, "--out", tmp_path / "b", "--json"]) == 1
+    assert calls == ["check", "cmd"]
+    assert json.loads(capsys.readouterr().out) == {"patched": True, "status": "fail"}
 
 
 def test_effective_config_lists_only_live_knobs(tmp_path):

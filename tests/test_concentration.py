@@ -1588,6 +1588,14 @@ def test_sequence_spec_roundtrip(tmp_path):
     assert seq.scales(2)[1] == pytest.approx(16.0**-2)
 
 
+def test_sequence_spec_values_are_read_literally(tmp_path):
+    spec = tmp_path / "seq.ini"
+    spec.write_text("[sequence]\nn = 3\ndescription = 50% tower, 100%% literal\n\n"
+                    "[bubble:one]\nbase = 4\n")
+    seq, _ = read_sequence_spec(spec)
+    assert seq.description == "50% tower, 100%% literal"
+
+
 def test_sequence_spec_without_center_puts_the_bubble_at_the_origin(tmp_path):
     spec = tmp_path / "seq.ini"
     spec.write_text("[sequence]\nn = 3\n\n[bubble:one]\nbase = 4\n")
