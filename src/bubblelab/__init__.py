@@ -4,7 +4,7 @@ semilinear elliptic equation -Lap(u) = u |u|^(4/(n-2)) on R^n, n >= 3.
 Submodules:
 
 * ``grid``          quadrature on balls, spheres and annuli;
-* ``fields``        bubbles, superpositions, test functions, residuals;
+* ``fields``        bubbles, superpositions, residuals;
 * ``monotonicity``  the radius-indexed local energy and its checks;
 * ``lorentz``       rearrangements and Lorentz-norm calculus;
 * ``concentration`` synthetic concentrating sequences and quantization;
@@ -26,36 +26,26 @@ from .fields import (
     BubbleConfiguration,
     RescaledField,
     ScalarField,
-    ScalarTestFunction,
     Superposition,
-    VectorTestFunction,
     aubin_talenti,
     gradient,
     laplacian,
     pde_residual,
     pohozaev_report,
-    pohozaev_residual,
-    stationarity_residual,
-    weak_residual,
 )
 from .monotonicity import (
     MonotonicityProfile,
-    RegularityReport,
     check_monotone,
     check_positive,
     energy_E,
-    energy_bound_check,
-    eps_regularity_check,
     profile,
 )
 from .lorentz import (
     LorentzIndex,
     RearrangementTable,
     SampledFunction,
-    duality_product_check,
     duality_product_checks,
     lorentz_norm,
-    power_rule_check,
     rearrange,
     tail_decay_check,
 )
@@ -65,14 +55,12 @@ from .concentration import (
     DefectReport,
     QuantizationConfig,
     bubble_energy_constant,
-    bubble_energy_limit,
     detect_sigma,
     energy_in,
     make_sequence,
     neck_energies,
     neck_energy,
     quantization_report,
-    rescale,
     scaled_measure,
     theta_estimate,
 )

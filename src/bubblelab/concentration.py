@@ -88,8 +88,6 @@ __all__ = [
     "energy_in",
     "bubbling_energy",
     "detect_sigma",
-    "rescale",
-    "bubble_energy_limit",
     "neck_energy",
     "neck_energies",
     "theta_estimate",
@@ -511,24 +509,8 @@ def detect_sigma(
 
 
 # ---------------------------------------------------------------------------
-# rescaling, bubble-scale energies, necks
+# neck energies
 # ---------------------------------------------------------------------------
-
-
-def rescale(u: ScalarField, y, delta: float) -> RescaledField:
-    """x -> delta^((n-2)/2) u(delta x + y)."""
-    return RescaledField(u, y, delta)
-
-
-def bubble_energy_limit(
-    seq: ConcentrationSequence, R: float, k: int, entry: int = 0, order: int = 24
-) -> float:
-    """Unweighted energy over B(y, R * delta_k): the bubble-scale ball whose
-    double limit (k then R) isolates one bubble's full energy."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    e = seq.entries[entry]
-    return bubbling_energy(seq.field(k), e.center, R * e.schedule(k), order)
 
 
 @dataclass(frozen=True)
@@ -632,10 +614,9 @@ def theta_estimate(
     r_small: float,
     k_large: int,
     order: int = 24,
-    weak_limit_energy: float = 0.0,
 ) -> ThetaEstimate:
-    """Unweighted energy of u_k over B(x, r) for r across a factor-2 range,
-    minus the weak limit's energy (zero for purely concentrating specs)."""
+    """Unweighted energy of u_k over B(x, r) for r across a factor-2 range;
+    the weak limit's share is taken as zero."""
     if not (r_small > 0):
         raise ValueError("r_small must be positive")
     u = seq.field(k_large)
@@ -645,14 +626,8 @@ def theta_estimate(
     mid = float(np.median(vals))
     spread = float((vals.max() - vals.min()) / mid) if mid > 0 else 0.0
     stable = spread <= 0.10
-    value = samples[r_small] - weak_limit_energy if stable else float("nan")
-    return ThetaEstimate(
-        value=value,
-        samples=samples,
-        stable=stable,
-        spread=spread,
-        weak_limit_energy=weak_limit_energy,
-    )
+    value = samples[r_small] if stable else float("nan")
+    return ThetaEstimate(value=value, samples=samples, stable=stable, spread=spread)
 
 
 def scaled_measure(
@@ -662,7 +637,7 @@ def scaled_measure(
     the weighted energy of u over B(y, lam * r) by change of variables."""
     if not (lam > 0 and r > 0):
         raise ValueError("need lam > 0 and r > 0")
-    v = rescale(u, y, lam)
+    v = RescaledField(u, y, lam)
     rule = ball_rule_for(v, np.zeros(u.dimension), r, order)
     return energy_in(v, rule)
 

@@ -30,7 +30,6 @@ from .grid import (
     build_sphere_pieces,
     default_angular_order,
     geometric_panels,
-    integrate,
     integrate_pieces,
     node_slack,
 )
@@ -43,24 +42,17 @@ __all__ = [
     "RescaledField",
     "ConstantField",
     "CustomField",
-    "ScalarTestFunction",
-    "VectorTestFunction",
-    "bump_profile",
     "aubin_talenti",
     "gradient",
     "laplacian",
     "pde_residual",
-    "weak_residual",
-    "stationarity_residual",
     "PohozaevReport",
     "pohozaev_report",
-    "pohozaev_residual",
     "ball_rule_for",
     "sphere_rule_for",
     "annulus_rule_for",
     "shell_pieces_for",
     "sphere_pieces_for",
-    "bump_adapted_rule",
 ]
 
 DEFAULT_FD_STEP = 1e-4
@@ -494,181 +486,6 @@ def aubin_talenti(n: int, delta: float = 1.0, y=0) -> Bubble:
 
 
 # ---------------------------------------------------------------------------
-# smooth compactly supported test functions
-# ---------------------------------------------------------------------------
-
-
-def bump_profile(t: np.ndarray) -> np.ndarray:
-    """exp(1/(t^2-1)) inside |t| < 1, zero outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(1.0 / (ti**2 - 1.0))
-    return out
-
-
-def _bump_dprofiles(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b, b', b'' ) of the bump profile, vectorized and safe at |t| >= 1."""
-    t = np.asarray(t, dtype=float)
-    b = np.zeros_like(t)
-    db = np.zeros_like(t)
-    d2b = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    g = ti**2 - 1.0
-    bi = np.exp(1.0 / g)
-    q = -2.0 * ti / g**2
-    dq = -2.0 / g**2 + 8.0 * ti**2 / g**3
-    b[inside] = bi
-    db[inside] = bi * q
-    d2b[inside] = bi * (q**2 + dq)
-    return b, db, d2b
-
-
-@dataclass(frozen=True)
-class _BumpAtom:
-    coefficient: float
-    center: np.ndarray
-    radius: float
-
-
-class ScalarTestFunction:
-    """Finite sum of radial bumps; closed under + and scalar *."""
-
-    def __init__(self, dimension: int, atoms: Sequence[tuple[float, np.ndarray, float]]):
-        self.dimension = dimension
-        self.atoms = [
-            _BumpAtom(float(c), np.asarray(x0, dtype=float).reshape(-1), float(r))
-            for c, x0, r in atoms
-        ]
-        for a in self.atoms:
-            if a.radius <= 0:
-                raise ValueError("bump radius must be positive")
-            if a.center.size != dimension:
-                raise ValueError("bump center has wrong dimension")
-
-    @classmethod
-    def bump(cls, dimension: int, center, radius: float, coefficient: float = 1.0):
-        return cls(dimension, [(coefficient, _pts(center, dimension)[0][0], radius)])
-
-    def support_ball(self) -> tuple[np.ndarray, float]:
-        """A ball containing the support (anchored at the first atom)."""
-        c0 = self.atoms[0].center
-        rad = max(
-            float(np.linalg.norm(a.center - c0)) + a.radius for a in self.atoms
-        )
-        return c0, rad
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(points))
-        for a in self.atoms:
-            s = np.linalg.norm(points - a.center, axis=1) / a.radius
-            acc += a.coefficient * bump_profile(s)
-        return acc
-
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(points)
-        for a in self.atoms:
-            d = points - a.center
-            s = np.linalg.norm(d, axis=1) / a.radius
-            _, db, _ = _bump_dprofiles(s)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                fac = np.where(s > 0, db / np.maximum(s, 1e-300), 0.0)
-            acc += (a.coefficient / a.radius**2) * fac[:, None] * d
-        return acc
-
-    def laplacian(self, points: np.ndarray) -> np.ndarray:
-        n = self.dimension
-        acc = np.zeros(len(points))
-        for a in self.atoms:
-            s = np.linalg.norm(points - a.center, axis=1) / a.radius
-            b, db, d2b = _bump_dprofiles(s)
-            # b'(s)/s -> -2 b(0) as s -> 0 (smooth radial limit)
-            ratio = np.where(s > 1e-8, db / np.maximum(s, 1e-300), -2.0 * b)
-            acc += (a.coefficient / a.radius**2) * (d2b + (n - 1) * ratio)
-        return acc
-
-    def __add__(self, other: "ScalarTestFunction") -> "ScalarTestFunction":
-        if other.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        return ScalarTestFunction(
-            self.dimension,
-            [(a.coefficient, a.center, a.radius) for a in self.atoms]
-            + [(a.coefficient, a.center, a.radius) for a in other.atoms],
-        )
-
-    def __mul__(self, scalar: float) -> "ScalarTestFunction":
-        return ScalarTestFunction(
-            self.dimension,
-            [(scalar * a.coefficient, a.center, a.radius) for a in self.atoms],
-        )
-
-    __rmul__ = __mul__
-
-
-class VectorTestFunction:
-    """Vector field with ScalarTestFunction components (None = zero)."""
-
-    def __init__(self, components: Sequence[Optional[ScalarTestFunction]]):
-        comps = list(components)
-        dims = {c.dimension for c in comps if c is not None}
-        if len(dims) != 1:
-            raise ValueError("need at least one nonzero component, same dimension")
-        self.dimension = dims.pop()
-        if len(comps) != self.dimension:
-            raise ValueError("need one component per coordinate")
-        self.components = comps
-
-    def support_ball(self) -> tuple[np.ndarray, float]:
-        balls = [c.support_ball() for c in self.components if c is not None]
-        c0 = balls[0][0]
-        rad = max(float(np.linalg.norm(c - c0)) + r for c, r in balls)
-        return c0, rad
-
-    def value(self, points: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(points)
-        for j, c in enumerate(self.components):
-            if c is not None:
-                out[:, j] = c.value(points)
-        return out
-
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """J[m, i, j] = d Phi^j / d x_i at point m."""
-        m, n = len(points), self.dimension
-        out = np.zeros((m, n, n))
-        for j, c in enumerate(self.components):
-            if c is not None:
-                out[:, :, j] = c.gradient(points)
-        return out
-
-    def divergence(self, points: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(points))
-        for j, c in enumerate(self.components):
-            if c is not None:
-                acc += c.gradient(points)[:, j]
-        return acc
-
-    def __add__(self, other: "VectorTestFunction") -> "VectorTestFunction":
-        comps = []
-        for a, b in zip(self.components, other.components):
-            if a is None:
-                comps.append(b)
-            elif b is None:
-                comps.append(a)
-            else:
-                comps.append(a + b)
-        return VectorTestFunction(comps)
-
-    def __mul__(self, scalar: float) -> "VectorTestFunction":
-        return VectorTestFunction(
-            [None if c is None else scalar * c for c in self.components]
-        )
-
-    __rmul__ = __mul__
-
-
-# ---------------------------------------------------------------------------
 # differential operators and residuals
 # ---------------------------------------------------------------------------
 
@@ -698,21 +515,6 @@ def pde_residual(u: ScalarField, x, h: float | None = None) -> np.ndarray | floa
     return float(res[0]) if single else res
 
 
-def _check_support(rule: QuadratureRule, support: tuple[np.ndarray, float]) -> None:
-    c, rad = support
-    inner, outer = rule.radii
-    if rule.kind == "sphere":
-        raise ValueError("need a volume rule, not a sphere rule")
-    dist = float(np.linalg.norm(c - rule.center))
-    if dist + rad > outer * (1 + 1e-12):
-        raise ValueError(
-            f"test-function support ball (|c|={dist:.3g}, r={rad:.3g}) exceeds "
-            f"the integration region of radius {outer:.3g}"
-        )
-    if inner > 0 and dist - rad < inner:
-        raise ValueError("test-function support overlaps the excluded inner ball")
-
-
 def _energy_terms(u: ScalarField):
     """Integrand of (int |grad u|^2, int |u|^(2n/(n-2))) from one
     ``value_and_gradient`` pass per node."""
@@ -732,51 +534,6 @@ def _shell_energies(u: ScalarField, x, regions, order: int) -> list[float]:
     terms = _energy_terms(u)
     pieces = shell_pieces_for(u, x, regions, order)
     return integrate_pieces(pieces, lambda pts: (np.add(*terms(pts)),))[:, 0].tolist()
-
-
-def weak_residual(
-    u: ScalarField,
-    phi: ScalarTestFunction,
-    rule: QuadratureRule,
-    threads: int | None = None,
-) -> float:
-    """Weak-form defect: -int Lap(phi) u  -  int phi u|u|^(4/(n-2))."""
-    _check_support(rule, phi.support_ball())
-    n = u.dimension
-
-    def f(pts):
-        v = u.evaluate(pts)
-        return -phi.laplacian(pts) * v - phi.value(pts) * critical_power(v, n)
-
-    return integrate(rule, f, threads=threads)
-
-
-def stationarity_residual(
-    u: ScalarField,
-    phi: VectorTestFunction,
-    rule: QuadratureRule,
-    threads: int | None = None,
-) -> float:
-    """Inner-variation defect against a compactly supported vector field.
-
-    Integrates  du_i du_j dPhi^j_i - |grad u|^2 div(Phi)/2
-                + (n-2)/(2n) |u|^(2n/(n-2)) div(Phi);
-    vanishes for smooth solutions.
-    """
-    _check_support(rule, phi.support_ball())
-    n = u.dimension
-    p = 2.0 * n / (n - 2)
-
-    def f(pts):
-        v, g = u.value_and_gradient(pts)
-        jac = phi.jacobian(pts)
-        div = np.trace(jac, axis1=1, axis2=2)
-        cross = np.einsum("mi,mj,mij->m", g, g, jac)
-        gram = np.einsum("mi,mi->m", g, g)
-        vals = np.abs(v) ** p
-        return cross - 0.5 * gram * div + (n - 2) / (2.0 * n) * vals * div
-
-    return integrate(rule, f, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -851,18 +608,16 @@ def shell_pieces_for(
     x,
     regions,
     order: int = 32,
-    angular_order: int | None = None,
 ) -> PieceSet:
     """Ball and annulus pieces ``regions = [(inner, outer), ...]`` about
     ``x`` in the cheapest layout valid for ``u``, each with its own radial
-    panels; piece ``i`` equals ``annulus_rule_for(u, x, *regions[i], order)``
-    when ``angular_order`` is None."""
+    panels; piece ``i`` equals ``annulus_rule_for(u, x, *regions[i], order)``."""
     x = _pts(x, u.dimension)[0][0]
     symmetry, axis = _layout(u, x)
     regions = np.asarray(regions, dtype=float).reshape(-1, 2)
     return build_shell_pieces(
         u.dimension, x, regions, order, symmetry, axis,
-        angular_order=angular_order, polar_order=max(order, 48),
+        polar_order=max(order, 48),
         radial_panels=[_shell_panels(u, x, a, b) for a, b in regions],
     )
 
@@ -877,30 +632,6 @@ def annulus_rule_for(
 ) -> QuadratureRule:
     """Annulus rule about ``x`` using the cheapest layout valid for ``u``."""
     return shell_pieces_for(u, x, [(inner, outer)], order).rule(0)
-
-
-def bump_adapted_rule(
-    u: ScalarField,
-    phi: ScalarTestFunction | VectorTestFunction,
-    order: int = 16,
-) -> QuadratureRule:
-    """Ball rule adapted to a compactly supported test function.
-
-    Bump profiles are smooth but non-analytic at the support edge, where
-    plain Gauss panels converge slowly; grading radial panels geometrically
-    into the edge restores fast convergence.  The rule is centered on the
-    support ball and zonal/radial layouts are used when ``u`` allows.
-    """
-    center, radius = phi.support_ball()
-    edge_panels = [radius * (1.0 - 2.0 ** (-j)) for j in range(1, 13)] + [radius]
-    # reduced layouts need the *integrand* axisymmetric: a single radial
-    # bump combined with a field that is axisymmetric about its center
-    single_bump = isinstance(phi, ScalarTestFunction) and len(phi.atoms) == 1
-    symmetry, axis = _layout(u, center) if single_bump else ("full", None)
-    return build_shell_pieces(
-        u.dimension, center, [(0.0, radius * (1.0 + 1e-9))], order, symmetry, axis,
-        polar_order=max(4 * order, 64), radial_panels=[edge_panels],
-    ).rule(0)
 
 
 def sphere_pieces_for(u: ScalarField, x, radii, order: int = 32) -> PieceSet:
@@ -1001,7 +732,3 @@ def pohozaev_report(
     paper_terms["boundary_potential"] = -(n - 2) / (2.0 * n) * sph_pot
     return PohozaevReport(center=x, r=r, terms=terms, paper_terms=paper_terms)
 
-
-def pohozaev_residual(u: ScalarField, x, r: float, order: int = 48) -> float:
-    """Sum of the five derived terms; ~0 for exact smooth solutions."""
-    return pohozaev_report(u, x, r, order).residual

@@ -11,9 +11,8 @@ Many small samples are rearranged at once: ``duality_product_checks`` takes
 its trials back to back in flat arrays with per-trial lengths, pads them to
 one row each and sorts and accumulates every row in one call; the
 ``bubblelab lorentz --duality-trials K`` trials are checked in batches of
-at most 1024 (``K`` must be >= 0; 0 runs none).  ``rearrange``,
-``lorentz_norm`` and ``duality_product_check`` are the one-row case of the
-same code.
+at most 1024 (``K`` must be >= 0; 0 runs none).  ``rearrange`` and
+``lorentz_norm`` are the one-row case of the same code.
 
 Norm convention: ||f||_{p,q}^q = int_0^inf (t^(1/p) f*(t))^q dt/t for finite
 q, and ||f||_{p,inf} = sup_t t^(1/p) f*(t).  With this normalization
@@ -41,9 +40,7 @@ __all__ = [
     "TailDecayReport",
     "rearrange",
     "lorentz_norm",
-    "duality_product_check",
     "duality_product_checks",
-    "power_rule_check",
     "tail_decay_check",
     "sample_radial",
     "write_table_csv",
@@ -282,40 +279,6 @@ def duality_product_checks(
         _row_norms(*_rearranged_rows(g.values, g.measures, valid),
                    LorentzIndex(2.0, float("inf"))),
     )
-
-
-def duality_product_check(
-    f: SampledFunction, g: SampledFunction
-) -> tuple[float, float, float]:
-    """(||fg||_1, ||f||_{2,1}, ||g||_{2,inf}) on shared cells: the
-    one-trial case of ``duality_product_checks``.
-
-    Under this module's normalization the caller may assert
-    ||fg||_1 <= ||f||_{2,1} * ||g||_{2,inf} with constant 1.
-    """
-    if f.values.shape != g.values.shape or not np.array_equal(f.measures, g.measures):
-        raise ValueError("duality check needs both functions on the same cells")
-    checks = duality_product_checks(f.values, g.values, f.measures, [f.values.size])
-    return tuple(float(c[0]) for c in checks)
-
-
-def power_rule_check(
-    f: SampledFunction, alpha: float, idx: LorentzIndex
-) -> tuple[float, float]:
-    """(||f^alpha||_{p/alpha, q/alpha},  ||f||_{p,q}^alpha) for f >= 0.
-
-    (f^alpha)* equals (f*)^alpha exactly on tables (monotone maps commute
-    with sorting), so the two returned numbers agree up to rounding.
-    """
-    if np.any(f.values < 0):
-        raise ValueError("power rule check needs a nonnegative field")
-    if not (alpha > 0):
-        raise ValueError("alpha must be positive")
-    powered = f.power(alpha)
-    q_over = idx.q / alpha if not isinf(idx.q) else float("inf")
-    lhs = lorentz_norm(powered, LorentzIndex(idx.p / alpha, q_over))
-    rhs = lorentz_norm(f, idx) ** alpha
-    return lhs, rhs
 
 
 def sample_radial(

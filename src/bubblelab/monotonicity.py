@@ -18,9 +18,7 @@ solutions formulations are implemented:
 A and C take d/dr int_dB u^2 from the exact identity
 (n-1)/r int_dB u^2 + 2 int_dB u du/dr on the same sphere, so on exact
 solutions the three agree to quadrature precision.  The source displays
-for these formulations are mutually inconsistent as printed; see
-``formulation_diagnostics`` which evaluates every literal variant and
-reports which pairs actually agree on a given field.
+for these formulations are mutually inconsistent as printed.
 """
 
 from __future__ import annotations
@@ -30,13 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import write_csv
-from .grid import _BLOCK_NODES, RadialGrid, integrate, integrate_pieces
+from .grid import RadialGrid, integrate_pieces
 from .fields import (
     ScalarField,
     _energy_terms,
     _pts,
-    _shell_energies,
-    ball_rule_for,
     shell_pieces_for,
     sphere_pieces_for,
 )
@@ -44,21 +40,12 @@ from .fields import (
 __all__ = [
     "MonotonicityProfile",
     "MonotoneReport",
-    "RegularityReport",
-    "DegenerateEnergyError",
     "energy_E",
     "profile",
     "check_monotone",
     "check_positive",
-    "energy_bound_check",
-    "eps_regularity_check",
-    "formulation_diagnostics",
     "write_profile_csv",
 ]
-
-
-class DegenerateEnergyError(ValueError):
-    """E_u(x, r) is non-positive where a positive value is required."""
 
 
 def _sphere_terms(
@@ -198,124 +185,6 @@ def check_positive(prof: MonotonicityProfile, slack: float | None = None) -> Mon
         if v < -slack
     ]
     return MonotoneReport(passed=not viol, slack=slack, violations=viol)
-
-
-def energy_bound_check(
-    u: ScalarField,
-    x,
-    r: float,
-    r0: float,
-    order: int = 32,
-    atol: float = 1e-14,
-) -> float:
-    """Ratio  int_B(|grad u|^2 + |u|^p) / E(x, r)  for r < r0/2.
-
-    For exact solutions the ratio stays bounded by a dimension-only
-    constant across a radius sweep.  Zero fields return 0 by convention;
-    a genuinely non-positive E with non-trivial energy is degenerate.
-    """
-    if not (0 < r < r0 / 2):
-        raise ValueError("need 0 < r < r0/2")
-    lhs = _shell_energies(u, x, [(0.0, r)], order)[0]
-    e = energy_E(u, x, r, "B", order)
-    if abs(e) <= atol:
-        if lhs <= atol:
-            return 0.0
-        raise DegenerateEnergyError(f"E(x,{r}) = {e:.3g} with energy {lhs:.3g}")
-    if e < 0:
-        raise DegenerateEnergyError(f"E(x,{r}) = {e:.3g} < 0")
-    return lhs / e
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Small-energy sup bound probe on a ball.
-
-    When the ball energy is at most ``epsilon``, ``c_meas`` is the measured
-    sup of |u| on the half ball times r^((n-2)/2) (the scale-correct
-    constant); otherwise the hypothesis fails and no bound is asserted.
-    """
-
-    center: np.ndarray
-    r0: float
-    r: float
-    epsilon: float
-    energy: float
-    applicable: bool
-    sup_u: float
-    c_meas: float
-
-
-def eps_regularity_check(
-    u: ScalarField,
-    x0,
-    r0: float,
-    r: float,
-    epsilon: float,
-    order: int = 32,
-) -> RegularityReport:
-    """Check the hypothesis int_{B(x0,r0)}(|grad u|^2 + |u|^p) <= epsilon and,
-    when it holds, measure sup |u| over a dense sample of B(x0, r/2)."""
-    if not (0 < r < r0):
-        raise ValueError("need 0 < r < r0")
-    n = u.dimension
-    x0 = _pts(x0, n)[0][0]
-    energy = _shell_energies(u, x0, [(0.0, r0)], order)[0]
-    if energy > epsilon:
-        return RegularityReport(
-            center=x0, r0=r0, r=r, epsilon=epsilon, energy=energy,
-            applicable=False, sup_u=float("nan"), c_meas=float("nan"),
-        )
-    # dense sample: the center and the nodes of an order-12 rule on the
-    # half ball, streamed in blocks
-    sample = shell_pieces_for(u, x0, [(0.0, r / 2)], 12, angular_order=12)
-    size = int(sample.sizes[0])
-    peaks = [np.abs(u.evaluate(x0[None, :]))[0]]
-    for c in range(0, size, _BLOCK_NODES):
-        nodes = sample.node_range(c, min(c + _BLOCK_NODES, size))[0]
-        peaks.append(np.max(np.abs(u.evaluate(nodes))))
-    sup_u = float(np.max(peaks))
-    return RegularityReport(
-        center=x0, r0=r0, r=r, epsilon=epsilon, energy=energy,
-        applicable=True, sup_u=sup_u, c_meas=sup_u * r ** ((n - 2) / 2),
-    )
-
-
-def formulation_diagnostics(
-    u: ScalarField, x, r: float, order: int = 32
-) -> dict[str, float]:
-    """Evaluate every literal display of the local energy and their deltas.
-
-    Returned keys:
-      A, B, C            -- the three consistent formulations;
-      intro_literal      -- int_B |u|^p + d/dr int_dB u^2 + (1/r) int_dB u^2,
-                            the 1/n-free three-term display;
-      derivation_literal -- (1/n)(int_B |u|^p + d/dr int_dB u^2 - (1/r) int_dB u^2),
-                            the combined form the derivation chain produces;
-      printed_literal    -- same but with the sign of the last term flipped
-                            and the u^2 integrals taken over the ball, the
-                            way the display is actually typeset;
-      halved_closed_form -- closed form with the 1/2 applied to both volume
-                            terms (the other parenthesis reading);
-      dev_<key>_vs_B     -- absolute deviations from B.
-    """
-    n = u.dimension
-    G, X, S, D = (float(v[0]) for v in _sweep(u, x, np.array([r], dtype=float), order, None))
-    usq_ball = integrate(ball_rule_for(u, x, r, order), lambda pts: u.evaluate(pts) ** 2)
-    out = {
-        **_formulations(n, r, G, X, S, D),
-        "intro_literal": X + D + S / r,
-        "derivation_literal": (X + D - S / r) / n,
-        "printed_literal": (X + S + usq_ball / r) / n,
-        "halved_closed_form": 0.5 * (G - (n - 2) / (2.0 * n) * X)
-        + (n - 2) / (4.0 * r) * S,
-    }
-    for key in (
-        "A", "C", "intro_literal", "derivation_literal",
-        "printed_literal", "halved_closed_form",
-    ):
-        out[f"dev_{key}_vs_B"] = abs(out[key] - out["B"])
-    return out
 
 
 def write_profile_csv(path, prof: MonotonicityProfile) -> None:

@@ -47,7 +47,6 @@ from bubblelab.concentration import (
     _standard_halfball_radius,
     QuantizationConfig,
     bubble_energy_constant,
-    bubble_energy_limit,
     bubbling_energy,
     check_report_input,
     detect_sigma,
@@ -58,7 +57,6 @@ from bubblelab.concentration import (
     quantization_report,
     read_sequence_spec,
     report_to_json,
-    rescale,
     scaled_measure,
     theta_estimate,
 )
@@ -1009,14 +1007,14 @@ def test_detection_lattice_supports_n_up_to_7():
 
 def test_rescale_inverts_bubble_construction():
     u = Bubble(3, np.array([0.2, 0.1, 0.0]), 0.01)
-    v = rescale(u, u.center, u.scale)
+    v = RescaledField(u, u.center, u.scale)
     ref = aubin_talenti(3)
     pts = np.random.default_rng(0).standard_normal((100, 3)) * 3
     assert np.max(np.abs(v.evaluate(pts) - ref.evaluate(pts))) < 1e-12
 
 
 def test_rescale_zero_field():
-    v = rescale(ConstantField(3, 0.0), np.zeros(3), 0.5)
+    v = RescaledField(ConstantField(3, 0.0), np.zeros(3), 0.5)
     assert np.all(v.evaluate(np.zeros((4, 3))) == 0.0)
 
 
@@ -1027,8 +1025,6 @@ def test_rescale_zero_field():
 ], ids=["infinite-factor", "nan-center", "infinite-center"])
 def test_rescale_refuses_non_finite_factor_and_center(y, delta, message):
     u = aubin_talenti(3)
-    with pytest.raises(ValueError, match=message):
-        rescale(u, y, delta)
     with pytest.raises(ValueError, match=message):
         RescaledField(u, y, delta)
     # refused before any node is integrated, so the field is not blamed
@@ -1044,25 +1040,33 @@ def test_rescale_two_scale_superposition_converges_to_profile():
     pts = np.random.default_rng(1).standard_normal((200, 3)) * 5
     sups = []
     for k in (2, 4, 6):
-        v = rescale(seq.field(k), np.zeros(3), seq.scales(k)[1])  # finer scale
+        v = RescaledField(seq.field(k), np.zeros(3), seq.scales(k)[1])  # finer scale
         sups.append(np.max(np.abs(v.evaluate(pts) - ref.evaluate(pts))))
     # the leftover coarse bubble enters at amplitude (delta_f/delta_c)^((n-2)/2)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] < 2.0 ** -6 * aubin_talenti(3)(np.zeros(3)) * 1.05
 
 
+def bubble_scale_energy(seq, R, k, order=24):
+    """Unweighted energy of u_k over B(y, R delta_k) about the first entry:
+    the bubble-scale ball whose double limit (k, then R) isolates one
+    bubble's full energy."""
+    entry = seq.entries[0]
+    return bubbling_energy(seq.field(k), entry.center, R * entry.schedule(k), order)
+
+
 def test_bubble_energy_limit_k_independent():
     seq = single_bubble_seq()
-    vals = [bubble_energy_limit(seq, 10.0, k, order=48) for k in (2, 4, 6)]
+    vals = [bubble_scale_energy(seq, 10.0, k, order=48) for k in (2, 4, 6)]
     assert vals[1] == pytest.approx(vals[0], rel=1e-8)
     assert vals[2] == pytest.approx(vals[0], rel=1e-8)
 
 
 def test_bubble_energy_limit_growth_matches_analytic_tail():
     seq = single_bubble_seq()
-    v10 = bubble_energy_limit(seq, 10.0, 4, order=48)
-    v100 = bubble_energy_limit(seq, 100.0, 4, order=48)
-    v1000 = bubble_energy_limit(seq, 1000.0, 4, order=48)
+    v10 = bubble_scale_energy(seq, 10.0, 4, order=48)
+    v100 = bubble_scale_energy(seq, 100.0, 4, order=48)
+    v1000 = bubble_scale_energy(seq, 1000.0, 4, order=48)
     assert v10 < v100 < v1000
     expected = gradient_tail_bound(3, 10.0) - gradient_tail_bound(3, 100.0)
     assert v100 - v10 == pytest.approx(expected, rel=0.02)
@@ -1072,7 +1076,7 @@ def test_bubble_energy_limit_growth_matches_analytic_tail():
 
 def test_bubble_energy_limit_zero_weight():
     seq = make_sequence([(np.zeros(3), 4.0, 0.0)], budget=10.0, n=3)
-    assert bubble_energy_limit(seq, 10.0, 3) == 0.0
+    assert bubble_scale_energy(seq, 10.0, 3) == 0.0
 
 
 # ---------------------------------------------------------------------------

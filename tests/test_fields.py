@@ -7,7 +7,6 @@ import pytest
 from bubblelab.grid import (
     RadialGrid,
     build_ball_rule,
-    build_shell_pieces,
     integrate,
     integrate_pieces,
     unit_ball_volume,
@@ -25,20 +24,14 @@ from bubblelab.fields import (
     ConstantField,
     CustomField,
     RescaledField,
-    ScalarTestFunction,
     Superposition,
-    VectorTestFunction,
     aubin_talenti,
     gradient,
     laplacian,
     pde_residual,
     pohozaev_report,
-    pohozaev_residual,
     shell_pieces_for,
     sphere_pieces_for,
-    stationarity_residual,
-    bump_adapted_rule,
-    weak_residual,
 )
 
 
@@ -284,147 +277,12 @@ def test_conformal_scale_invariance_of_ball_energy():
 
 
 # ---------------------------------------------------------------------------
-# weak and stationarity residuals
-# ---------------------------------------------------------------------------
-
-
-def test_weak_residual_zero_field():
-    phi = ScalarTestFunction.bump(3, np.zeros(3), 1.0)
-    rule = build_ball_rule(3, 0, 2.0, order=24)
-    assert weak_residual(ConstantField(3, 0.0), phi, rule) == 0.0
-
-
-def test_weak_residual_bubble_small():
-    phi = ScalarTestFunction.bump(3, [0.2, 0, 0], 1.5)
-    rule = bump_adapted_rule(aubin_talenti(3), phi, order=24)
-    assert abs(weak_residual(aubin_talenti(3), phi, rule)) < 1e-6
-
-
-def test_weak_residual_constant_matches_bump_integral():
-    phi = ScalarTestFunction.bump(3, np.zeros(3), 1.0, coefficient=2.0)
-    u = ConstantField(3, 1.0)
-    rule = bump_adapted_rule(u, phi, order=24)
-    got = weak_residual(u, phi, rule)
-    bump_int = integrate(rule, phi.value)
-    assert got == pytest.approx(-bump_int, abs=1e-10)
-
-
-def test_weak_residual_linear_in_test_function():
-    rng = np.random.default_rng(3)
-    u = aubin_talenti(3)
-    rule = build_ball_rule(3, 0, 2.0, order=32)
-    p1 = ScalarTestFunction.bump(3, [0.3, 0, 0], 0.8)
-    p2 = ScalarTestFunction.bump(3, [-0.2, 0.1, 0], 1.1)
-    a, b = rng.standard_normal(2)
-    combo = a * p1 + b * p2
-    lhs = weak_residual(u, combo, rule)
-    rhs = a * weak_residual(u, p1, rule) + b * weak_residual(u, p2, rule)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_weak_residual_support_check():
-    phi = ScalarTestFunction.bump(3, [1.5, 0, 0], 1.0)
-    rule = build_ball_rule(3, 0, 2.0, order=8)
-    with pytest.raises(ValueError):
-        weak_residual(aubin_talenti(3), phi, rule)
-
-
-def _random_vector_bump(rng, n):
-    # keep the enclosing support ball inside B(0, 2)
-    comps = []
-    for _ in range(n):
-        center = rng.uniform(-0.15, 0.15, size=n)
-        radius = rng.uniform(0.4, 1.0)
-        comps.append(
-            ScalarTestFunction.bump(n, center, radius, rng.standard_normal())
-        )
-    return VectorTestFunction(comps)
-
-
-def test_stationarity_zero_field():
-    phi = _random_vector_bump(np.random.default_rng(0), 3)
-    rule = build_ball_rule(3, 0, 2.0, order=16)
-    assert stationarity_residual(ConstantField(3, 0.0), phi, rule) == 0.0
-
-
-def test_stationarity_bubble_small():
-    rng = np.random.default_rng(9)
-    u = aubin_talenti(3)
-    for _ in range(5):
-        phi = _random_vector_bump(rng, 3)
-        rule = bump_adapted_rule(u, phi, order=24)
-        assert abs(stationarity_residual(u, phi, rule)) < 1e-5
-
-
-def test_stationarity_constant_field_reduces_to_divergence_term():
-    # gradient terms vanish; what remains is (n-2)/(2n) * int div(Phi),
-    # which is zero for compactly supported fields -- cross-check both sides
-    rng = np.random.default_rng(4)
-    phi = _random_vector_bump(rng, 3)
-    u = ConstantField(3, 1.0)
-    rule = bump_adapted_rule(u, phi, order=24)
-    got = stationarity_residual(u, phi, rule)
-    div_int = integrate(rule, phi.divergence)
-    assert got == pytest.approx((3 - 2) / 6 * div_int, abs=1e-9)
-    assert abs(div_int) < 1e-6  # compact support: the exact integral is 0
-
-
-def test_stationarity_linear_in_test_function():
-    u = aubin_talenti(3)
-    rng = np.random.default_rng(13)
-    rule = build_ball_rule(3, 0, 2.0, order=32)
-    p1 = _random_vector_bump(rng, 3)
-    p2 = _random_vector_bump(rng, 3)
-    a, b = 1.7, -0.4
-    lhs = stationarity_residual(u, a * p1 + b * p2, rule)
-    rhs = a * stationarity_residual(u, p1, rule) + b * stationarity_residual(
-        u, p2, rule
-    )
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_bump_vanishes_outside_support():
-    phi = ScalarTestFunction.bump(3, np.zeros(3), 1.0)
-    far = np.array([[1.0, 0.5, 0.0], [2.0, 0, 0]])
-    assert np.all(phi.value(far) == 0.0)
-    assert np.all(phi.gradient(far) == 0.0)
-    assert np.all(phi.laplacian(far) == 0.0)
-
-
-def test_bump_adapted_rule_layout_follows_the_integrand():
-    # a reduced layout needs the integrand u * phi symmetric: one radial
-    # bump on a field radial (or axisymmetric) about the bump's center
-    u = aubin_talenti(3)
-    centered = ScalarTestFunction.bump(3, np.zeros(3), 1.0)
-    off = ScalarTestFunction.bump(3, [0.2, 0, 0], 1.5)
-    cases = [
-        (u, centered, "radial", None),
-        (u, off, "zonal", [-1.0, 0.0, 0.0]),
-        (CustomField(3, u.evaluate), centered, "full", None),
-        (u, centered + ScalarTestFunction.bump(3, [0.1, 0, 0], 0.5), "full", None),
-        (u, VectorTestFunction([centered, None, None]), "full", None),
-    ]
-    order = 12
-    for field, phi, symmetry, axis in cases:
-        rule = bump_adapted_rule(field, phi, order=order)
-        assert rule.symmetry == symmetry
-        center, radius = phi.support_ball()
-        edges = [radius * (1.0 - 2.0 ** (-j)) for j in range(1, 13)] + [radius]
-        want = build_shell_pieces(
-            3, center, [(0.0, radius * (1.0 + 1e-9))], order, symmetry, axis,
-            polar_order=64, radial_panels=[edges],
-        ).rule(0)
-        assert rule.nodes.tobytes() == want.nodes.tobytes()
-        assert rule.weights.tobytes() == want.weights.tobytes()
-
-
-# ---------------------------------------------------------------------------
 # Pohozaev balance
 # ---------------------------------------------------------------------------
 
 
 def test_pohozaev_zero_field():
-    assert pohozaev_residual(ConstantField(3, 0.0), np.zeros(3), 1.0) == 0.0
+    assert pohozaev_report(ConstantField(3, 0.0), np.zeros(3), 1.0).residual == 0.0
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
