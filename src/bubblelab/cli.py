@@ -9,10 +9,14 @@ Every subcommand is a pair: ``check_<name>`` parses, validates and builds
 its inputs without touching the filesystem, and ``cmd_<name>`` computes and
 writes.  ``main`` makes the output directory between the two, so a usage
 error (exit 2) leaves no --out behind, and its message names the flag or
-spec key it refuses.  The argument parser is built once per process, by the
-first ``main`` call; each call then looks up ``check_<name>`` and
-``cmd_<name>`` on this module by the subcommand's name.  Config, spec and
-echoed values are read literally: no ``%`` interpolation.
+spec key it refuses.  A flag that the chosen input leaves unread
+(``--delta`` with ``--constant``, ``--samples`` with ``lorentz --input``,
+``--budget`` with ``quantize --spec``) is refused too, so such flags
+default to None and take their defaults in ``check_<name>``.  The argument
+parser is built once per process, by the first ``main`` call; each call
+then looks up ``check_<name>`` and ``cmd_<name>`` on this module by the
+subcommand's name.  Config, spec and echoed values are read literally: no
+``%`` interpolation.
 
 Outputs are deterministic: fixed seeds, one round-trip float format (``_csv``),
 sorted JSON keys, and a bit-stable quadrature reduction, so repeated runs
@@ -70,6 +74,7 @@ from .concentration import (
 )
 
 EXIT_PASS, EXIT_TOL, EXIT_USAGE = 0, 1, 2
+_DELTA = 1.0  # the bubble scale when --delta is not given
 
 
 @dataclass
@@ -164,6 +169,19 @@ def _options(names: str):
         raise ValueError(f"{names}: {exc}") from None
 
 
+def _or(value, default):
+    """An option's value, or its default when the flag was not given."""
+    return default if value is None else value
+
+
+def _unread(args, reason: str, *flags: str) -> None:
+    """Refuse the ``flags`` given on the command line: ``reason`` leaves
+    them unread."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: not read with {reason}")
+
+
 def _point(flag: str, coords, n: int) -> np.ndarray:
     """``coords`` as a point of R^n; the origin when none are given."""
     if coords is None:
@@ -175,11 +193,13 @@ def _point(flag: str, coords, n: int) -> np.ndarray:
 
 def _field_from_args(args, n: int):
     if args.constant is not None:
+        _unread(args, "--constant", "--delta", "--center")
         _need(math.isfinite(args.constant), "--constant", "finite", args.constant)
         return ConstantField(n, args.constant), f"constant({args.constant})"
-    _need(0 < args.delta < math.inf, "--delta", "finite and > 0", args.delta)
+    delta = _or(args.delta, _DELTA)
+    _need(0 < delta < math.inf, "--delta", "finite and > 0", delta)
     center = _point("--center", args.center, n)
-    return aubin_talenti(n, args.delta, center), f"bubble(delta={args.delta})"
+    return aubin_talenti(n, delta, center), f"bubble(delta={delta})"
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +218,7 @@ def check_residual(args, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     pts = rng.standard_normal((args.points, n))
     pts *= (5.0 * rng.random(args.points) ** (1.0 / n) / np.linalg.norm(pts, axis=1))[:, None]
-    return {"delta": args.delta, "points": args.points}, (u, label, pts)
+    return {"delta": _or(args.delta, _DELTA), "points": args.points}, (u, label, pts)
 
 
 def cmd_residual(args, cfg: RunConfig, out: Path, u, label: str, pts) -> tuple[dict, str]:
@@ -230,13 +250,14 @@ def cmd_residual(args, cfg: RunConfig, out: Path, u, label: str, pts) -> tuple[d
 def check_monotonicity(args, cfg: RunConfig):
     n = cfg.n
     if args.zero:
+        _unread(args, "--zero", "--constant", "--delta", "--center")
         u, label = ConstantField(n, 0.0), "zero"
     else:
         u, label = _field_from_args(args, n)
     probe = _point("--probe", args.probe, n)
     with _options("--rmin/--rmax/--count"):
         radii = RadialGrid.log_spaced(args.rmin, args.rmax, args.count)
-    return {"delta": args.delta}, (u, label, probe, radii)
+    return {"delta": _or(args.delta, _DELTA)}, (u, label, probe, radii)
 
 
 def cmd_monotonicity(args, cfg: RunConfig, out: Path, u, label: str, probe,
@@ -283,15 +304,15 @@ def check_lorentz(args, cfg: RunConfig):
     with _options("--p/--q"):
         idx = LorentzIndex(float(args.p), float(args.q))
     if args.input:
+        _unread(args, "--input", "--analytic", "--samples", "--inner", "--outer")
         with _options("--input"):
             f = read_samples_csv(args.input)
         label = args.input
     elif args.analytic == "inv-sqrt-n":
         n = cfg.n
         with _options("--inner/--outer/--samples"):
-            f = sample_radial(
-                lambda r: r ** (-n / 2.0), n, args.inner, args.outer, args.samples
-            )
+            f = sample_radial(lambda r: r ** (-n / 2.0), n, _or(args.inner, 1e-3),
+                              _or(args.outer, 10.0), _or(args.samples, 100_000))
         label = "|x|^(-n/2)"
     else:
         raise ValueError("provide --input or --analytic")
@@ -353,6 +374,8 @@ def cmd_neck(args, cfg: RunConfig, out: Path, seq) -> tuple[dict, str]:
 def check_quantize(args, cfg: RunConfig):
     extras: dict = {}
     if args.spec:
+        # the spec sets n, the bubbles and the budget
+        _unread(args, "--spec", "--n", "--bases", "--budget")
         with _options("--spec"):
             seq, extras = read_sequence_spec(args.spec)
     else:
@@ -360,7 +383,7 @@ def check_quantize(args, cfg: RunConfig):
         with _options("--bases/--budget"):
             bases = [float(b) for b in args.bases.split(",")] if args.bases else [4.0]
             seq = make_sequence(
-                [(np.zeros(n), b, 1.0) for b in bases], budget=args.budget, n=n
+                [(np.zeros(n), b, 1.0) for b in bases], budget=_or(args.budget, 1e6), n=n
             )
     if args.assert_integer is not None:
         _need(0 <= args.assert_integer < math.inf, "--assert-integer", "finite and >= 0",
@@ -476,9 +499,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("residual", help="pointwise and Pohozaev residuals")
     _add_common(sp)
     _add_quad_order(sp)
-    sp.add_argument("--delta", type=float, default=1.0, help="bubble scale")
+    sp.add_argument("--delta", type=float, help="bubble scale (default 1)")
     sp.add_argument("--center", type=float, nargs="+", help="bubble center")
-    sp.add_argument("--constant", type=float, help="use a constant field instead")
+    sp.add_argument("--constant", type=float,
+                    help="use a constant field instead (no --delta or --center)")
     sp.add_argument("--points", type=int, default=200)
     sp.add_argument("--pohozaev", type=float, action="append",
                     help="also emit the radial-multiplier balance at this radius")
@@ -487,10 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("monotonicity", help="local energy profile checks")
     _add_common(sp)
     _add_quad_order(sp)
-    sp.add_argument("--delta", type=float, default=1.0)
+    sp.add_argument("--delta", type=float, help="bubble scale (default 1)")
     sp.add_argument("--center", type=float, nargs="+")
-    sp.add_argument("--constant", type=float)
-    sp.add_argument("--zero", action="store_true", help="use the zero field")
+    sp.add_argument("--constant", type=float, help="use a constant field instead")
+    sp.add_argument("--zero", action="store_true",
+                    help="use the zero field (no --delta, --center or --constant)")
     sp.add_argument("--probe", type=float, nargs="+", help="profile center")
     sp.add_argument("--rmin", type=float, default=0.05)
     sp.add_argument("--rmax", type=float, default=5.0)
@@ -500,14 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--analytic", choices=["inv-sqrt-n"],
                     help="sample a built-in profile")
-    sp.add_argument("--input", help="samples CSV (value, cell_measure)")
+    sp.add_argument("--input", help="samples CSV (value, cell_measure); takes none of "
+                    "--analytic, --samples, --inner, --outer")
     sp.add_argument("--p", default=2.0)
     sp.add_argument("--q", default="inf")
-    sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--inner", type=float, default=1e-3)
-    sp.add_argument("--outer", type=float, default=10.0)
+    sp.add_argument("--samples", type=int, help="--analytic samples (default 100000)")
+    sp.add_argument("--inner", type=float, help="--analytic inner radius (default 1e-3)")
+    sp.add_argument("--outer", type=float, help="--analytic outer radius (default 10)")
     sp.add_argument("--duality-trials", dest="duality_trials", type=int, default=0,
-                    help="random pairing-bound trials, checked as one batch (>= 0)")
+                    help="random pairing-bound trials, checked in batches of at most "
+                    f"{_TRIAL_BATCH} (>= 0)")
 
     sp = sub.add_parser("neck", help="annulus energy between scales")
     _add_common(sp)
@@ -519,10 +546,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quantize", help="defect quantization pipeline")
     _add_common(sp)
-    sp.add_argument("--spec", help="sequence spec file")
+    sp.add_argument("--spec", help="sequence spec file; takes none of --n, --bases, "
+                    "--budget (a spec's k_max overrides --k-max)")
     sp.add_argument("--bases", help="comma-separated schedule bases, e.g. 4,16,64")
     sp.add_argument("--k-max", dest="k_max", type=int, default=8)
-    sp.add_argument("--budget", type=float, default=1e6)
+    sp.add_argument("--budget", type=float, help="sequence norm budget (default 1e6)")
     sp.add_argument("--assert-integer", dest="assert_integer", type=float,
                     help="fail unless every ratio is this close to an integer "
                     "and equals its point's number of extracted bubbles")

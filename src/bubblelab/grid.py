@@ -22,14 +22,18 @@ integrands with rotational symmetry:
 Both carry the full region measure in their weights, so they satisfy the
 same weight-sum invariants as the full rules.
 
-Gauss-Legendre and Gauss-Gegenbauer nodes and weights, the symmetric
+Gauss rules are built here with numpy alone: ``gauss_gegenbauer`` finds
+the zeros of the orthonormal Gegenbauer polynomial by Newton steps on its
+three-term recurrence, from the asymptotic nodes, and takes the weights
+from the Christoffel sums; ``gauss_legendre`` is its alpha = 1/2 case.
+Gauss-Gegenbauer nodes and weights (Legendre's included), the symmetric
 sphere rules, the full angular factors, the polar arc's cosines, sines and
 weights, and the radial layout's one direction come from one process-wide
-cache each (``gauss_legendre``, ``gauss_gegenbauer``,
-``symmetric_sphere_directions``, ``_full_directions``, ``_polar_nodes``,
-``_radial_direction``) keyed by ``order``, ``(order, alpha)``,
-``(n, degree)``, ``(n, angular_order)``, ``(n, order)`` and ``n``; each is
-built only on a miss and the cached arrays are read-only.
+cache each (``gauss_gegenbauer``, ``symmetric_sphere_directions``,
+``_full_directions``, ``_polar_nodes``, ``_radial_direction``) keyed by
+``(order, alpha)``, ``(n, degree)``, ``(n, angular_order)``, ``(n, order)``
+and ``n``; each is built only on a miss and the cached arrays are
+read-only.
 
 Pieces.  A ``PieceSet`` holds rules on many regions about one center in
 one layout: consecutive or overlapping balls and annuli
@@ -82,11 +86,10 @@ from dataclasses import dataclass, replace
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
-from math import factorial, gamma, gcd, inf, isfinite, pi, prod, sqrt
+from math import exp, factorial, gamma, gcd, inf, isfinite, lgamma, pi, prod, sqrt
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre, roots_gegenbauer
 
 __all__ = [
     "QuadratureRule",
@@ -123,6 +126,10 @@ _DEFAULT_THREADS = 1
 _GENERATOR_TOP = 3
 _SYMMETRIC_MAX_ORDER = 8
 _LP_TOL = 1e-9
+# Gauss rules: the most Newton steps from the asymptotic nodes, and the
+# step below which a node counts as converged.
+_NEWTON_STEPS = 12
+_NEWTON_TOL = 1e-15
 
 
 def set_default_threads(threads: int) -> None:
@@ -413,17 +420,109 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@cache
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
-    return _read_only(*roots_legendre(order))
+    """Gauss-Legendre nodes and weights on [-1, 1]: the cached, read-only
+    Gauss-Gegenbauer rule at alpha = 1/2."""
+    return gauss_gegenbauer(order, 0.5)
+
+
+def _recurrence(x: np.ndarray, beta: list[float]):
+    """At each point of ``x``: p_m, its derivative and sum_(k<m) p_k^2, for
+    the orthonormal polynomials with p_0 = 1 and
+    x p_k = beta[k] p_(k+1) + beta[k-1] p_(k-1), m = len(beta)."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    squares = np.zeros_like(x)
+    b_prev = 0.0
+    for b in beta:
+        squares += p * p
+        p_prev, p = p, (x * p - b_prev * p_prev) / b
+        d_prev, d = d, (p_prev + x * d - b_prev * d_prev) / b
+        b_prev = b
+    return p, d, squares
+
+
+def _newton(x: np.ndarray, beta: list[float]):
+    """Newton steps on p_m from ``x`` until no point moves by more than
+    ``_NEWTON_TOL``, at most ``_NEWTON_STEPS`` of them.  Returns the
+    points, sum_(k<m) p_k^2 at the points of the last step, and whether
+    they converged."""
+    for _ in range(_NEWTON_STEPS):
+        p, d, squares = _recurrence(x, beta)
+        step = p / d
+        x = x - step
+        if np.abs(step).max() <= _NEWTON_TOL:
+            return x, squares, True
+    return x, squares, False
+
+
+def _bisect_zeros(count: int, beta: list[float]) -> np.ndarray:
+    """The ``count`` smallest zeros of p_m, to ``_NEWTON_TOL``, by bisection
+    on Sturm counts: the number of zeros below t is the number of negative
+    pivots of the Jacobi matrix minus t (zero diagonal, off-diagonal
+    ``beta[:-1]``).  Zero ``i`` stays in (lo[i], hi[i]]."""
+    lo, hi = np.full(count, -1.0), np.zeros(count)
+    rank = np.arange(1, count + 1)
+    squares = [b * b for b in beta[:-1]]
+    while (hi - lo).max() > _NEWTON_TOL:
+        t = 0.5 * (lo + hi)
+        pivot = -t
+        below = (pivot < 0).astype(int)
+        for b2 in squares:
+            pivot = -t - b2 / pivot
+            below += pivot < 0
+        higher = below >= rank
+        hi = np.where(higher, t, hi)
+        lo = np.where(higher, lo, t)
+    return 0.5 * (lo + hi)
 
 
 @cache
 def gauss_gegenbauer(order: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Gegenbauer nodes and weights for (1-t^2)^(alpha-1/2) on [-1, 1],
-    cached and read-only."""
-    return _read_only(*roots_gegenbauer(order, alpha))
+    cached and read-only: exact for polynomials of degree below 2 * order.
+
+    The nodes are the zeros of the orthonormal polynomial p_m of degree
+    m = ``order``, the eigenvalues of its Jacobi matrix (G. H. Golub &
+    J. H. Welsch, Math. Comp. 23 (1969) 221-230), found without forming
+    the matrix.  The left half starts from the asymptotic nodes
+    -cos((i + alpha/2 - 1/2) pi / (m + alpha)), i = 1..ceil(m/2), and is
+    refined by Newton steps on the three-term recurrence.  For large alpha
+    that guess can leave Newton short of distinct converged zeros; then the
+    zeros are bisected first (``_bisect_zeros``).  The weights are
+    1 / sum_(k<m) p_k(x_i)^2, scaled so that they sum to the weight's mass
+    sqrt(pi) Gamma(alpha + 1/2) / Gamma(alpha + 1).  The right half
+    mirrors the left, so the rule is symmetric, and memory is O(m).
+    """
+    if not (isfinite(order) and order >= 1 and order == int(order)):
+        raise ValueError(f"order must be a positive integer, got {order!r}")
+    m = int(order)
+    if not (isfinite(alpha) and alpha > -0.5):
+        raise ValueError(f"alpha must be finite and > -1/2, got {alpha!r}")
+    # beta_k^2 = k (k + 2 alpha - 1) / (4 (k + alpha) (k + alpha - 1)); at
+    # k = 1 it is 1 / (2 (1 + alpha)), its limit at alpha = 0 included
+    k = np.arange(2.0, m + 1)
+    beta = np.sqrt(np.concatenate((
+        [0.5 / (1.0 + alpha)], k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1))
+    ))).tolist()
+    half = (m + 1) // 2
+    x = -np.cos((np.arange(1, half + 1) + (alpha - 1) / 2) * (pi / (m + alpha)))
+    # a guess off Newton's basin may overflow, and a Sturm pivot may be 0
+    with np.errstate(all="ignore"):
+        x, squares, converged = _newton(x, beta)
+        # ``half`` distinct zeros in [-1, 0] are all of them
+        if not (converged and x[0] > -1.0 and x[-1] <= (_NEWTON_TOL if m % 2 else 0.0)
+                and (np.diff(x) > 2 * _NEWTON_TOL).all()):
+            x, squares, _ = _newton(_bisect_zeros(half, beta), beta)
+    if m % 2:
+        x[-1] = 0.0
+    nodes = np.concatenate((x, -x[:m // 2][::-1]))
+    weights = 1.0 / squares
+    if not weights.min() > 0:
+        raise ValueError(f"order {m} at alpha {alpha} overflows the recurrence")
+    weights = np.concatenate((weights, weights[:m // 2][::-1]))
+    weights *= sqrt(pi) * exp(lgamma(alpha + 0.5) - lgamma(alpha + 1.0)) / weights.sum()
+    return _read_only(nodes, weights)
 
 
 def default_angular_order(n: int, order: int) -> int:

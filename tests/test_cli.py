@@ -228,6 +228,16 @@ BAD_VALUE_CASES = [
     (["quantize", "--budget", 0], "--budget: budget must be finite and > 0"),
     (["quantize", "--budget", -1], "--budget: budget must be finite and > 0"),
     (["quantize", "--assert-integer", "nan"], "--assert-integer must be finite and >= 0"),
+    # flags that the chosen input leaves unread, even at valid values
+    (["residual", "--constant", 2, "--center", 1, 2, "--delta", -5],
+     "--delta, --center: not read with --constant"),
+    (["residual", "--constant", 2, "--delta", 1], "--delta: not read with --constant"),
+    (["monotonicity", "--zero", "--constant", "nan"], "--constant: not read with --zero"),
+    (["monotonicity", "--zero", "--center", 0, 0, 0], "--center: not read with --zero"),
+    (["monotonicity", "--constant", 1, "--delta", 2], "--delta: not read with --constant"),
+    (["quantize", "--spec", "", "--bases", "4,16", "--budget", 5, "--n", 4],
+     "--n, --bases, --budget: not read with --spec"),
+    (["quantize", "--spec", "", "--budget", 1e6], "--budget: not read with --spec"),
 ]
 
 
@@ -238,7 +248,7 @@ def test_bad_values_exit_2_before_the_output_directory_is_made(tmp_path, capsys,
     if args[1] == "--spec":
         spec = tmp_path / "seq.ini"
         spec.write_text(SPEC_SEQUENCE + args[2] + "\n\n" + SPEC_BUBBLE)
-        args = [args[0], "--spec", spec]
+        args = [args[0], "--spec", spec, *args[3:]]
     out = tmp_path / "o"
     code = run([*args, "--out", out])
     captured = capsys.readouterr()
@@ -616,10 +626,15 @@ def test_lorentz_input_needs_two_columns_and_a_row(tmp_path, capsys, text, messa
     (["--input", "missing.csv"], "not found"),
     (["--input", "ragged.csv"], "got 1 columns instead of 2"),
     (["--analytic", "inv-sqrt-n", "--p", "inf"], "--p/--q: p must be finite and > 0"),
+    (["--input", "samples.csv", "--analytic", "inv-sqrt-n", "--samples", 0],
+     "--analytic, --samples: not read with --input"),
+    (["--input", "samples.csv", "--inner", 0.001, "--outer", 10],
+     "--inner, --outer: not read with --input"),
 ], ids=["no-samples", "inner-above-outer", "zero-p", "missing-input", "ragged-input",
-        "infinite-p"])
+        "infinite-p", "input-with-analytic", "input-with-radii"])
 def test_lorentz_usage_errors_leave_no_output_directory(tmp_path, capsys, args, message):
     (tmp_path / "ragged.csv").write_text("value,cell_measure\n1,1\n2\n")
+    (tmp_path / "samples.csv").write_text("value,cell_measure\n1,1\n2,1\n")
     args = [tmp_path / a if str(a).endswith(".csv") else a for a in args]
     out = tmp_path / "o"
     code = run(["lorentz", *args, "--out", out])
@@ -651,24 +666,35 @@ README_COMMANDS = [
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    """The package fits bubbles with its own Levenberg-Marquardt, so neither
-    importing the CLI nor running the README commands, the quantize fit
-    included, loads scipy.optimize."""
+    """The package runs on numpy alone: with scipy unimportable, importing
+    the CLI and running the README commands, the quantize fit included,
+    exit 0 and write the same data files as a run in this process."""
     src = str(Path(bubblelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     # the subcommands print their own reports; the last line is the probe's
     probe = (
-        "import json, sys, bubblelab.cli\n"
-        "seen = [[None, 'scipy.optimize' in sys.modules]]\n"
-        "for i, cmd in enumerate(sys.argv[2:]):\n"
-        "    code = bubblelab.cli.main([*cmd.split(), '--out', f'{sys.argv[1]}/{i}'])\n"
-        "    seen.append([code, 'scipy.optimize' in sys.modules])\n"
-        "print(json.dumps(seen))\n"
+        "import json, sys\n"
+        "sys.modules['scipy'] = None  # every scipy import now raises\n"
+        "import bubblelab.cli\n"
+        "codes = [bubblelab.cli.main([*cmd.split(), '--out', f'{sys.argv[1]}/{i}'])\n"
+        "         for i, cmd in enumerate(sys.argv[2:])]\n"
+        "print(json.dumps(codes))\n"
     )
-    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path), *README_COMMANDS],
-                          env=env, capture_output=True, text=True, check=True)
-    seen = json.loads(done.stdout.strip().splitlines()[-1])
-    assert seen == [[None, False]] + [[0, False]] * len(README_COMMANDS)
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "bare"),
+                           *README_COMMANDS], env=env, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [0] * len(README_COMMANDS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for i, cmd in enumerate(README_COMMANDS):
+            assert main([*cmd.split(), "--out", str(tmp_path / "normal" / str(i))]) == 0
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    assert files(tmp_path / "bare") == files(tmp_path / "normal")
+    for name in files(tmp_path / "normal"):
+        if name.name != "effective_config.ini":  # it echoes --out
+            assert (tmp_path / "bare" / name).read_bytes() == \
+                (tmp_path / "normal" / name).read_bytes(), name
 
 
 # Every subcommand's options with boundary values each refuses (at the
@@ -761,7 +787,8 @@ def bad_invocations(draw):
     options = BAD_OPTIONS[command]
     flags = draw(st.lists(st.sampled_from(sorted(options)), min_size=1, max_size=3,
                           unique=True))
-    argv = [command, *BASE_ARGS.get(command, [])]
+    # --input takes no --analytic
+    argv = [command, *([] if "--input" in flags else BASE_ARGS.get(command, []))]
     for flag in flags:
         value = draw(st.sampled_from(options[flag]))
         # --flag=value, so that argparse reads -inf as a value

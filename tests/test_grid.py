@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -225,14 +226,99 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("order", [1, 7, 12, 48, 64])
+@pytest.mark.parametrize("order", [1, 7, 12, 48, 64, 128, 256])
 def test_cached_roots_equal_scipy_bit_for_bit(order):
-    for got, want in zip(gauss_legendre(order), scipy.special.roots_legendre(order)):
-        assert same_bits(got, want)
-    for alpha in (0.5, 1.0, 1.5, 2.0):
-        for got, want in zip(gauss_gegenbauer(order, alpha),
-                             scipy.special.roots_gegenbauer(order, alpha)):
-            assert same_bits(got, want)
+    """SciPy's rules as the oracle: nodes agree to 4.4e-16 absolute and
+    weights to 2e-10 relative.  The weight gap is SciPy's: against a
+    40-digit reference, its Legendre weights at order 247 are off by
+    2.9e-10 relative and the package's by 1.2e-12."""
+    def close(got, want):
+        x, w = got
+        assert np.abs(x - want[0]).max() <= 4.4e-16
+        assert (np.abs(w - want[1]) / want[1]).max() <= 2e-10
+
+    close(gauss_legendre(order), scipy.special.roots_legendre(order))
+    for alpha in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+        close(gauss_gegenbauer(order, alpha), scipy.special.roots_gegenbauer(order, alpha))
+
+
+def gegenbauer_moments(alpha, count):
+    """int_-1^1 t^k (1-t^2)^(alpha-1/2) dt for k < count: the odd ones are
+    0, and M_(k+2) = M_k (k+1) / (k + 2 alpha + 2)."""
+    moments = np.zeros(count)
+    moments[0] = scipy.special.beta(0.5, alpha + 0.5)
+    for k in range(0, count - 2, 2):
+        moments[k + 2] = moments[k] * (k + 1) / (k + 2 * alpha + 2)
+    return moments
+
+
+@given(st.integers(3, 8), st.integers(1, 128))
+@settings(max_examples=60, deadline=None)
+def test_gauss_gegenbauer_integrates_every_monomial_below_degree_2m(n, order):
+    alpha = (n - 2) / 2
+    t, w = gauss_gegenbauer(order, alpha)
+    moments = gegenbauer_moments(alpha, 2 * order)
+    sums = np.array([np.dot(w, t**k) for k in range(2 * order)])
+    even, odd = slice(0, None, 2), slice(1, None, 2)
+    assert (np.abs(sums[even] - moments[even]) <= 1e-13 * moments[even]).all()
+    assert (np.abs(sums[odd]) <= 1e-15 * moments[0]).all()
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 16, 33])
+def test_gauss_gegenbauer_at_alpha_zero_is_gauss_chebyshev(order):
+    """At alpha = 0 the first recurrence coefficient takes its limit 1/2:
+    the rule is cos((2i - 1) pi / 2m), each weight pi / m."""
+    t, w = gauss_gegenbauer(order, 0.0)
+    i = np.arange(order, 0, -1)
+    assert np.abs(t - np.cos((2 * i - 1) * PI / (2 * order))).max() <= 4.4e-16
+    assert np.abs(w - PI / order).max() <= 1e-14
+
+
+@pytest.mark.parametrize("order, alpha", [(24, 6.0), (40, 10.0), (64, 50.0)])
+def test_gauss_gegenbauer_bisects_where_the_guess_fails(monkeypatch, order, alpha):
+    """For large alpha the asymptotic guess leads Newton astray; the zeros
+    are bisected first, and the rule is still exact to degree 2m - 1."""
+    bisected = []
+    bisect = grid._bisect_zeros
+
+    def counted(count, beta):
+        bisected.append(count)
+        return bisect(count, beta)
+
+    monkeypatch.setattr(grid, "_bisect_zeros", counted)
+    t, w = gauss_gegenbauer.__wrapped__(order, alpha)
+    assert bisected == [(order + 1) // 2]
+    assert (np.diff(t) > 0).all() and (w > 0).all()
+    moments = gegenbauer_moments(alpha, 2 * order)
+    sums = np.array([np.dot(w, t**k) for k in range(0, 2 * order, 2)])
+    assert np.allclose(sums, moments[::2], rtol=1e-12, atol=0)
+    gauss_gegenbauer.__wrapped__(order, 1.5)
+    assert bisected == [(order + 1) // 2]  # the guess serves moderate alpha
+
+
+@pytest.mark.parametrize("order, alpha", [
+    (0, 1.0), (-3, 1.0), (2.5, 1.0),
+    (4, -0.5), (4, -1.0), (4, float("nan")), (4, float("inf")), (4, float("-inf")),
+    (1000, 1000.0),  # the orthonormal polynomials overflow at the outer nodes
+])
+def test_gauss_gegenbauer_refuses_bad_order_and_alpha(order, alpha):
+    with pytest.raises(ValueError, match="order|alpha"):
+        gauss_gegenbauer(order, alpha)
+    if alpha == 1.0:
+        with pytest.raises(ValueError, match="order"):
+            gauss_legendre(order)
+
+
+def test_large_gauss_rule_keeps_linear_memory():
+    tracemalloc.start()
+    try:
+        t, w = gauss_gegenbauer.__wrapped__(8192, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert w.sum() == pytest.approx(2.0, rel=1e-14)
+    assert (np.diff(t) > 0).all()
 
 
 def test_cached_roots_are_read_only():
@@ -243,33 +329,18 @@ def test_cached_roots_are_read_only():
             arr *= 2.0
 
 
-def counting(monkeypatch, name):
-    calls = []
-    original = getattr(grid, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(grid, name, wrapper)
-    return calls
-
-
-def test_repeated_roots_request_does_not_call_scipy(monkeypatch):
-    grid.gauss_legendre.cache_clear()
+def test_repeated_roots_request_is_a_cache_hit():
+    """Legendre is the alpha = 1/2 case: one routine and one cache."""
     grid.gauss_gegenbauer.cache_clear()
-    leg = counting(monkeypatch, "roots_legendre")
-    geg = counting(monkeypatch, "roots_gegenbauer")
     first = gauss_gegenbauer(37, 2.5)
     assert gauss_gegenbauer(37, 2.5) is first
     gauss_gegenbauer(37, 1.5)
     gauss_legendre(37)
-    gauss_legendre(37)
-    assert geg == [(37, 2.5), (37, 1.5)]
-    assert leg == [(37,)]
+    assert gauss_legendre(37) is gauss_gegenbauer(37, 0.5)
+    assert grid.gauss_gegenbauer.cache_info().misses == 3
 
 
-def test_rule_builders_and_constants_reuse_cached_roots(monkeypatch):
+def test_rule_builders_and_constants_reuse_cached_roots():
     from bubblelab.concentration import _standard_halfball_radius, bubble_energy_constant
 
     def build_all(target):
@@ -282,10 +353,9 @@ def test_rule_builders_and_constants_reuse_cached_roots(monkeypatch):
         _standard_halfball_radius(4, target)
 
     build_all(1.25)
-    leg = counting(monkeypatch, "roots_legendre")
-    geg = counting(monkeypatch, "roots_gegenbauer")
+    misses = grid.gauss_gegenbauer.cache_info().misses
     build_all(1.5)  # a new target: the half-ball radius is recomputed
-    assert leg == [] and geg == []
+    assert grid.gauss_gegenbauer.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
