@@ -10,13 +10,13 @@ its inputs without touching the filesystem, and ``cmd_<name>`` computes and
 writes.  ``main`` makes the output directory between the two, so a usage
 error (exit 2) leaves no --out behind, and its message names the flag or
 spec key it refuses.  A flag that the chosen input leaves unread
-(``--delta`` with ``--constant``, ``--samples`` with ``lorentz --input``,
-``--budget`` with ``quantize --spec``) is refused too, so such flags
-default to None and take their defaults in ``check_<name>``.  The argument
-parser is built once per process, by the first ``main`` call; each call
-then looks up ``check_<name>`` and ``cmd_<name>`` on this module by the
-subcommand's name.  Config, spec and echoed values are read literally: no
-``%`` interpolation.
+(``--delta`` or ``--tol`` with ``--constant``, ``--samples`` with
+``lorentz --input``, ``--budget`` with ``quantize --spec``) is refused
+too, so such flags default to None and take their defaults in
+``check_<name>``.  The argument parser is built once per process, by the
+first ``main`` call; each call then looks up ``check_<name>`` and
+``cmd_<name>`` on this module by the subcommand's name.  Config, spec and
+echoed values are read literally: no ``%`` interpolation.
 
 Outputs are deterministic: fixed seeds, one round-trip float format (``_csv``),
 sorted JSON keys, and a bit-stable quadrature reduction, so repeated runs
@@ -75,6 +75,7 @@ from .concentration import (
 
 EXIT_PASS, EXIT_TOL, EXIT_USAGE = 0, 1, 2
 _DELTA = 1.0  # the bubble scale when --delta is not given
+_TOL = 1e-10  # the residual tolerance when --tol is not given
 
 
 @dataclass
@@ -211,7 +212,11 @@ def _field_from_args(args, n: int):
 def check_residual(args, cfg: RunConfig):
     n = cfg.n
     _need(args.points >= 1, "--points", ">= 1", args.points)
-    _need(0 <= args.tol < math.inf, "--tol", "finite and >= 0", args.tol)
+    if args.constant is not None:
+        # only a bubble field's residuals are held to a tolerance
+        _unread(args, "--constant", "--tol")
+    tol = _or(args.tol, _TOL)
+    _need(0 <= tol < math.inf, "--tol", "finite and >= 0", tol)
     for r in args.pohozaev or ():
         _need(0 < r < math.inf, "--pohozaev", "finite and > 0", r)
     u, label = _field_from_args(args, n)
@@ -241,7 +246,7 @@ def cmd_residual(args, cfg: RunConfig, out: Path, u, label: str, pts) -> tuple[d
                    zip(*rows))
         payload["pohozaev_rel_residual"] = max(rep.relative_residual for rep in reports)
 
-    failed = args.constant is None and worst > args.tol
+    failed = args.constant is None and worst > _or(args.tol, _TOL)
     if args.pohozaev and args.constant is None:
         failed = failed or payload["pohozaev_rel_residual"] > 1e-6
     return payload, "fail" if failed else "pass"
@@ -502,11 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, help="bubble scale (default 1)")
     sp.add_argument("--center", type=float, nargs="+", help="bubble center")
     sp.add_argument("--constant", type=float,
-                    help="use a constant field instead (no --delta or --center)")
+                    help="use a constant field instead (no --delta, --center or --tol)")
     sp.add_argument("--points", type=int, default=200)
     sp.add_argument("--pohozaev", type=float, action="append",
                     help="also emit the radial-multiplier balance at this radius")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float,
+                    help="largest pointwise residual that passes (default 1e-10); "
+                         "a bubble's only, so not read with --constant")
 
     sp = sub.add_parser("monotonicity", help="local energy profile checks")
     _add_common(sp)

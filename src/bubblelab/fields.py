@@ -614,11 +614,13 @@ def shell_pieces_for(
     panels; piece ``i`` equals ``annulus_rule_for(u, x, *regions[i], order)``."""
     x = _pts(x, u.dimension)[0][0]
     symmetry, axis = _layout(u, x)
+    # coerced once: ``build_shell_pieces`` takes the float array as it is,
+    # and the panels are read from Python floats
     regions = np.asarray(regions, dtype=float).reshape(-1, 2)
     return build_shell_pieces(
         u.dimension, x, regions, order, symmetry, axis,
         polar_order=max(order, 48),
-        radial_panels=[_shell_panels(u, x, a, b) for a, b in regions],
+        radial_panels=[_shell_panels(u, x, a, b) for a, b in regions.tolist()],
     )
 
 

@@ -44,28 +44,38 @@ angular factor, so no node is built before it is evaluated.  Every rule
 builder is the one-piece case of these two, so each layout's arithmetic
 exists once: a ``QuadratureRule`` is a view of a one-piece set that keeps
 its factors and builds ``nodes`` and ``weights`` only when they are read.
-The builders validate every piece in one vectorized pass: its weight sum
-against its own region's measure and its nodes inside its own region
-within ``node_slack``.  A shell builder reads its regions and radial panel
-breaks as Python floats in one pass; breaks that already rise strictly
-inside their region skip ``np.unique``.
+
+Checks.  The builders validate every piece in one vectorized pass
+(``_check_pieces``): positive weights, its weight sum against its own
+region's measure, and its nodes inside its own region within
+``node_slack``.  The pass reads four facts of the angular factor
+(``_factor_facts``: its smallest weight, its weight sum and the lengths of
+its shortest and longest direction).  For the cached radial and full
+factors they are computed once, with the factor (``_checked_factor``, keyed
+by layout, dimension and order), and so are the zonal shell weights' two
+(``_zonal_weights``); zonal directions are built per axis and measured per
+build.  ``PieceSet.validate`` measures the set's own arrays, so a set
+built by hand or changed with ``replace`` is checked in full.  A shell
+builder reads its regions as Python floats once; radial panel breaks that
+already rise strictly inside their region, as ``geometric_panels`` gives
+them, are found so by one array comparison and skip ``np.unique``.
 
 Evaluation.  ``integrate_pieces`` is the one evaluator; ``integrate`` is
 its one-piece, one-integrand case.  Pieces of at most ``_BLOCK_NODES``
 nodes are evaluated together in blocks of whole pieces, one integrand call
 per block however many integrals it returns, and each piece is reduced
-with one ``np.dot``.  A larger piece is cut into fixed spans of ``_CHUNK``
-nodes, each span reduced with one ``np.dot`` and the span partials summed
-in span order, so the result does not depend on the thread count; the
-spans are spread over ``threads`` workers.  Inside a span the nodes and
-weights are built from the factors in blocks of at most ``_BLOCK_NODES``,
-so no node array larger than one block exists.  Integrands must therefore
-be pointwise: ``f`` sees blocks of at most ``_BLOCK_NODES`` nodes and
-must return one value per node it is given.  Blocks are coordinate-major:
-each is built as an (n, N) array and handed to ``f`` as its (N, n)
-transpose, so a field's per-node steps keep that layout and its per-node
-coordinate sums run over contiguous columns.  ``f`` must accept an array
-of either memory order.
+with one dot product.  A larger piece is cut into fixed spans of
+``_CHUNK`` nodes, each span reduced with one dot product and the span
+partials summed in span order, so the result does not depend on the
+thread count; the spans are spread over ``threads`` workers.  Inside a
+span the nodes and weights are built from the factors in blocks of at
+most ``_BLOCK_NODES``, so no node array larger than one block exists.
+Integrands must therefore be pointwise: ``f`` sees blocks of at most
+``_BLOCK_NODES`` nodes and must return one value per node it is given.
+Blocks are coordinate-major: each is built as an (n, N) array and handed
+to ``f`` as its (N, n) transpose, so a field's per-node steps keep that
+layout and its per-node coordinate sums run over contiguous columns.
+``f`` must accept an array of either memory order.
 
 Bit-identity rule.  A piece's nodes, weights and integrals equal those of
 its one-piece rule bit for bit, and a span's blocks equal the rows of the
@@ -120,6 +130,9 @@ _CHUNK = 1 << 16
 # Evaluating a whole sweep at once raised peak memory by 17%.
 _BLOCK_NODES = 8192
 _MEASURE_TOL = 1e-10
+# 2**k for k < 80: the octaves of ``geometric_panels``
+_DOUBLINGS = np.ldexp(1.0, np.arange(80))
+_DOUBLINGS.flags.writeable = False
 _DEFAULT_THREADS = 1
 # Fully symmetric sphere rules: the largest generator entry, the largest
 # angular order they serve, and the simplex's pivot tolerance.
@@ -262,36 +275,66 @@ class PieceSet:
     def validate(self) -> None:
         """Check every piece at once: positive weights, each piece's weight
         sum against its own region's measure within ``_MEASURE_TOL``, and
-        each node inside its own region within ``node_slack``.
+        each node inside its own region within ``node_slack``
+        (``_check_pieces``).
 
-        A node's distance to the center is its radial node times the length
-        of its direction, so each piece's smallest and largest radial node
-        times the shortest and longest direction bound its distances.  As
-        the square root is monotone, those lengths are the roots of the
-        smallest and largest squared lengths."""
-        inner, outer = self.radii[:, 0], self.radii[:, 1]
-        sphere = self.kind == "sphere"
-        if self.radial_weights.min() <= 0 or self.dir_weights.min() <= 0:
-            raise ValueError("all quadrature weights must be positive")
-        starts = self.bounds[:-1]
-        meas = _region_measure(self.dimension, sphere, inner, outer)
-        sums = np.add.reduceat(self.radial_weights, starts) * self.dir_weights.sum()
-        off = np.abs(sums - meas) > _MEASURE_TOL * meas
-        if off.any():
-            i = int(off.argmax())
-            raise ValueError(
-                f"piece {i}: weight sum {sums[i]:.17g} does not match region "
-                f"measure {meas[i]:.17g} within tolerance {_MEASURE_TOL:g}"
-            )
-        squares = np.einsum("ij,ij->i", self.dirs, self.dirs)
-        near = np.minimum.reduceat(self.s, starts) * sqrt(squares.min())
-        far = np.maximum.reduceat(self.s, starts) * sqrt(squares.max())
-        slack = node_slack(outer)
-        if sphere:
-            if (np.maximum(np.abs(near - outer), np.abs(far - outer)) > slack).any():
-                raise ValueError("sphere rule has nodes off the sphere")
-        elif ((far > outer + slack) | (near < inner - slack)).any():
-            raise ValueError("rule has nodes outside the region")
+        The angular factor's facts (``_factor_facts``) are computed here
+        from the set's own directions and weights; the builders take those
+        of a cached factor from ``_checked_factor`` instead, where they were
+        computed once."""
+        _check_pieces(self, _factor_facts(self.dirs, self.dir_weights))
+
+
+def _factor_facts(dirs: np.ndarray, weights: np.ndarray) -> tuple[float, float, float, float]:
+    """What ``_check_pieces`` reads of an angular factor: its smallest
+    weight and its weight sum (``_weight_facts``), and the lengths of its
+    shortest and longest direction (``_length_facts``)."""
+    return *_weight_facts(weights), *_length_facts(dirs)
+
+
+def _weight_facts(weights: np.ndarray) -> tuple[float, float]:
+    """The smallest weight and the weight sum."""
+    return weights.min(), weights.sum()
+
+
+def _length_facts(dirs: np.ndarray) -> tuple[float, float]:
+    """As the square root is monotone, the shortest and longest lengths are
+    the roots of the smallest and largest squared lengths."""
+    squares = np.einsum("ij,ij->i", dirs, dirs)
+    return sqrt(squares.min()), sqrt(squares.max())
+
+
+def _check_pieces(pieces: PieceSet, facts: tuple[float, float, float, float]) -> None:
+    """``PieceSet.validate`` given the ``_factor_facts`` of the set's
+    angular factor.  The radial factor is checked here, for every piece in
+    one vectorized pass.
+
+    A node's distance to the center is its radial node times the length of
+    its direction, so each piece's smallest and largest radial node times
+    the shortest and longest direction bound its distances."""
+    low, total, shortest, longest = facts
+    inner, outer = pieces.radii[:, 0], pieces.radii[:, 1]
+    sphere = pieces.kind == "sphere"
+    if pieces.radial_weights.min() <= 0 or low <= 0:
+        raise ValueError("all quadrature weights must be positive")
+    starts = pieces.bounds[:-1]
+    meas = _region_measure(pieces.dimension, sphere, inner, outer)
+    sums = np.add.reduceat(pieces.radial_weights, starts) * total
+    off = np.abs(sums - meas) > _MEASURE_TOL * meas
+    if np.count_nonzero(off):
+        i = int(off.argmax())
+        raise ValueError(
+            f"piece {i}: weight sum {sums[i]:.17g} does not match region "
+            f"measure {meas[i]:.17g} within tolerance {_MEASURE_TOL:g}"
+        )
+    near = np.minimum.reduceat(pieces.s, starts) * shortest
+    far = np.maximum.reduceat(pieces.s, starts) * longest
+    slack = node_slack(outer)
+    if sphere:
+        if np.count_nonzero(np.maximum(np.abs(near - outer), np.abs(far - outer)) > slack):
+            raise ValueError("sphere rule has nodes off the sphere")
+    elif np.count_nonzero((far > outer + slack) | (near < inner - slack)):
+        raise ValueError("rule has nodes outside the region")
 
 
 @dataclass(frozen=True, eq=False)
@@ -724,6 +767,26 @@ def _full_directions(n: int, angular_order: int) -> tuple[np.ndarray, np.ndarray
     return _read_only(*unit_sphere_directions(n, angular_order))
 
 
+@cache
+def _checked_factor(
+    symmetry: str, n: int, order: int
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float, float]]:
+    """A cached angular factor with its ``_factor_facts``, computed once:
+    the "radial" layout's one direction (``order`` unused) or the "full"
+    layout's ``_full_directions(n, order)``."""
+    dirs, weights = _radial_direction(n) if symmetry == "radial" else _full_directions(n, order)
+    return dirs, weights, _factor_facts(dirs, weights)
+
+
+@cache
+def _zonal_weights(n: int, order: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """The zonal shell layout's direction weights, the polar weights times
+    the area of S^(n-2), cached and read-only, with their ``_weight_facts``
+    computed once.  Its directions are built per axis (``_zonal_dirs``)."""
+    weights = _polar_nodes(n, order)[2] * unit_sphere_area(n - 1)
+    return _read_only(weights)[0], _weight_facts(weights)
+
+
 def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> list[float]:
     """Sorted distinct break radii of [inner, outer], ends included, as
     floats.  Breaks that rise strictly inside (inner, outer), as
@@ -732,10 +795,10 @@ def _panel_edges(inner: float, outer: float, panels: Sequence[float] | None) -> 
     finite is refused: the clip would drop a NaN silently."""
     if panels is None:
         return [inner, outer]
-    breaks = [float(p) for p in panels]
-    edges = [inner, *breaks, outer]
-    if all(a < b for a, b in zip(edges, edges[1:])):
-        return edges
+    edges = np.array([inner, *panels, outer], dtype=float)
+    if (edges[1:] > edges[:-1]).all():
+        return edges.tolist()
+    breaks = edges[1:-1].tolist()
     for p in breaks:
         if not isfinite(p):
             raise ValueError(f"radial panel break must be finite, got {p}")
@@ -749,9 +812,9 @@ def _gauss_intervals(
     """Gauss-Legendre nodes/weights on each interval [lo[i], hi[i]], in
     interval order."""
     x, w = gauss_legendre(order)
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x[None, :]
-    return nodes.reshape(-1), (half[:, None] * w[None, :]).reshape(-1)
+    half = (0.5 * (hi - lo))[:, None]
+    nodes = (0.5 * (lo + hi))[:, None] + half * x
+    return nodes.reshape(-1), (half * w).reshape(-1)
 
 
 def geometric_panels(
@@ -763,17 +826,18 @@ def geometric_panels(
     region's center; panels are doubled from that scale outward so a fixed
     Gauss order per panel resolves every octave, up to 80 breaks.  Returns
     None when a single panel suffices.
+
+    The breaks are ``inner + (finest / 4) * 2**k`` for the k < 80 with
+    ``inner + (finest / 4) * 2**k < outer``: scaling by a power of two is
+    exact, so each equals the k-th of repeated doublings, and as rounding
+    is monotone those k are a prefix.
     """
     if finest is None or not isfinite(finest) or finest <= 0:
         return None
     if finest >= (outer - inner) / 4:
         return None
-    edges = []
-    h = finest / 4
-    while inner + h < outer and len(edges) < 80:
-        edges.append(inner + h)
-        h *= 2.0
-    return edges
+    edges = inner + finest / 4 * _DOUBLINGS
+    return edges[:np.count_nonzero(edges < outer)].tolist()
 
 
 def _unit_perp_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -783,19 +847,23 @@ def _unit_perp_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < norm < inf:
         raise ValueError(f"axis must be finite and nonzero, got {axis.tolist()}")
     e = axis / norm
-    k = int(np.argmin(np.abs(e)))
-    perp = np.zeros_like(e)
-    perp[k] = 1.0
-    perp -= e * e[k]
+    # the k-th unit vector less its projection on e, k the first smallest
+    # |e_k|, in Python floats: their arithmetic is numpy's elementwise one
+    coords = e.tolist()
+    sizes = [abs(v) for v in coords]
+    k = sizes.index(min(sizes))
+    perp = [0.0 - v * coords[k] for v in coords]
+    perp[k] = 1.0 - coords[k] * coords[k]
+    perp = np.array(perp)
     return e, perp / sqrt(perp.dot(perp))
 
 
-def _zonal_dirs(n: int, order: int, axis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Directions ``t e + sin_t perp`` of the polar arc about ``axis``, the
-    polar weights, and the unit axis ``e``."""
-    t, sin_t, wt = _polar_nodes(n, order)
+def _zonal_dirs(n: int, order: int, axis) -> tuple[np.ndarray, np.ndarray]:
+    """Directions ``t e + sin_t perp`` of the polar arc about ``axis``, and
+    the unit axis ``e``."""
+    t, sin_t, _ = _polar_nodes(n, order)
     e, perp = _unit_perp_pair(np.asarray(axis, dtype=float))
-    return t[:, None] * e[None, :] + sin_t[:, None] * perp[None, :], wt, e
+    return np.multiply.outer(t, e) + np.multiply.outer(sin_t, perp), e
 
 
 def build_shell_pieces(
@@ -842,21 +910,22 @@ def build_shell_pieces(
     bounds = np.array(bounds)
     e = None
     if symmetry == "radial":
-        dirs, dir_w = _radial_direction(n)
+        dirs, dir_w, facts = _checked_factor("radial", n, 0)
         radial_w = unit_sphere_area(n) * ws * s ** (n - 1)
     elif symmetry == "zonal":
-        dirs, wt, e = _zonal_dirs(n, polar_order, axis)
-        dir_w = wt * unit_sphere_area(n - 1)
+        dirs, e = _zonal_dirs(n, polar_order, axis)
+        dir_w, weight_facts = _zonal_weights(n, polar_order)
+        facts = (*weight_facts, *_length_facts(dirs))
         radial_w = ws * s ** (n - 1)
     elif symmetry == "full":
         ang = default_angular_order(n, order) if angular_order is None else angular_order
-        dirs, dir_w = _full_directions(n, ang)
+        dirs, dir_w, facts = _checked_factor("full", n, ang)
         radial_w = ws * s ** (n - 1)
     else:
         raise ValueError(f"unknown symmetry {symmetry!r}; use full, radial or zonal")
     pieces = PieceSet(n, "volume", c, regions, s, radial_w, bounds, dirs, dir_w,
                       symmetry, e)
-    pieces.validate()
+    _check_pieces(pieces, facts)
     return pieces
 
 
@@ -874,16 +943,18 @@ def build_sphere_pieces(
     powers = [r ** (n - 1) for r in radius_list]
     e = None
     if symmetry == "zonal":
-        dirs, dir_w, e = _zonal_dirs(n, order, axis)
+        dirs, e = _zonal_dirs(n, order, axis)
+        dir_w = _polar_nodes(n, order)[2]
+        facts = _factor_facts(dirs, dir_w)
         radial_w = np.array([unit_sphere_area(n - 1) * p for p in powers])
     elif symmetry == "full":
-        dirs, dir_w = _full_directions(n, order)
+        dirs, dir_w, facts = _checked_factor("full", n, order)
         radial_w = np.array(powers)
     else:
         raise ValueError(f"unknown symmetry {symmetry!r}; use full or zonal")
     pieces = PieceSet(n, "sphere", c, np.stack([radii, radii], axis=1), radii,
                       radial_w, np.arange(len(radii) + 1), dirs, dir_w, symmetry, e)
-    pieces.validate()
+    _check_pieces(pieces, facts)
     return pieces
 
 
@@ -934,7 +1005,7 @@ def _integrand_values(vals, nodes: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"integrand returned shape {vals.shape}, expected {(len(nodes),)}"
         )
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise NonFiniteFieldError(nodes[bad], float(vals[bad]))
     return vals
@@ -947,7 +1018,7 @@ def _piece_sums(
     threads: int | None,
 ) -> list[float]:
     """Weighted sum over piece ``i`` of each integrand ``f`` returns: one
-    ``np.dot`` per fixed ``_CHUNK`` span, the span partials summed in span
+    dot product per fixed ``_CHUNK`` span, the span partials summed in span
     order, spans spread over ``threads`` workers.  A span's nodes and
     weights are built in blocks of at most ``_BLOCK_NODES``."""
     if threads is None:
@@ -969,7 +1040,7 @@ def _piece_sums(
             weights[c - a:d - a] = w
             for col, v in zip(cols, vals):
                 col[c - a:d - a] = v
-        return [float(np.dot(weights, v)) for v in cols]
+        return [float(weights.dot(v)) for v in cols]
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -1005,7 +1076,7 @@ def integrate_pieces(
     pointwise, as it sees blocks of at most ``_BLOCK_NODES`` nodes.  The
     result has shape (len(pieces), k).  Pieces of at most ``_BLOCK_NODES``
     nodes are evaluated together in blocks of whole pieces, each reduced
-    with one ``np.dot``.  A larger piece is reduced per fixed ``_CHUNK``
+    with one dot product.  A larger piece is reduced per fixed ``_CHUNK``
     span, with its nodes built per block inside each span and its spans
     spread over ``threads`` workers (``_piece_sums``); the result is
     bit-identical for any thread count.
@@ -1014,21 +1085,23 @@ def integrate_pieces(
     # starts[i]:starts[i + 1] of the whole set
     m = len(pieces.dir_weights)
     starts = [k * m for k in pieces.bounds.tolist()]
+    count = len(starts) - 1
     rows = []
     a = 0
-    while a < len(pieces):
+    while a < count:
         if starts[a + 1] - starts[a] > _BLOCK_NODES:
             rows.append(_piece_sums(pieces, a, f, threads))
             a += 1
             continue
         b = a + 1
-        while b < len(pieces) and starts[b + 1] - starts[a] <= _BLOCK_NODES:
+        while b < count and starts[b + 1] - starts[a] <= _BLOCK_NODES:
             b += 1
         nodes, weights = pieces.block(a, b)
         cols = [_integrand_values(v, nodes) for v in f(nodes)]
         offsets = [k - starts[a] for k in starts[a:b + 1]]
         for lo, hi in zip(offsets, offsets[1:]):
-            rows.append([float(np.dot(weights[lo:hi], v[lo:hi])) for v in cols])
+            w = weights[lo:hi]
+            rows.append([float(w.dot(v[lo:hi])) for v in cols])
         if b == a + 1:
             # a lone piece is one span, and np.sum of its partial maps -0.0 to 0.0
             rows[-1] = [v + 0.0 for v in rows[-1]]

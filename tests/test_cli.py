@@ -232,6 +232,7 @@ BAD_VALUE_CASES = [
     (["residual", "--constant", 2, "--center", 1, 2, "--delta", -5],
      "--delta, --center: not read with --constant"),
     (["residual", "--constant", 2, "--delta", 1], "--delta: not read with --constant"),
+    (["residual", "--constant", 2, "--tol", 5], "--tol: not read with --constant"),
     (["monotonicity", "--zero", "--constant", "nan"], "--constant: not read with --zero"),
     (["monotonicity", "--zero", "--center", 0, 0, 0], "--center: not read with --zero"),
     (["monotonicity", "--constant", 1, "--delta", 2], "--delta: not read with --constant"),

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from bubblelab import grid
@@ -652,6 +653,94 @@ def test_piece_validation_catches_a_node_off_its_region():
         replace(shells, radial_weights=w).validate()
 
 
+def full_shells():
+    # n = 5 at angular order 8: the cached fully symmetric factor
+    return grid.build_shell_pieces(5, 0, [(0.0, 0.5), (0.5, 1.0)], 8)
+
+
+def zonal_shells():
+    return grid.build_shell_pieces(3, 0, [(0.0, 0.5), (0.5, 1.0)], 8, "zonal", [0.0, 0.6, 0.8])
+
+
+def zonal_spheres():
+    return grid.build_sphere_pieces(3, 0, [0.5, 1.0], 8, "zonal", [0.0, 0.6, 0.8])
+
+
+# hand-built piece sets that each break one check: entry ``index`` of the
+# array ``name`` times ``factor``; the builders' cached angular facts must
+# not let any of them through
+BAD_HAND_BUILT = {
+    "zero-radial-weight": (full_shells, "radial_weights", 3, 0.0,
+                           "all quadrature weights must be positive"),
+    "negative-zonal-weight": (zonal_shells, "dir_weights", 2, -1.0,
+                              "all quadrature weights must be positive"),
+    "radial-sum-off-1e-9": (full_shells, "radial_weights", slice(None), 1.0 + 1e-9,
+                            "piece 0: weight sum"),
+    "full-factor-sum-off-1e-9": (full_shells, "dir_weights", slice(None), 1.0 + 1e-9,
+                                 "piece 0: weight sum"),
+    "zonal-direction-off-the-sphere": (zonal_spheres, "dirs", 3, 1.0 + 1e-9,
+                                       "sphere rule has nodes off the sphere"),
+    "short-zonal-direction": (zonal_shells, "dirs", 3, 0.5,
+                              "rule has nodes outside the region"),
+    # the last radial node of the ball B(0, 0.5), moved to about 0.54
+    "node-outside-its-shell": (full_shells, "s", 7, 1.1,
+                               "rule has nodes outside the region"),
+}
+
+
+@pytest.mark.parametrize("build, name, index, factor, message", BAD_HAND_BUILT.values(),
+                         ids=BAD_HAND_BUILT.keys())
+def test_cached_angular_facts_cannot_hide_a_bad_rule(build, name, index, factor, message):
+    # the builders take a cached factor's smallest weight, weight sum and
+    # direction lengths from _checked_factor; validate computes them from
+    # the set's own arrays, and every radial check runs on every call
+    pieces = build()
+    a = getattr(pieces, name).copy()
+    a[index] *= factor
+    with pytest.raises(ValueError, match=message):
+        replace(pieces, **{name: a}).validate()
+
+
+@pytest.mark.parametrize("symmetry, n, order, build", [
+    ("full", 5, 8, lambda: grid.build_shell_pieces(5, 0, [(0.0, 1.0)], 8)),
+    ("full", 3, 4, lambda: grid.build_sphere_pieces(3, 0, [1.0, 2.0], 4)),
+    ("radial", 4, 0, lambda: grid.build_shell_pieces(4, 0, [(0.0, 1.0)], 8, "radial")),
+])
+def test_cached_angular_facts_are_those_of_the_factor(symmetry, n, order, build):
+    pieces = build()
+    dirs, weights, facts = grid._checked_factor(symmetry, n, order)
+    assert pieces.dirs is dirs and pieces.dir_weights is weights
+    assert facts == grid._factor_facts(dirs, weights)
+    misses = grid._checked_factor.cache_info().misses
+    build()
+    assert grid._checked_factor.cache_info().misses == misses  # computed once
+
+
+def test_zonal_shell_weights_are_cached_with_their_facts():
+    # the directions are built per axis; the weights do not depend on it
+    for axis in ([1.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.9, 0.1]):
+        pieces = grid.build_shell_pieces(4, 0, [(0.0, 1.0)], 8, "zonal", axis)
+        weights, facts = grid._zonal_weights(4, 48)
+        assert pieces.dir_weights is weights and not weights.flags.writeable
+    assert same_bits(weights, gauss_gegenbauer(48, 1.0)[1] * unit_sphere_area(3))
+    assert facts == grid._weight_facts(weights)
+
+
+def test_a_bad_factor_is_refused_when_its_facts_are_cached(monkeypatch):
+    # the cached facts are computed from the factor itself, so a factor
+    # that fails a check fails it on its first build and on every later one
+    dirs, weights = grid._full_directions(3, 5)
+    monkeypatch.setattr(grid, "_full_directions",
+                        lambda n, order: (dirs, weights * (1.0 + 1e-9)))
+    grid._checked_factor.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="piece 0: weight sum"):
+                grid.build_shell_pieces(3, 0, [(0.0, 1.0)], 8, angular_order=5)
+    finally:
+        grid._checked_factor.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # fully symmetric sphere rules (the full shell layout at n >= 5)
 # ---------------------------------------------------------------------------
@@ -766,6 +855,66 @@ def test_geometric_breaks_below_one_ulp_repeat_inner():
     # the case above that presorted breaks must not be mistaken for
     panels = geometric_panels(1.0, 2.0, 1e-20)
     assert panels[0] == panels[1] == 1.0 and panels[-1] > 1.0
+
+
+def doubling_loop_panels(inner, outer, finest):
+    """Reference: ``geometric_panels`` as a loop of doublings."""
+    if finest is None or not np.isfinite(finest) or finest <= 0:
+        return None
+    if finest >= (outer - inner) / 4:
+        return None
+    edges = []
+    h = finest / 4
+    while inner + h < outer and len(edges) < 80:
+        edges.append(inner + h)
+        h *= 2.0
+    return edges
+
+
+def generator_panel_edges(inner, outer, panels):
+    """Reference: ``_panel_edges`` with its rise check as a generator."""
+    if panels is None:
+        return [inner, outer]
+    breaks = [float(p) for p in panels]
+    edges = [inner, *breaks, outer]
+    if all(a < b for a, b in zip(edges, edges[1:])):
+        return edges
+    for p in breaks:
+        if not np.isfinite(p):
+            raise ValueError(f"radial panel break must be finite, got {p}")
+    edges = np.unique(np.array([inner, outer, *breaks]))
+    return edges[(edges >= inner) & (edges <= outer)].tolist()
+
+
+def hexes(values):
+    return None if values is None else [float(v).hex() for v in values]
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def shells_and_scales(draw):
+    inner, outer = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    return inner, outer, draw(st.floats(1e-22, 1.0))
+
+
+@given(shells_and_scales(), st.lists(st.floats(allow_infinity=True), max_size=6))
+@example((0.0, 1.0, 2.0**-20), [])  # a doubling lands on outer exactly
+@example((1.0, 2.0, 1e-20), [0.5, 1.0, float("nan")])  # breaks below one ulp of inner
+@settings(max_examples=500, deadline=None)
+def test_panels_without_loops_equal_the_loops_bit_for_bit(shell, breaks):
+    inner, outer, finest = shell
+    panels = geometric_panels(inner, outer, finest)
+    assert hexes(panels) == hexes(doubling_loop_panels(inner, outer, finest))
+    for p in (panels, breaks, sorted(breaks), None):
+        try:
+            want = hexes(generator_panel_edges(inner, outer, p))
+        except ValueError as refusal:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+                grid._panel_edges(inner, outer, p)
+        else:
+            assert hexes(grid._panel_edges(inner, outer, p)) == want
 
 
 @pytest.mark.parametrize("arrays", [
