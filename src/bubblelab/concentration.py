@@ -52,8 +52,6 @@ from .grid import (
     QuadratureRule,
     _read_only,
     gauss_legendre,
-    integrate,
-    integrate_pieces,
     unit_ball_volume,
     unit_sphere_area,
     unit_sphere_directions,
@@ -65,8 +63,9 @@ from .fields import (
     ScalarField,
     Superposition,
     _bubble_amplitude,
-    _energy_terms,
+    _energy_density,
     _finest_scale,
+    _integrate_density,
     _layout,
     _shell_energies,
     ball_rule_for,
@@ -263,12 +262,11 @@ class ConcentrationSequence:
         for k in ks:
             u = self.field(k)
 
-            def dens(pts):
-                v, g = u.value_and_gradient(pts)
+            def dens(v, g, y):
                 return v**2 + np.einsum("mi,mi->m", g, g), np.abs(v) ** p
 
             ball = shell_pieces_for(u, np.zeros(n), [(0.0, 1.0)], order)
-            h1_sq, lp_p = integrate_pieces(ball, dens)[0].tolist()
+            h1_sq, lp_p = _integrate_density(u, ball, dens)[0].tolist()
             out[k] = math.sqrt(max(h1_sq, 0.0)) + lp_p ** (1.0 / p)
         return out
 
@@ -300,20 +298,21 @@ def make_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _weighted_density(u: ScalarField):
-    n = u.dimension
-    terms = _energy_terms(u)
+def _weighted_density(n: int):
+    """The weighted energy density e(u) at each node, as a one-array
+    density of ``_integrate_density``."""
+    terms = _energy_density(n)
 
-    def dens(pts):
-        gsq, pot = terms(pts)
-        return 0.5 * gsq + (n - 2) / (2.0 * n) * pot
+    def dens(v, g, y):
+        gsq, pot = terms(v, g, y)
+        return (0.5 * gsq + (n - 2) / (2.0 * n) * pot,)
 
     return dens
 
 
 def energy_in(u: ScalarField, rule: QuadratureRule, threads: int | None = None) -> float:
     """Weighted energy  int e(u)  over the rule's region; nonnegative."""
-    return integrate(rule, _weighted_density(u), threads=threads)
+    return float(_integrate_density(u, rule.piece, _weighted_density(u.dimension), threads)[0, 0])
 
 
 def bubbling_energy(

@@ -12,6 +12,20 @@ that the pointwise residual of these profiles vanishes to machine precision.
 Fields evaluate on point batches of shape (m, n).  Analytic gradients and
 Laplacians are used when a field carries them; otherwise second-order
 central differences with relative stepping are substituted.
+
+Four closed-form facts describe a field beyond its values: a one-pass
+value and gradient (``value_and_gradient``), the radial parts it is a sum
+of (``radial_parts``), bounds on balls (``ball_sup``) and its value and
+gradient on a half-plane bounded by an axis its parts are centered on
+(``half_plane``).  ``radial_parts`` picks the cheapest quadrature layout
+(``_layout``): full, zonal about an axis through the probe, or radial.
+Every field-density integral goes through one evaluator
+(``_integrate_density``), which hands a density the values, the gradients
+and the offsets y - x from the rule's center in the layout's own
+coordinates: n of them at the nodes of a full layout, and two in a zonal
+or radial one, where the field's ``half_plane`` is evaluated at the rows
+(a, b) of ``PieceSet.plane_range``.  A field without that fact is
+evaluated at the layout's n-dimensional nodes.
 """
 
 from __future__ import annotations
@@ -28,9 +42,9 @@ from .grid import (
     QuadratureRule,
     build_shell_pieces,
     build_sphere_pieces,
+    _integrate_pieces,
     default_angular_order,
     geometric_panels,
-    integrate_pieces,
     node_slack,
 )
 
@@ -71,7 +85,12 @@ def _pts(x, n: int) -> tuple[np.ndarray, bool]:
 
 
 _EVALUATION = ("evaluate", "gradient", "analytic_gradient", "value_and_gradient")
-_FACTS = ("value_and_gradient", "radial_parts", "ball_sup")
+_FACTS = ("value_and_gradient", "radial_parts", "ball_sup", "half_plane")
+# How far a part's center may sit off the axis of a half-plane evaluation,
+# in units of max(1, its distance from the rule's center): ``_layout``
+# takes centers within 1e-10 of one line as collinear, so every radial or
+# zonal layout it picks passes.
+_AXIS_TOL = 1e-9
 
 
 class ScalarField:
@@ -83,10 +102,11 @@ class ScalarField:
         """The one trust rule for closed-form facts: when a class body
         defines an evaluation method (``evaluate``, ``gradient``,
         ``analytic_gradient`` or ``value_and_gradient``), each fact
-        (``value_and_gradient``, ``radial_parts``, ``ball_sup``) that the
-        body does not define reverts to this class's default, so no parent's
-        closed form describes a field it was not derived for.  A fact the
-        body defines is its own, ``super()`` calls included."""
+        (``value_and_gradient``, ``radial_parts``, ``ball_sup``,
+        ``half_plane``) that the body does not define reverts to this
+        class's default, so no parent's closed form describes a field it
+        was not derived for.  A fact the body defines is its own,
+        ``super()`` calls included."""
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         if any(name in own for name in _EVALUATION):
@@ -186,6 +206,28 @@ class ScalarField:
         none; a subclass that changes evaluation gets it back."""
         return None
 
+    def half_plane(
+        self, x: np.ndarray, e: np.ndarray
+    ) -> Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]]:
+        """The field on a half-plane bounded by the line through ``x`` along
+        the unit vector ``e``: a function of an (N, 2) array whose rows
+        ``(a, b)`` stand for the points ``x + a e + b p``, p any unit vector
+        orthogonal to e, returning the values there and the gradients'
+        (e, p) components as an (N, 2) array.  None when the field knows
+        none, or when a part is not radial about a point of the line (within
+        ``_AXIS_TOL``), where the choice of p would matter.  The default
+        knows none; a subclass that changes evaluation gets it back."""
+        return None
+
+
+def _axial_offset(center: np.ndarray, x: np.ndarray, e: np.ndarray) -> float | None:
+    """The coordinate t of ``center = x + t e`` along the unit vector ``e``,
+    or None when ``center`` lies more than ``_AXIS_TOL`` off that line."""
+    d = center - x
+    t = float(d.dot(e))
+    off = d - t * e
+    return t if off.dot(off) <= _AXIS_TOL**2 * max(1.0, d.dot(d)) else None
+
 
 def _bubble_amplitude(n: int) -> float:
     return (n * (n - 2)) ** ((n - 2) / 4)
@@ -215,13 +257,15 @@ class Bubble(ScalarField):
         if not np.all(np.isfinite(self.center)):
             raise ValueError(f"bubble center must be finite, got {self.center.tolist()}")
 
-    def _z(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh ``z = (points - center) / scale`` and ``g = 1 + |z|^2``.
+    def _z(self, points: np.ndarray, center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh ``z = (points - center) / scale`` and ``g = 1 + |z|^2``;
+        ``center`` is the bubble's center in the coordinates of ``points``.
 
         The kernels below work in place on these two arrays, so a call
-        makes one (N, n) array; each in-place step is the out-of-place
-        expression's operation, and the values match it bit for bit."""
-        z = points - self.center
+        makes one array of the points' shape; each in-place step is the
+        out-of-place expression's operation, and the values match it bit
+        for bit."""
+        z = points - center
         z /= self.scale
         g = np.einsum("ij,ij->i", z, z)
         g += 1.0
@@ -247,20 +291,34 @@ class Bubble(ScalarField):
         return z
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return self._value(self._z(points)[1])
+        return self._value(self._z(points, self.center)[1])
 
     def analytic_gradient(self, points: np.ndarray) -> np.ndarray:
-        return self._gradient(*self._z(points))
+        return self._gradient(*self._z(points, self.center))
 
     def value_and_gradient(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One pass: ``z`` and ``1 + |z|^2`` are computed once per node."""
-        z, g = self._z(points)
+        z, g = self._z(points, self.center)
         return self._value(g), self._gradient(z, g)
+
+    def half_plane(self, x, e):
+        """``value_and_gradient``'s kernels on the rows (a, b), with the
+        center at (t, 0) for ``center = x + t e``."""
+        t = _axial_offset(self.center, x, e)
+        if t is None:
+            return None
+        center = np.array([t, 0.0])
+
+        def kernel(points):
+            z, g = self._z(points, center)
+            return self._value(g), self._gradient(z, g)
+
+        return kernel
 
     def analytic_laplacian(self, points: np.ndarray) -> np.ndarray:
         n = self.dimension
         amp = -self.sign * n * (n - 2) * _bubble_amplitude(n) * self.scale ** (-(n + 2) / 2)
-        g = self._z(points)[1]
+        g = self._z(points, self.center)[1]
         g **= -(n + 2) / 2
         g *= amp
         return g
@@ -331,17 +389,31 @@ class Superposition(ScalarField):
         gradient (which ``gradient`` then sums)."""
         if not self.has_analytic_gradient:
             return super().value_and_gradient(points)
+        return self._weighted_sum(points, [p.value_and_gradient for p in self.parts])
+
+    def _weighted_sum(self, points, passes) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted sums of the parts' ``(value, gradient)``, one
+        ``passes[i](points)`` per part.  The gradients have the points'
+        shape."""
         val, grad = np.zeros(len(points)), np.zeros_like(points)
         # one scratch array for every ``w * v`` and one for every ``w * g``:
         # a part's own arrays are never written, as a CustomField may return
         # one it keeps, and they are dropped before the next part's call
         wv, wg = np.empty_like(val), np.empty_like(grad)
-        for w, p in zip(self.weights, self.parts):
-            v, g = p.value_and_gradient(points)
+        for w, one_pass in zip(self.weights, passes):
+            v, g = one_pass(points)
             val += np.multiply(w, v, out=wv)
             grad += np.multiply(w, g, out=wg)
             del v, g
         return val, grad
+
+    def half_plane(self, x, e):
+        """The weighted sum of the parts' half-plane kernels; None when a
+        part has none."""
+        kernels = [p.half_plane(x, e) for p in self.parts]
+        if any(k is None for k in kernels):
+            return None
+        return lambda points: self._weighted_sum(points, kernels)
 
     @cached_property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -420,6 +492,19 @@ class RescaledField(ScalarField):
         centers, scales, opaque = self.base.radial_parts
         return (centers - self.y) / self.delta, scales / self.delta, opaque
 
+    def half_plane(self, x, e):
+        """The base's kernel about the mapped ``x``, at ``delta (a, b)``."""
+        base = self.base.half_plane(self._map(x), e)
+        if base is None:
+            return None
+        n = self.dimension
+
+        def kernel(points):
+            v, g = base(self.delta * points)
+            return self.delta ** ((n - 2) / 2) * v, self.delta ** (n / 2) * g
+
+        return kernel
+
 
 class ConstantField(ScalarField):
     def __init__(self, dimension: int, value: float):
@@ -438,6 +523,9 @@ class ConstantField(ScalarField):
     @property
     def radial_parts(self) -> tuple[np.ndarray, np.ndarray, bool]:
         return np.zeros((1, self.dimension)), np.array([np.nan]), False
+
+    def half_plane(self, x, e):
+        return lambda points: (np.full(len(points), self.value), np.zeros_like(points))
 
 
 class CustomField(ScalarField):
@@ -515,25 +603,70 @@ def pde_residual(u: ScalarField, x, h: float | None = None) -> np.ndarray | floa
     return float(res[0]) if single else res
 
 
-def _energy_terms(u: ScalarField):
-    """Integrand of (int |grad u|^2, int |u|^(2n/(n-2))) from one
-    ``value_and_gradient`` pass per node."""
-    n = u.dimension
-    p = 2.0 * n / (n - 2)
+# density(v, g, y): a block's values, gradients and offsets (or None) to
+# the arrays integrated, one value per node each
+_Density = Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], Sequence[np.ndarray]]
 
-    def terms(pts):
+
+def _field_pass(
+    u: ScalarField, pieces: PieceSet, density: _Density, offsets: bool = False
+) -> tuple[Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+           Callable[[np.ndarray], Sequence[np.ndarray]]]:
+    """How ``_integrate_density`` walks ``pieces``: the builder of the
+    coordinates and weights of nodes ``c`` to ``d - 1``, and the integrand
+    that takes those coordinates to ``density(v, g, y)``.
+
+    A radial or zonal set whose field has a ``half_plane`` kernel about its
+    center and axis is walked in half-plane coordinates
+    (``PieceSet.plane_range``), which are also the offsets y - x; any other
+    set at its nodes (``PieceSet.node_range``), with one
+    ``value_and_gradient`` per block and the offsets ``nodes - center``,
+    computed only when ``offsets`` is true (else y is None)."""
+    kernel = None if pieces.symmetry == "full" else u.half_plane(pieces.center, pieces.axis)
+    if kernel is not None:
+        def on_plane(coords):
+            v, g = kernel(coords)
+            return density(v, g, coords)
+
+        return pieces.plane_range, on_plane
+    x = pieces.center
+
+    def on_nodes(pts):
         v, g = u.value_and_gradient(pts)
-        return np.einsum("mi,mi->m", g, g), np.abs(v) ** p
+        return density(v, g, pts - x if offsets else None)
 
-    return terms
+    return pieces.node_range, on_nodes
+
+
+def _integrate_density(
+    u: ScalarField,
+    pieces: PieceSet,
+    density: _Density,
+    threads: int | None = None,
+    offsets: bool = False,
+) -> np.ndarray:
+    """The one evaluator of field densities: the weighted sum over every
+    piece of every array ``density(v, g, y)`` returns, with the values v,
+    the gradients g and the offsets y - x from the set's center in the
+    layout's own coordinates (``_field_pass``), one field pass per node.
+    Shape (len(pieces), k), as ``integrate_pieces``."""
+    coordinates, f = _field_pass(u, pieces, density, offsets)
+    return _integrate_pieces(pieces, f, threads, coordinates)
+
+
+def _energy_density(n: int) -> _Density:
+    """(|grad u|^2, |u|^(2n/(n-2))) at each node."""
+    p = 2.0 * n / (n - 2)
+    return lambda v, g, y: (np.einsum("mi,mi->m", g, g), np.abs(v) ** p)
 
 
 def _shell_energies(u: ScalarField, x, regions, order: int) -> list[float]:
     """Unweighted energy int (|grad u|^2 + |u|^(2n/(n-2))) over each
     (inner, outer) region about ``x``, integrated as one piece batch."""
-    terms = _energy_terms(u)
+    terms = _energy_density(u.dimension)
     pieces = shell_pieces_for(u, x, regions, order)
-    return integrate_pieces(pieces, lambda pts: (np.add(*terms(pts)),))[:, 0].tolist()
+    return _integrate_density(
+        u, pieces, lambda v, g, y: (np.add(*terms(v, g, y)),))[:, 0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +837,7 @@ def pohozaev_report(
     """Evaluate the five-term centered Pohozaev balance about ``x``.
 
     The ball's two integrals and the sphere's three are each taken in one
-    pass, one ``value_and_gradient`` per node."""
+    field pass per node (``_integrate_density``)."""
     if not (r > 0):
         raise ValueError("radius must be positive")
     n = u.dimension
@@ -713,15 +846,13 @@ def pohozaev_report(
     ball = shell_pieces_for(u, x, [(0.0, r)], order)
     sphere = sphere_pieces_for(u, x, [r], order)
 
-    def sphere_terms(pts):
-        v, g = u.value_and_gradient(pts)
-        nu = pts - x
-        nu /= r
+    def sphere_terms(v, g, y):
         return (np.abs(v) ** p, np.einsum("mi,mi->m", g, g),
-                np.einsum("mi,mi->m", g, nu) ** 2)
+                np.einsum("mi,mi->m", g, y / r) ** 2)
 
-    vol_grad, vol_pot = integrate_pieces(ball, _energy_terms(u), threads)[0].tolist()
-    sph_pot, sph_grad, sph_norm = integrate_pieces(sphere, sphere_terms, threads)[0].tolist()
+    vol_grad, vol_pot = _integrate_density(u, ball, _energy_density(n), threads)[0].tolist()
+    sph_pot, sph_grad, sph_norm = _integrate_density(
+        u, sphere, sphere_terms, threads, offsets=True)[0].tolist()
 
     terms = {
         "volume_potential": (n - 2) / 2.0 * vol_pot,
@@ -732,5 +863,6 @@ def pohozaev_report(
     }
     paper_terms = dict(terms)
     paper_terms["boundary_potential"] = -(n - 2) / (2.0 * n) * sph_pot
-    return PohozaevReport(center=x, r=r, terms=terms, paper_terms=paper_terms)
+    # a copy: the report keeps its center when the caller's array changes
+    return PohozaevReport(center=x.copy(), r=r, terms=terms, paper_terms=paper_terms)
 

@@ -20,7 +20,11 @@ integrands with rotational symmetry:
   are valid for integrands invariant under rotations about that axis.
 
 Both carry the full region measure in their weights, so they satisfy the
-same weight-sum invariants as the full rules.
+same weight-sum invariants as the full rules.  Both keep their angular
+factor in the half-plane's two coordinates: pairs (cos, sin) along the
+axis and the perpendicular ``_perpendicular(axis)``, the one pair (1, 0)
+about the axis e_1 for a radial ray.  Their n-dimensional directions are
+built from the pairs only when a rule's nodes are read.
 
 Gauss rules are built here with numpy alone: ``gauss_gegenbauer`` finds
 the zeros of the orthonormal Gegenbauer polynomial by Newton steps on its
@@ -33,7 +37,8 @@ cache each (``gauss_gegenbauer``, ``symmetric_sphere_directions``,
 ``_full_directions``, ``_polar_nodes``, ``_radial_direction``) keyed by
 ``(order, alpha)``, ``(n, degree)``, ``(n, angular_order)``, ``(n, order)``
 and ``n``; each is built only on a miss and the cached arrays are
-read-only.
+read-only.  The full factors are stored coordinate-major (Fortran order),
+as nodes are built one coordinate of every direction at a time.
 
 Pieces.  A ``PieceSet`` holds rules on many regions about one center in
 one layout: consecutive or overlapping balls and annuli
@@ -50,21 +55,27 @@ Checks.  The builders validate every piece in one vectorized pass
 region's measure, and its nodes inside its own region within
 ``node_slack``.  The pass reads four facts of the angular factor
 (``_factor_facts``: its smallest weight, its weight sum and the lengths of
-its shortest and longest direction).  For the cached radial and full
-factors they are computed once, with the factor (``_checked_factor``, keyed
-by layout, dimension and order), and so are the zonal shell weights' two
-(``_zonal_weights``); zonal directions are built per axis and measured per
-build.  ``PieceSet.validate`` measures the set's own arrays, so a set
+its shortest and longest direction, in the layout's own coordinates).  For
+the cached radial, zonal and full factors they are computed once, with
+the factor (``_checked_factor``, keyed by layout, dimension and order), and
+so are the zonal shell weights' two (``_zonal_weights``); no build measures
+a direction.  ``PieceSet.validate`` measures the set's own arrays, so a set
 built by hand or changed with ``replace`` is checked in full.  A shell
 builder reads its regions as Python floats once; radial panel breaks that
 already rise strictly inside their region, as ``geometric_panels`` gives
 them, are found so by one array comparison and skip ``np.unique``.
 
 Evaluation.  ``integrate_pieces`` is the one evaluator; ``integrate`` is
-its one-piece, one-integrand case.  Pieces of at most ``_BLOCK_NODES``
-nodes are evaluated together in blocks of whole pieces, one integrand call
-per block however many integrals it returns, and each piece is reduced
-with one dot product.  A larger piece is cut into fixed spans of
+its one-piece, one-integrand case.  It hands ``f`` blocks of nodes
+(``PieceSet.node_range``).  ``_integrate_pieces`` is the same evaluator
+over another builder of blocks: the field-density evaluator
+(``fields._integrate_density``) passes it ``PieceSet.plane_range``, the
+half-plane rows (a, b) of a radial or zonal set, so a field with a
+half-plane kernel works on two coordinates per node.  A non-finite value
+is reported at its n-dimensional node in either case.  Pieces of at most
+``_BLOCK_NODES`` nodes are evaluated together in blocks of whole pieces,
+one integrand call per block however many integrals it returns, and each
+piece is reduced with one dot product.  A larger piece is cut into fixed spans of
 ``_CHUNK`` nodes, each span reduced with one dot product and the span
 partials summed in span order, so the result does not depend on the
 thread count; the spans are spread over ``threads`` workers.  Inside a
@@ -72,22 +83,30 @@ span the nodes and weights are built from the factors in blocks of at
 most ``_BLOCK_NODES``, so no node array larger than one block exists.
 Integrands must therefore be pointwise: ``f`` sees blocks of at most
 ``_BLOCK_NODES`` nodes and must return one value per node it is given.
-Blocks are coordinate-major: each is built as an (n, N) array and handed
-to ``f`` as its (N, n) transpose, so a field's per-node steps keep that
-layout and its per-node coordinate sums run over contiguous columns.
-``f`` must accept an array of either memory order.
+Blocks are coordinate-major: each is built as a (k, N) array, k = n for
+nodes and 2 for half-plane rows, and handed to ``f`` as its (N, k)
+transpose, so a field's per-node steps keep that layout and its per-node
+coordinate sums run over contiguous columns.  ``f`` must accept an array
+of either memory order.
 
 Bit-identity rule.  A piece's nodes, weights and integrals equal those of
 its one-piece rule bit for bit, and a span's blocks equal the rows of the
-span's whole node array.  Numpy's elementwise array results do not depend
-on an element's position or on the array's length, so array arithmetic
-over concatenated pieces or over parts of a piece is safe.  A per-node
-sum over the coordinates (``einsum("ij,ij->i")``) is not elementwise: its
-summation order, and so its last bit, depends on the block's memory order,
-so ``block`` and ``node_range`` build one layout.  Numpy's array power
-differs from the scalar power in the last bit for some inputs, so a
-quantity that a one-piece rule computes as a scalar (the sphere weight
-factor ``r ** (n - 1)``) is computed per piece as a scalar.
+span's whole node array; the same holds for half-plane rows.  Numpy's
+elementwise array results do not depend on an element's position or on
+the array's length, so array arithmetic over concatenated pieces or over
+parts of a piece is safe.  A per-node sum over the coordinates
+(``einsum("ij,ij->i")``) is not elementwise: its summation order, and so
+its last bit, depends on the block's memory order, so ``block``,
+``node_range`` and ``plane_range`` build one layout (a sum of two
+coordinates has one order).  Half-plane rows are not the nodes: the
+offsets from a part's center round differently in two coordinates than
+in n, so a radial or zonal integral moves at rounding level against one
+taken at the nodes, except about the axis e_1 through the origin, where
+the nodes' other coordinates are zeros and both give the same bits.
+Numpy's array power differs from the scalar power in the last bit for
+some inputs, so a quantity that a one-piece rule computes as a scalar
+(the sphere weight factor ``r ** (n - 1)``) is computed per piece as a
+scalar.
 """
 
 from __future__ import annotations
@@ -199,11 +218,17 @@ class PieceSet:
 
     Piece ``i`` integrates over the shell ``radii[i] = (inner, outer)``, or
     over the sphere of radius ``outer`` when ``kind`` is "sphere".  Its
-    nodes are ``center + s[k] * dirs[j]`` with weights
+    nodes are ``center + s[k] * directions[j]`` with weights
     ``radial_weights[k] * dir_weights[j]`` for
     ``bounds[i] <= k < bounds[i + 1]``, radial-major, so the pieces lie one
     after another in one node set.  ``symmetry`` and ``axis`` are those of
     ``QuadratureRule``.
+
+    ``dirs`` is the angular factor in the layout's own coordinates: unit
+    vectors of R^n in a full layout, and in a radial or zonal one the
+    half-plane pairs ``(cos, sin)``, the direction ``cos * axis + sin * p``
+    for the unit ``p`` of ``_perpendicular(axis)``.  A radial layout's axis
+    is e_1 and its one pair is (1, 0).
     """
 
     dimension: int
@@ -213,7 +238,7 @@ class PieceSet:
     s: np.ndarray
     radial_weights: np.ndarray
     bounds: np.ndarray  # (m + 1,)
-    dirs: np.ndarray  # (k, n)
+    dirs: np.ndarray  # (k, n) in a full layout, else (k, 2)
     dir_weights: np.ndarray  # (k,)
     symmetry: str = "full"
     axis: np.ndarray | None = None
@@ -226,27 +251,45 @@ class PieceSet:
         """Node count of each piece."""
         return (self.bounds[1:] - self.bounds[:-1]) * len(self.dir_weights)
 
+    @cached_property
+    def directions(self) -> np.ndarray:
+        """The angular factor as (k, n) unit vectors: ``dirs`` in a full
+        layout, else built from the half-plane pairs when first read."""
+        if self.symmetry == "full":
+            return self.dirs
+        cos, sin = self.dirs.T
+        return np.multiply.outer(cos, self.axis) + np.multiply.outer(
+            sin, _perpendicular(self.axis))
+
     def block(self, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of pieces ``a`` to ``b - 1``, one after another.
-        The nodes are the (N, n) transpose of a coordinate-major block."""
-        lo, hi = self.bounds[a], self.bounds[b]
-        nodes = np.empty((self.dimension, hi - lo, len(self.dir_weights)))
-        np.multiply(self.s[None, lo:hi, None], self.dirs.T[:, None, :], out=nodes)
-        nodes += self.center[:, None, None]
-        weights = self.radial_weights[lo:hi, None] * self.dir_weights[None, :]
-        return nodes.reshape(self.dimension, -1).T, weights.reshape(-1)
+        """Nodes and weights of pieces ``a`` to ``b - 1``, one after another:
+        ``node_range`` over their nodes."""
+        m = len(self.dir_weights)
+        return self.node_range(int(self.bounds[a]) * m, int(self.bounds[b]) * m)
 
     def node_range(self, c: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights ``c`` to ``d - 1`` of the whole set, numbered
-        as ``block(0, len(self))`` numbers them and built with its
-        arithmetic in its layout, so they equal that block's rows bit for
-        bit.
+        as ``block(0, len(self))`` numbers them.  The nodes are the (N, n)
+        transpose of a coordinate-major block."""
+        nodes, weights = self._product(c, d, self.directions)
+        nodes += self.center[:, None]
+        return nodes.T, weights
 
-        The range is written as at most three segments: the rest of a
-        partial first radial row, whole rows, and the start of a last row.
-        """
+    def plane_range(self, c: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """As ``node_range`` for a radial or zonal set, in half-plane
+        coordinates: rows ``(a, b)``, the node ``center + a axis + b p``
+        (``dirs``), as the (N, 2) transpose of a coordinate-major block."""
+        coords, weights = self._product(c, d, self.dirs)
+        return coords.T, weights
+
+    def _product(self, c: int, d: int, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``s[k] * dirs[j]`` for nodes ``c`` to ``d - 1``, coordinate-major,
+        and their weights.  The range is written as at most three
+        segments: the rest of a partial first radial row, whole rows, and
+        the start of a last row; each is one elementwise product, so a
+        node's bits do not depend on the range it is built in."""
         m = len(self.dir_weights)
-        nodes = np.empty((self.dimension, d - c))
+        coords = np.empty((dirs.shape[1], d - c))
         weights = np.empty(d - c)
         k = c
         while k < d:
@@ -255,14 +298,13 @@ class PieceSet:
             e = min(d, (r + rows) * m)
             width = (e - k) // rows
             # splitting the contiguous last axis is a view, so ``out=`` lands
-            np.multiply(self.s[None, r:r + rows, None], self.dirs.T[:, None, j:j + width],
-                        out=nodes[:, k - c:e - c].reshape(-1, rows, width))
+            np.multiply(self.s[None, r:r + rows, None], dirs.T[:, None, j:j + width],
+                        out=coords[:, k - c:e - c].reshape(-1, rows, width))
             np.multiply(self.radial_weights[r:r + rows, None],
                         self.dir_weights[None, j:j + width],
                         out=weights[k - c:e - c].reshape(rows, width))
             k = e
-        nodes += self.center[:, None]
-        return nodes.T, weights
+        return coords, weights
 
     def rule(self, i: int) -> QuadratureRule:
         """Piece ``i`` as a rule of its own (a view; no node is built)."""
@@ -279,7 +321,7 @@ class PieceSet:
         (``_check_pieces``).
 
         The angular factor's facts (``_factor_facts``) are computed here
-        from the set's own directions and weights; the builders take those
+        from the set's own ``dirs`` and weights; the builders take those
         of a cached factor from ``_checked_factor`` instead, where they were
         computed once."""
         _check_pieces(self, _factor_facts(self.dirs, self.dir_weights))
@@ -348,7 +390,8 @@ class QuadratureRule:
     layout: "full" rules integrate any smooth function; "radial" rules
     require the integrand to depend only on the distance to ``center``;
     "zonal" rules require invariance under rotations about the axis
-    ``center + t * axis``.
+    ``center + t * axis``.  A radial rule's ray runs along its ``axis``,
+    e_1; a full rule has none.
     """
 
     piece: PieceSet
@@ -447,9 +490,11 @@ def _check_region_args(n: int, radii: list[float], order: int) -> None:
 
 
 def _as_center(center, n: int) -> np.ndarray:
+    """``center`` as a fresh float array of n finite coordinates: a copy,
+    so a rule keeps its center when the caller's array changes."""
     if center is None or (np.isscalar(center) and center == 0):
         return np.zeros(n)
-    c = np.asarray(center, dtype=float).reshape(-1)
+    c = np.array(center, dtype=float).reshape(-1)
     if c.size != n:
         raise ValueError(f"center has {c.size} components, expected {n}")
     if not all(map(isfinite, c.tolist())):
@@ -593,7 +638,7 @@ def _polar_nodes(n: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 @cache
 def _radial_direction(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The radial layout's one direction, e_1, and its weight 1, cached and
-    read-only."""
+    read-only; its ray is the axis of the half-plane pair (1, 0)."""
     return _read_only(np.eye(1, n), np.ones(1))
 
 
@@ -751,7 +796,8 @@ def symmetric_sphere_directions(n: int, degree: int) -> tuple[np.ndarray, np.nda
     mass = np.linalg.lstsq(a[:, support], np.ones(len(a)), rcond=None)[0]
     if mass.min() <= 0 or np.abs(a[:, support] @ mass - 1.0).max() > 1e-12:
         raise ValueError(f"no positive fully symmetric rule of degree {degree} on S^{n - 1}")
-    dirs = np.concatenate([_orbit(gens[j]) for j in support])
+    # coordinate-major, as ``PieceSet`` reads the factor one coordinate at a time
+    dirs = np.asfortranarray(np.concatenate([_orbit(gens[j]) for j in support]))
     weights = np.repeat(mass / sizes[support], sizes[support])
     return _read_only(dirs, weights)
 
@@ -764,17 +810,27 @@ def _full_directions(n: int, angular_order: int) -> tuple[np.ndarray, np.ndarray
     ``_SYMMETRIC_MAX_ORDER``, the product rule otherwise."""
     if n >= 5 and angular_order <= _SYMMETRIC_MAX_ORDER:
         return symmetric_sphere_directions(n, 2 * angular_order - 1)
-    return _read_only(*unit_sphere_directions(n, angular_order))
+    dirs, weights = unit_sphere_directions(n, angular_order)
+    return _read_only(np.asfortranarray(dirs), weights)
 
 
 @cache
 def _checked_factor(
     symmetry: str, n: int, order: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float, float, float]]:
-    """A cached angular factor with its ``_factor_facts``, computed once:
-    the "radial" layout's one direction (``order`` unused) or the "full"
+    """A cached angular factor in its layout's own coordinates with its
+    ``_factor_facts``, computed once: the "radial" layout's one half-plane
+    pair (1, 0) and weight 1 (``order`` unused), the "zonal"
+    polar arc's pairs (cos, sin) with the polar weights, or the "full"
     layout's ``_full_directions(n, order)``."""
-    dirs, weights = _radial_direction(n) if symmetry == "radial" else _full_directions(n, order)
+    if symmetry == "radial":
+        dirs, weights = _read_only(np.array([[1.0, 0.0]]), np.ones(1))
+    elif symmetry == "zonal":
+        cos, sin, weights = _polar_nodes(n, order)
+        # coordinate-major, as for the full factors
+        dirs = _read_only(np.array([cos, sin]).T)[0]
+    else:
+        dirs, weights = _full_directions(n, order)
     return dirs, weights, _factor_facts(dirs, weights)
 
 
@@ -782,7 +838,7 @@ def _checked_factor(
 def _zonal_weights(n: int, order: int) -> tuple[np.ndarray, tuple[float, float]]:
     """The zonal shell layout's direction weights, the polar weights times
     the area of S^(n-2), cached and read-only, with their ``_weight_facts``
-    computed once.  Its directions are built per axis (``_zonal_dirs``)."""
+    computed once.  Its half-plane pairs are those of ``_checked_factor``."""
     weights = _polar_nodes(n, order)[2] * unit_sphere_area(n - 1)
     return _read_only(weights)[0], _weight_facts(weights)
 
@@ -840,30 +896,29 @@ def geometric_panels(
     return edges[:np.count_nonzero(edges < outer)].tolist()
 
 
-def _unit_perp_pair(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair (e, e_perp) with e along ``axis``."""
+def _unit_axis(axis) -> np.ndarray:
+    """``axis`` scaled to unit length; refuses one that is not finite and
+    nonzero."""
+    axis = np.asarray(axis, dtype=float)
     # sqrt(v.dot(v)) is np.linalg.norm(v), without its overhead
     norm = sqrt(axis.dot(axis))
     if not 0 < norm < inf:
         raise ValueError(f"axis must be finite and nonzero, got {axis.tolist()}")
-    e = axis / norm
-    # the k-th unit vector less its projection on e, k the first smallest
-    # |e_k|, in Python floats: their arithmetic is numpy's elementwise one
+    return axis / norm
+
+
+def _perpendicular(e: np.ndarray) -> np.ndarray:
+    """The deterministic unit vector p orthogonal to the unit axis ``e`` that
+    spans a zonal layout's half-plane with it: the k-th unit vector less
+    its projection on e, k the first smallest |e_k|."""
+    # in Python floats: their arithmetic is numpy's elementwise one
     coords = e.tolist()
     sizes = [abs(v) for v in coords]
     k = sizes.index(min(sizes))
     perp = [0.0 - v * coords[k] for v in coords]
     perp[k] = 1.0 - coords[k] * coords[k]
     perp = np.array(perp)
-    return e, perp / sqrt(perp.dot(perp))
-
-
-def _zonal_dirs(n: int, order: int, axis) -> tuple[np.ndarray, np.ndarray]:
-    """Directions ``t e + sin_t perp`` of the polar arc about ``axis``, and
-    the unit axis ``e``."""
-    t, sin_t, _ = _polar_nodes(n, order)
-    e, perp = _unit_perp_pair(np.asarray(axis, dtype=float))
-    return np.multiply.outer(t, e) + np.multiply.outer(sin_t, perp), e
+    return perp / sqrt(perp.dot(perp))
 
 
 def build_shell_pieces(
@@ -911,11 +966,13 @@ def build_shell_pieces(
     e = None
     if symmetry == "radial":
         dirs, dir_w, facts = _checked_factor("radial", n, 0)
+        e = _radial_direction(n)[0][0]
         radial_w = unit_sphere_area(n) * ws * s ** (n - 1)
     elif symmetry == "zonal":
-        dirs, e = _zonal_dirs(n, polar_order, axis)
+        e = _unit_axis(axis)
+        dirs, _, (_, _, *lengths) = _checked_factor("zonal", n, polar_order)
         dir_w, weight_facts = _zonal_weights(n, polar_order)
-        facts = (*weight_facts, *_length_facts(dirs))
+        facts = (*weight_facts, *lengths)
         radial_w = ws * s ** (n - 1)
     elif symmetry == "full":
         ang = default_angular_order(n, order) if angular_order is None else angular_order
@@ -943,9 +1000,8 @@ def build_sphere_pieces(
     powers = [r ** (n - 1) for r in radius_list]
     e = None
     if symmetry == "zonal":
-        dirs, e = _zonal_dirs(n, order, axis)
-        dir_w = _polar_nodes(n, order)[2]
-        facts = _factor_facts(dirs, dir_w)
+        e = _unit_axis(axis)
+        dirs, dir_w, facts = _checked_factor("zonal", n, order)
         radial_w = np.array([unit_sphere_area(n - 1) * p for p in powers])
     elif symmetry == "full":
         dirs, dir_w, facts = _checked_factor("full", n, order)
@@ -997,17 +1053,19 @@ def build_annulus_rule(
     ).rule(0)
 
 
-def _integrand_values(vals, nodes: np.ndarray) -> np.ndarray:
-    """An integrand's values at ``nodes`` as floats; raises on a wrong
-    shape or a non-finite value."""
+def _integrand_values(vals, pieces: PieceSet, start: int, count: int) -> np.ndarray:
+    """An integrand's values at the ``count`` nodes of ``pieces`` from node
+    ``start`` on, as floats; raises on a wrong shape, or on a non-finite
+    value with the node where it was found."""
     vals = np.asarray(vals, dtype=float)
-    if vals.shape != (len(nodes),):
+    if vals.shape != (count,):
         raise ValueError(
-            f"integrand returned shape {vals.shape}, expected {(len(nodes),)}"
+            f"integrand returned shape {vals.shape}, expected {(count,)}"
         )
     if not np.isfinite(vals).all():
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise NonFiniteFieldError(nodes[bad], float(vals[bad]))
+        node = pieces.node_range(start + bad, start + bad + 1)[0][0]
+        raise NonFiniteFieldError(node, float(vals[bad]))
     return vals
 
 
@@ -1016,10 +1074,11 @@ def _piece_sums(
     i: int,
     f: Callable[[np.ndarray], Sequence[np.ndarray]],
     threads: int | None,
+    coordinates: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
 ) -> list[float]:
     """Weighted sum over piece ``i`` of each integrand ``f`` returns: one
     dot product per fixed ``_CHUNK`` span, the span partials summed in span
-    order, spans spread over ``threads`` workers.  A span's nodes and
+    order, spans spread over ``threads`` workers.  A span's coordinates and
     weights are built in blocks of at most ``_BLOCK_NODES``."""
     if threads is None:
         threads = _DEFAULT_THREADS
@@ -1033,8 +1092,8 @@ def _piece_sums(
         cols = None
         for c in range(a, b, _BLOCK_NODES):
             d = min(c + _BLOCK_NODES, b)
-            nodes, w = pieces.node_range(start + c, start + d)
-            vals = [_integrand_values(v, nodes) for v in f(nodes)]
+            block, w = coordinates(start + c, start + d)
+            vals = [_integrand_values(v, pieces, start + c, d - c) for v in f(block)]
             if cols is None:
                 cols = np.empty((len(vals), b - a))
             weights[c - a:d - a] = w
@@ -1081,6 +1140,18 @@ def integrate_pieces(
     spread over ``threads`` workers (``_piece_sums``); the result is
     bit-identical for any thread count.
     """
+    return _integrate_pieces(pieces, f, threads, pieces.node_range)
+
+
+def _integrate_pieces(
+    pieces: PieceSet,
+    f: Callable[[np.ndarray], Sequence[np.ndarray]],
+    threads: int | None,
+    coordinates: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """``integrate_pieces`` with ``f`` taking the blocks that
+    ``coordinates(c, d)`` builds of nodes ``c`` to ``d - 1``: the
+    ``node_range`` of the set, or its ``plane_range``."""
     # node offsets of the pieces, as ints: piece i holds nodes
     # starts[i]:starts[i + 1] of the whole set
     m = len(pieces.dir_weights)
@@ -1090,14 +1161,15 @@ def integrate_pieces(
     a = 0
     while a < count:
         if starts[a + 1] - starts[a] > _BLOCK_NODES:
-            rows.append(_piece_sums(pieces, a, f, threads))
+            rows.append(_piece_sums(pieces, a, f, threads, coordinates))
             a += 1
             continue
         b = a + 1
         while b < count and starts[b + 1] - starts[a] <= _BLOCK_NODES:
             b += 1
-        nodes, weights = pieces.block(a, b)
-        cols = [_integrand_values(v, nodes) for v in f(nodes)]
+        block, weights = coordinates(starts[a], starts[b])
+        size = starts[b] - starts[a]
+        cols = [_integrand_values(v, pieces, starts[a], size) for v in f(block)]
         offsets = [k - starts[a] for k in starts[a:b + 1]]
         for lo, hi in zip(offsets, offsets[1:]):
             w = weights[lo:hi]

@@ -30,7 +30,7 @@ from math import inf, isfinite, isinf, log
 import numpy as np
 
 from ._csv import write_csv
-from .fields import ScalarField, _layout, annulus_rule_for
+from .fields import ScalarField, _field_pass, _layout, annulus_rule_for
 from .grid import _BLOCK_NODES, build_shell_pieces, unit_ball_volume
 
 __all__ = [
@@ -348,17 +348,20 @@ def tail_decay_check(
                                   radial_panels=[panels]).rule(0)
     else:
         rule = annulus_rule_for(u, c, inner, outer, order=24)
-    # |grad u| and the decay sup per block of nodes: only the magnitudes
-    # and weights of the whole rule are kept, for the weak-norm sort
+    # |grad u| and the decay sup per block of nodes, by the field-density
+    # evaluator's walk: only the magnitudes and weights of the whole rule
+    # are kept, for the weak-norm sort
+    coordinates, magnitudes = _field_pass(
+        u, rule.piece,
+        lambda v, g, y: (np.sqrt(np.einsum("mi,mi->m", g, g)), np.linalg.norm(y, axis=1)),
+        offsets=True)
     size = len(rule)
     mag, weights = np.empty(size), np.empty(size)
     peaks = []
     for a in range(0, size, _BLOCK_NODES):
         b = min(a + _BLOCK_NODES, size)
-        nodes, weights[a:b] = rule.piece.node_range(a, b)
-        g = u.gradient(nodes)
-        mag[a:b] = np.sqrt(np.einsum("mi,mi->m", g, g))
-        dist = np.linalg.norm(nodes - c, axis=1)
+        block, weights[a:b] = coordinates(a, b)
+        mag[a:b], dist = magnitudes(block)
         peaks.append(np.max(dist ** (n / 2) * mag[a:b]))
     sup_decay = float(np.max(peaks))
     weak = lorentz_norm(SampledFunction(mag, weights), LorentzIndex(2.0, float("inf")))

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._csv import write_csv
-from .grid import RadialGrid, integrate_pieces
+from .grid import RadialGrid
 from .fields import (
     ScalarField,
-    _energy_terms,
+    _energy_density,
+    _integrate_density,
     _pts,
     shell_pieces_for,
     sphere_pieces_for,
@@ -56,13 +57,13 @@ def _sphere_terms(
     (n-1)/r S + 2 int u du/dr, with r du/dr = grad u . (y - x)."""
     n = u.dimension
 
-    def terms(pts):
-        v, g = u.value_and_gradient(pts)
-        w = np.einsum("mi,mi->m", g, pts - x)
+    def terms(v, g, y):
+        w = np.einsum("mi,mi->m", g, y)
         w *= v
         return v**2, w
 
-    S, W = integrate_pieces(sphere_pieces_for(u, x, rr, order), terms, threads).T
+    spheres = sphere_pieces_for(u, x, rr, order)
+    S, W = _integrate_density(u, spheres, terms, threads, offsets=True).T
     return S, (n - 1) / rr * S + 2.0 * W / rr
 
 
@@ -73,7 +74,8 @@ def _sweep(u: ScalarField, x, rr: np.ndarray, order: int, threads: int | None):
     one piece batch), and ``_sphere_terms``."""
     x = _pts(x, u.dimension)[0][0]
     shells = shell_pieces_for(u, x, np.stack([np.r_[0.0, rr[:-1]], rr], axis=1), order)
-    G, X = np.cumsum(integrate_pieces(shells, _energy_terms(u), threads), axis=0).T
+    G, X = np.cumsum(_integrate_density(u, shells, _energy_density(u.dimension), threads),
+                     axis=0).T
     return (G, X, *_sphere_terms(u, x, rr, order, threads))
 
 
@@ -153,7 +155,9 @@ def profile(
     G, X, S, D = _sweep(u, x, rr, order, threads)
     values = _formulations(u.dimension, rr, G, X, S, D)["B"]
     comps = np.stack([X, D, S / rr], axis=1)
-    return MonotonicityProfile(center=x, radii=rr.copy(), values=values, components=comps)
+    # a copy: the profile keeps its center when the caller's array changes
+    return MonotonicityProfile(center=x.copy(), radii=rr.copy(), values=values,
+                               components=comps)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from bubblelab.grid import (
     RadialGrid,
     build_ball_rule,
     build_shell_pieces,
-    integrate,
     node_slack,
     unit_sphere_area,
 )
@@ -24,6 +23,7 @@ from bubblelab.fields import (
     CustomField,
     RescaledField,
     Superposition,
+    _integrate_density,
     _layout,
     annulus_rule_for,
     aubin_talenti,
@@ -230,6 +230,7 @@ def test_symmetric_full_rule_is_about_as_accurate_as_the_old_product_rule(n):
     product = dataclasses.replace(symmetric, **dict(zip(
         ("dirs", "dir_weights"), grid.unit_sphere_directions(n, 8))))
     errors = np.empty((2, 6, len(cases)))
+    weighted = concentration._weighted_density(n)
     for i, e in enumerate(np.random.default_rng(0).standard_normal((6, n))):
         e /= np.linalg.norm(e)
         bubbles = [aubin_talenti(n, delta, offset * e) for delta, offset in cases]
@@ -238,7 +239,7 @@ def test_symmetric_full_rule_is_about_as_accurate_as_the_old_product_rule(n):
         want = [energy_in(b, zonal.rule(0)) for b in bubbles]
         for j, pieces in enumerate((symmetric, product)):
             got = grid.integrate_pieces(
-                pieces, lambda p: [concentration._weighted_density(u)(p) for u in opaque], 2)
+                pieces, lambda p: [weighted(*u.value_and_gradient(p), None)[0] for u in opaque], 2)
             errors[j, i] = np.abs(got[0] / want - 1.0)
     rms = np.sqrt((errors**2).mean(axis=1))
     assert (rms[0] <= 2.0 * rms[1]).all()
@@ -1130,15 +1131,16 @@ def test_neck_rejects_degenerate_annulus():
         neck_energy(seq, 2, inner=0.6, outer=0.5)
 
 
-def unweighted_density(u):
+def one_rule_energy(u, rule):
+    """Reference: the unweighted energy of ``u`` on one rule, by the
+    field-density evaluator in the rule's own layout."""
     n = u.dimension
     p = 2.0 * n / (n - 2)
 
-    def dens(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g) + np.abs(u.evaluate(pts)) ** p
+    def dens(v, g, y):
+        return (np.einsum("mi,mi->m", g, g) + np.abs(v) ** p,)
 
-    return dens
+    return float(_integrate_density(u, rule.piece, dens)[0, 0])
 
 
 def per_rule_neck(seq, k, R, outer, order=24, entry=0):
@@ -1149,8 +1151,7 @@ def per_rule_neck(seq, k, R, outer, order=24, entry=0):
     while edges[-1] * 2 < outer:
         edges.append(edges[-1] * 2)
     edges.append(outer)
-    shells = [(a, b, integrate(annulus_rule_for(u, e.center, a, b, order),
-                               unweighted_density(u)))
+    shells = [(a, b, one_rule_energy(u, annulus_rule_for(u, e.center, a, b, order)))
               for a, b in zip(edges[:-1], edges[1:])]
     return shells, sum(val for _, _, val in shells)
 
@@ -1257,7 +1258,7 @@ def test_theta_matches_per_rule_loop(n):
         for x in (np.zeros(n), 0.25 * np.eye(n)[0], 0.1 * np.eye(n)[1]):
             est = theta_estimate(seq, x, 0.05, 4)
             u = seq.field(4)
-            want = {r: integrate(ball_rule_for(u, x, r, 24), unweighted_density(u))
+            want = {r: one_rule_energy(u, ball_rule_for(u, x, r, 24))
                     for r in (0.025, 0.05 / math.sqrt(2.0), 0.05)}
             assert est.samples == want
             assert all(type(v) is float for v in est.samples.values())

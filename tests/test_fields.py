@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from bubblelab import grid
 from bubblelab.grid import (
+    NonFiniteFieldError,
     RadialGrid,
     build_ball_rule,
     integrate,
@@ -13,10 +16,12 @@ from bubblelab.grid import (
     unit_sphere_area,
 )
 from bubblelab.concentration import bubbling_energy
+from bubblelab.monotonicity import profile
 from bubblelab.fields import (
     Bubble,
-    _energy_terms,
+    _energy_density,
     _finest_scale,
+    _integrate_density,
     _layout,
     ball_rule_for,
     sphere_rule_for,
@@ -24,6 +29,7 @@ from bubblelab.fields import (
     ConstantField,
     CustomField,
     RescaledField,
+    ScalarField,
     Superposition,
     aubin_talenti,
     gradient,
@@ -320,29 +326,32 @@ def test_pohozaev_rejects_nonpositive_radius():
 
 
 def pohozaev_reference_terms(u, x, r, order, threads):
-    """Reference: one ``integrate`` per moment over ``ball_rule_for`` and
-    ``sphere_rule_for``, each moment evaluating the field again."""
+    """Reference: one field-density integral per moment over
+    ``ball_rule_for`` and ``sphere_rule_for``, each moment evaluating the
+    field again, in the rule's own layout."""
     n = u.dimension
     p = 2.0 * n / (n - 2)
     ball, sphere = ball_rule_for(u, x, r, order), sphere_rule_for(u, x, r, order)
 
-    def upow(pts):
-        return np.abs(u.evaluate(pts)) ** p
+    def moment(rule, density, threads):
+        return float(_integrate_density(
+            u, rule.piece, lambda v, g, y: (density(v, g, y),), threads, offsets=True)[0, 0])
 
-    def gradsq(pts):
-        g = u.gradient(pts)
+    def upow(v, g, y):
+        return np.abs(v) ** p
+
+    def gradsq(v, g, y):
         return np.einsum("mi,mi->m", g, g)
 
-    def normsq(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, (pts - x) / r) ** 2
+    def normsq(v, g, y):
+        return np.einsum("mi,mi->m", g, y / r) ** 2
 
     return {
-        "volume_potential": (n - 2) / 2.0 * integrate(ball, upow, threads),
-        "volume_gradient": -(n - 2) / 2.0 * integrate(ball, gradsq, threads),
-        "boundary_potential": -(n - 2) / (2.0 * n) * r * integrate(sphere, upow, threads),
-        "boundary_gradient": 0.5 * r * integrate(sphere, gradsq, threads),
-        "boundary_normal": -r * integrate(sphere, normsq, threads),
+        "volume_potential": (n - 2) / 2.0 * moment(ball, upow, threads),
+        "volume_gradient": -(n - 2) / 2.0 * moment(ball, gradsq, threads),
+        "boundary_potential": -(n - 2) / (2.0 * n) * r * moment(sphere, upow, threads),
+        "boundary_gradient": 0.5 * r * moment(sphere, gradsq, threads),
+        "boundary_normal": -r * moment(sphere, normsq, threads),
     }
 
 
@@ -380,11 +389,28 @@ def test_pohozaev_one_pass_matches_per_moment_reference(case, threads):
 
 @pytest.mark.parametrize("case", POHOZAEV_CASES, ids=[c[0] for c in POHOZAEV_CASES])
 def test_pohozaev_passes_each_node_to_the_field_once(case, monkeypatch):
+    # in the layout's own coordinates: the half-plane rows of radial and
+    # zonal rules, which a bubble's half_plane kernel takes, else the nodes
     _, make, x, r, order = case
     u = make()
-    nodes = np.concatenate([ball_rule_for(u, x, r, order).nodes,
-                            sphere_rule_for(u, x, r, order).nodes])
+    rules = [ball_rule_for(u, x, r, order), sphere_rule_for(u, x, r, order)]
+    plane = isinstance(u, Bubble)
+    assert all((rule.symmetry != "full") == plane for rule in rules)
+    nodes = np.concatenate([rule.piece.plane_range(0, len(rule))[0] if plane else rule.nodes
+                            for rule in rules])
     seen = {}
+    half_plane = type(u).half_plane
+
+    def recorded_plane(self, x, e):
+        kernel = half_plane(self, x, e)
+
+        def recorded(pts):
+            seen.setdefault("half_plane", []).append(np.array(pts))
+            return kernel(pts)
+
+        return recorded
+
+    monkeypatch.setattr(type(u), "half_plane", recorded_plane)
     for name in ("evaluate", "analytic_gradient", "value_and_gradient"):
         original = getattr(type(u), name)
 
@@ -394,9 +420,10 @@ def test_pohozaev_passes_each_node_to_the_field_once(case, monkeypatch):
 
         monkeypatch.setattr(type(u), name, recorded)
     pohozaev_report(u, x, r, order, threads=1)
-    assert "value_and_gradient" in seen
-    if isinstance(u, Bubble):
-        assert set(seen) == {"value_and_gradient"}  # one pass, no separate calls
+    if plane:
+        assert set(seen) == {"half_plane"}  # one pass, no n-dimensional call
+    else:
+        assert "value_and_gradient" in seen
     for name, blocks in seen.items():
         got = np.concatenate(blocks)
         assert got.shape == nodes.shape and got.tobytes() == nodes.tobytes(), name
@@ -589,6 +616,193 @@ def test_off_center_profile_shells_stay_within_their_memory_budget():
     x = 0.3 * np.eye(6)[0]
     rr = RadialGrid.log_spaced(0.05, 5.0, 40).radii
     shells = shell_pieces_for(u, x, np.stack([np.r_[0.0, rr[:-1]], rr], axis=1), 32)
-    first = integrate_pieces(shells, _energy_terms(u))
-    assert _traced_peak(lambda: integrate_pieces(shells, _energy_terms(u))) < 1.5e6
-    assert same_bits(integrate_pieces(shells, _energy_terms(u)), first)
+    first = _integrate_density(u, shells, _energy_density(6))
+    assert _traced_peak(lambda: _integrate_density(u, shells, _energy_density(6))) < 1.5e6
+    assert same_bits(_integrate_density(u, shells, _energy_density(6)), first)
+
+
+# ---------------------------------------------------------------------------
+# the half-plane evaluator against the n-dimensional one
+# ---------------------------------------------------------------------------
+
+
+def half_plane_densities(v, g, y):
+    """u, |grad u|, grad u . (y - x) and (grad u . nu)^2, nu = (y - x)/|y - x|,
+    from the values, gradients and offsets of either evaluator."""
+    radial = np.einsum("mi,mi->m", g, y)
+    return (v, np.sqrt(np.einsum("mi,mi->m", g, g)), radial,
+            radial**2 / np.einsum("mi,mi->m", y, y))
+
+
+def node_integrals(u, pieces, density):
+    """Reference: ``density`` integrated at the set's n-dimensional nodes, a
+    plain callable of ``integrate_pieces``."""
+    x = pieces.center
+    return integrate_pieces(pieces, lambda pts: density(*u.value_and_gradient(pts), pts - x))
+
+
+def layout_sets(u, x, order):
+    """Shells (a ball and two annuli) and spheres about ``x`` in the layout
+    ``_layout`` picks for ``u``."""
+    return (shell_pieces_for(u, x, [(0.0, 0.4), (0.4, 1.1), (1.1, 2.5)], order),
+            sphere_pieces_for(u, x, [0.3, 1.0, 2.2], order))
+
+
+@st.composite
+def collinear_fields(draw):
+    """(u, x): a field whose radial parts are centered on a line through the
+    probe x along a generic axis, with 1-3 parts, of signs +-1, separated
+    along the line or in scale so that their sum does not cancel.  A
+    constant part is radial about the origin, so its line passes there."""
+    n = draw(st.integers(3, 7))
+    axis = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    assume(np.linalg.norm(axis) > 0.5)
+    e = axis / np.linalg.norm(axis)
+    kind = draw(st.sampled_from(["bubble", "configuration", "nested", "rescaled",
+                                 "constant"]))
+    base = (np.zeros(n) if kind == "constant"
+            else np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))))
+    count = 1 if kind == "bubble" else draw(st.integers(2 if kind == "nested" else 1, 3))
+    ts = draw(st.lists(st.floats(-1.0, 1.0), min_size=count, max_size=count))
+    scales = draw(st.lists(st.floats(0.1, 1.0), min_size=count, max_size=count))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=count, max_size=count))
+    for i in range(count):
+        for j in range(i):
+            assume(abs(ts[i] - ts[j]) > 0.2 or max(scales[i], scales[j])
+                   > 1.5 * min(scales[i], scales[j]))
+    bubbles = [Bubble(n, base + t * e, d, s) for t, d, s in zip(ts, scales, signs)]
+    x = base + draw(st.floats(-1.5, 1.5)) * e
+    weights = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=count, max_size=count))
+    if kind == "bubble":
+        u = bubbles[0]
+    elif kind == "configuration":
+        u = BubbleConfiguration(bubbles, weights)
+    elif kind == "nested":
+        u = Superposition([Superposition(bubbles[:1], weights[:1]),
+                           Superposition(bubbles[1:], weights[1:])], [1.0, -1.0])
+    elif kind == "rescaled":
+        y, delta = 0.3 * e + 0.1 * base, draw(st.floats(0.25, 4.0))
+        moved = [Bubble(n, y + delta * b.center, delta * b.scale, b.sign) for b in bubbles]
+        u = RescaledField(Superposition(moved, weights), y, delta)
+    else:
+        u = Superposition([*bubbles, ConstantField(n, draw(st.floats(-2.0, 2.0)))],
+                          [*weights, 1.0])
+    return u, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_fields())
+def test_half_plane_evaluator_agrees_with_the_nodes(case):
+    # every density, on shells and on spheres, within 1e-13 of the
+    # integral of its magnitude: the two evaluators differ in how the
+    # offsets from the parts' centers round, nowhere else
+    u, x = case
+    for pieces in layout_sets(u, x, 8):
+        assert pieces.symmetry in ("radial", "zonal")
+        assert u.half_plane(pieces.center, pieces.axis) is not None
+        got = _integrate_density(u, pieces, half_plane_densities, offsets=True)
+        want = node_integrals(u, pieces, half_plane_densities)
+        size = node_integrals(u, pieces, lambda *a: [np.abs(d) for d in half_plane_densities(*a)])
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+def e1_layout_fields(n):
+    """Fields whose layouts about the origin have the axis e_1: radial ones,
+    and parts centered on the x_1 axis."""
+    e1 = np.eye(n)[0]
+    tower = BubbleConfiguration([Bubble(n, np.zeros(n), d) for d in (0.5, 0.05, 1e-3)])
+    return {
+        "bubble": aubin_talenti(n),
+        "tower": tower,
+        "on-axis": Bubble(n, 0.3 * e1, 0.2, -1.0),
+        "signed-pair": BubbleConfiguration([Bubble(n, 0.3 * e1, 0.1),
+                                            Bubble(n, -0.3 * e1, 0.2, -1.0)]),
+        "rescaled-tower": RescaledField(tower, np.zeros(n), 0.25),
+        "with-constant": Superposition([Bubble(n, -0.4 * e1, 0.3), ConstantField(n, 0.5)]),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["bubble", "tower", "on-axis", "signed-pair",
+                                  "rescaled-tower", "with-constant"])
+def test_half_plane_evaluator_keeps_the_bits_of_e1_layouts_about_the_origin(n, name):
+    # the centered profile sweeps, the README's quantize, neck and residual
+    # runs: every density and both energy densities bit for bit as at the
+    # nodes
+    u = e1_layout_fields(n)[name]
+    energy = _energy_density(n)
+    for pieces in layout_sets(u, np.zeros(n), 12):
+        assert pieces.symmetry in ("radial", "zonal")
+        assert same_bits(np.abs(pieces.axis), np.eye(n)[0])
+        for density in (half_plane_densities, energy):
+            got = _integrate_density(u, pieces, density, offsets=True)
+            assert same_bits(got, node_integrals(u, pieces, density))
+
+
+class OwnRadialParts(Bubble):
+    """A bubble that changes evaluation and states its radial parts again."""
+
+    def evaluate(self, points):
+        return 2.0 * super().evaluate(points)
+
+    @property
+    def radial_parts(self):
+        return self.center[None, :], np.array([self.scale]), False
+
+
+def test_a_subclass_that_changes_evaluation_loses_the_half_plane_fact():
+    # ShiftedBubble changes evaluate: no half-plane kernel, no radial part,
+    # so a full layout; a subclass that keeps radial parts but not the
+    # kernel is integrated at its zonal layout's n-dimensional nodes
+    x = np.array([0.2, 0.1, 0.0])
+    shifted = ShiftedBubble(3, np.zeros(3), 0.3)
+    assert type(shifted).half_plane is ScalarField.half_plane
+    assert shifted.half_plane(x, np.eye(3)[0]) is None
+    assert _layout(shifted, x) == ("full", None)
+    own = OwnRadialParts(3, np.zeros(3), 0.3)
+    assert own.half_plane(x, np.eye(3)[0]) is None
+    for pieces in layout_sets(own, x, 8):
+        assert pieces.symmetry == "zonal"
+        got = _integrate_density(own, pieces, half_plane_densities, offsets=True)
+        assert same_bits(got, node_integrals(own, pieces, half_plane_densities))
+    # the nested sum and the rescaled field lose the fact with their part
+    assert Superposition([aubin_talenti(3), own]).half_plane(x, np.eye(3)[0]) is None
+    assert RescaledField(own, x, 2.0).half_plane(x, np.eye(3)[0]) is None
+
+
+def test_half_plane_kernels_refuse_a_part_off_the_axis():
+    # a rule about a line its parts are not centered on would need the
+    # choice of p: no kernel, and the evaluator takes the nodes
+    b = Bubble(3, [0.3, 1e-6, 0.0], 0.2)
+    e1 = np.eye(3)[0]
+    assert b.half_plane(np.zeros(3), e1) is None
+    assert Bubble(3, [0.3, 1e-12, 0.0], 0.2).half_plane(np.zeros(3), e1) is not None
+    zonal = grid.build_shell_pieces(3, 0, [(0.0, 1.0)], 8, "zonal", e1)
+    got = _integrate_density(b, zonal, half_plane_densities, offsets=True)
+    assert same_bits(got, node_integrals(b, zonal, half_plane_densities))
+
+
+def test_piece_sets_and_rules_keep_their_center_when_the_callers_array_changes():
+    u = Bubble(3, [0.4, 0.0, 0.0], 0.3)
+    x = np.zeros(3)
+    built = [shell_pieces_for(u, x, [(0.0, 1.0)], 8), sphere_pieces_for(u, x, [1.0], 8),
+             ball_rule_for(u, x, 1.0, 8).piece, grid.build_shell_pieces(3, x, [(0.0, 1.0)], 8)]
+    energy = _energy_density(3)
+    before = [_integrate_density(u, pieces, energy) for pieces in built]
+    # the reports that carry their probe keep it too
+    reports = [profile(u, x, [0.5, 1.0], order=8), pohozaev_report(u, x, 1.0, order=8)]
+    x[0] = 5.0
+    for pieces, want in zip(built, before):
+        assert pieces.center.tolist() == [0.0, 0.0, 0.0]
+        assert same_bits(_integrate_density(u, pieces, energy), want)
+    assert all(report.center.tolist() == [0.0, 0.0, 0.0] for report in reports)
+
+
+def test_a_non_finite_density_in_the_half_plane_is_reported_at_its_node():
+    # the half-plane rows are not nodes: the error names the node itself
+    u = Superposition([Bubble(3, [0.3, 0.0, 0.0], 0.2), ConstantField(3, np.nan)])
+    pieces = shell_pieces_for(u, [0.1, 0.0, 0.0], [(0.0, 0.5), (0.5, 1.0)], 8)
+    assert pieces.symmetry == "zonal"
+    with pytest.raises(NonFiniteFieldError) as err:
+        _integrate_density(u, pieces, _energy_density(3))
+    assert same_bits(err.value.node, pieces.block(0, 2)[0][0])

@@ -554,7 +554,11 @@ def test_node_ranges_equal_the_broadcast_product(n, symmetry, order, panels):
     # reference: every node of the set as one broadcast product of its factors
     pieces = grid.build_shell_pieces(n, np.linspace(-0.3, 0.4, n), [(0.0, 1.0)], order,
                                      symmetry, np.ones(n), radial_panels=[panels])
-    nodes = (pieces.center + pieces.s[:, None, None] * pieces.dirs[None, :, :]).reshape(-1, n)
+    nodes = (pieces.center + pieces.s[:, None, None]
+             * pieces.directions[None, :, :]).reshape(-1, n)
+    # a radial or zonal set's half-plane rows (a, b): the same product of
+    # its factors in two coordinates
+    plane = (pieces.s[:, None, None] * pieces.dirs[None, :, :]).reshape(-1, pieces.dirs.shape[1])
     weights = (pieces.radial_weights[:, None] * pieces.dir_weights[None, :]).reshape(-1)
     got_nodes, got_weights = pieces.block(0, 1)
     assert same_bits(got_nodes, nodes) and same_bits(got_weights, weights)
@@ -567,6 +571,10 @@ def test_node_ranges_equal_the_broadcast_product(n, symmetry, order, panels):
             got_nodes, got_weights = pieces.node_range(int(c), d)
             assert same_bits(got_nodes, nodes[c:d])
             assert same_bits(got_weights, weights[c:d])
+            if symmetry != "full":
+                got_plane, got_weights = pieces.plane_range(int(c), d)
+                assert same_bits(got_plane, plane[c:d])
+                assert same_bits(got_weights, weights[c:d])
 
 
 def test_integrate_never_returns_negative_zero():
@@ -1010,3 +1018,31 @@ def test_node_blocks_are_coordinate_major_and_fields_keep_their_layout(build):
             value, gradient = u.value_and_gradient(points)
             assert value.shape == (len(points),)
             assert gradient.shape == points.shape and gradient.flags.f_contiguous
+
+
+@pytest.mark.parametrize("n, angular_order", [(3, 8), (4, 12), (5, 8), (6, 4), (6, 9)])
+def test_full_factors_are_coordinate_major_and_either_order_gives_the_same_bits(
+        n, angular_order):
+    # node_range reads one coordinate of every direction at a time: the
+    # cached full factors keep those columns contiguous, and a set on a
+    # C-ordered copy of the factor builds the same nodes, weights and sums
+    dirs, weights = grid._full_directions(n, angular_order)
+    assert dirs.flags.f_contiguous and not dirs.flags.writeable
+    pieces = grid.build_shell_pieces(n, np.linspace(-0.3, 0.4, n), [(0.0, 0.5), (0.5, 1.0)],
+                                     6, angular_order=angular_order)
+    assert pieces.dirs is dirs
+    copy = replace(pieces, dirs=np.ascontiguousarray(dirs))
+    assert copy.dirs.flags.c_contiguous
+    size = int(pieces.sizes.sum())
+    m = len(weights)
+    for c, d in ((0, size), (m // 2 + 1, size - 1), (m, 3 * m + 5)):
+        for a, b in zip(pieces.node_range(c, d), copy.node_range(c, d)):
+            assert same_bits(a, b)
+    for a, b in zip(pieces.block(0, 2), copy.block(0, 2)):
+        assert same_bits(a, b)
+
+    def two_columns(p):
+        return np.einsum("ij,ij->i", p, p), np.cos(p[:, 0]) * p[:, -1]
+
+    assert same_bits(grid.integrate_pieces(pieces, two_columns),
+                     grid.integrate_pieces(copy, two_columns))

@@ -5,7 +5,7 @@ import pytest
 
 from bubblelab import grid
 from bubblelab.concentration import energy_in
-from bubblelab.grid import RadialGrid, integrate, unit_ball_volume, unit_sphere_area
+from bubblelab.grid import RadialGrid, unit_ball_volume, unit_sphere_area
 from bubblelab.fields import (
     BubbleConfiguration,
     Bubble,
@@ -13,6 +13,7 @@ from bubblelab.fields import (
     CustomField,
     RescaledField,
     Superposition,
+    _integrate_density,
     annulus_rule_for,
     aubin_talenti,
     ball_rule_for,
@@ -194,14 +195,24 @@ def test_profile_csv_columns(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def rule_integral(u, rule, density, threads=1):
+    """Reference: the integral of ``density(v, g, y)`` for ``u`` on one
+    rule, by the field-density evaluator in the rule's own layout."""
+    return float(_integrate_density(
+        u, rule.piece, lambda v, g, y: (density(v, g, y),), threads, offsets=True)[0, 0])
+
+
+def gradsq(v, g, y):
+    return np.einsum("mi,mi->m", g, g)
+
+
 def per_rule_sphere_terms(u, x, r, order=32, threads=1):
     """Reference (int_dB u^2, d/dr int_dB u^2) from one sphere rule, the
     derivative by the identity (n-1)/r int u^2 + 2 int u du/dr."""
     n = u.dimension
     sphere = sphere_rule_for(u, x, r, order)
-    S = integrate(sphere, lambda pts: u.evaluate(pts) ** 2, threads=threads)
-    W = integrate(sphere, lambda pts: u.evaluate(pts) * np.einsum(
-        "mi,mi->m", u.gradient(pts), pts - x), threads=threads)
+    S = rule_integral(u, sphere, lambda v, g, y: v**2, threads)
+    W = rule_integral(u, sphere, lambda v, g, y: v * np.einsum("mi,mi->m", g, y), threads)
     return S, (n - 1) / r * S + 2.0 * W / r
 
 
@@ -210,18 +221,13 @@ def per_rule_profile(u, x, radii, order=32, threads=1):
     n = u.dimension
     p = 2.0 * n / (n - 2)
     x = np.asarray(x, dtype=float)
-
-    def gradsq(pts):
-        g = u.gradient(pts)
-        return np.einsum("mi,mi->m", g, g)
-
     G = X = 0.0
     values, comps, prev = [], [], 0.0
     for r in np.asarray(radii, dtype=float):
         shell = annulus_rule_for(u, x, prev, r, order) if prev > 0 else ball_rule_for(
             u, x, r, order)
-        G += integrate(shell, gradsq, threads=threads)
-        X += integrate(shell, lambda pts: np.abs(u.evaluate(pts)) ** p, threads=threads)
+        G += rule_integral(u, shell, gradsq, threads)
+        X += rule_integral(u, shell, lambda v, g, y: np.abs(v) ** p, threads)
         S, D = per_rule_sphere_terms(u, x, r, order, threads)
         values.append(0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S)
         comps.append((X, D, S / r))
@@ -234,8 +240,8 @@ def per_rule_energy(u, x, r, formulation, order=32):
     n = u.dimension
     p = 2.0 * n / (n - 2)
     ball = ball_rule_for(u, x, r, order)
-    G = integrate(ball, lambda pts: np.einsum("mi,mi->m", u.gradient(pts), u.gradient(pts)))
-    X = integrate(ball, lambda pts: np.abs(u.evaluate(pts)) ** p)
+    G = rule_integral(u, ball, gradsq)
+    X = rule_integral(u, ball, lambda v, g, y: np.abs(v) ** p)
     S, D = per_rule_sphere_terms(u, np.asarray(x, dtype=float), r, order)
     if formulation == "B":
         return 0.5 * G - (n - 2) / (2.0 * n) * X + (n - 2) / (4.0 * r) * S
